@@ -40,8 +40,6 @@ from .lyapunov import (
     GateError,
     build_lyapunov,
     contraction_certificate,
-    default_radial_grid,
-    distance_generator_bound,
     rate_sweep,
     tail_envelope_positivity,
 )
@@ -248,19 +246,7 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
         return EXIT_GATE
     try:
         lyap = build_lyapunov(spec, cond)
-        grid = default_radial_grid(cond.l0)
-        rows = []
-        for r in grid:
-            r = float(r)
-            if r <= cond.l0:
-                bound = distance_generator_bound(lyap, spec, cond, r)
-                psi = float(lyap.value(r))
-                ratio = -bound / psi
-            else:
-                ratio = cond.k2 * r ** (cond.theta - 1.0) * lyap.prime_over_value(r)
-                psi = float(lyap.value(r))
-                bound = -ratio * psi
-            rows.append((r, bound, psi, ratio))
+        sweep = rate_sweep(lyap, spec, cond)
     except GateError as exc:
         print(f"gate failure: small-alpha margin = {exc.margin:.12g} <= 0",
               file=sys.stderr)
@@ -271,11 +257,15 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     with open(out / "lyapunov.csv", "w") as fh:
         fh.write("r,generator_bound,psi,ratio\n")
-        for row in rows:
+        for row in zip(sweep.rs, sweep.generator_bound, sweep.psi, sweep.ratios):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    lam_star = min(row[3] for row in rows)
-    print(f"lambda_star = {lam_star:.12g}; sweep written to {out / 'lyapunov.csv'}")
-    return EXIT_OK if lam_star > 0.0 else EXIT_CERT
+    print(f"lambda_star = {sweep.lambda_star:.12g}; sweep written to "
+          f"{out / 'lyapunov.csv'}")
+    if not sweep.certified:
+        print(f"certificate failure: contraction ratio {sweep.lambda_star:.6g} "
+              f"at r = {sweep.argmin_r:.6g}", file=sys.stderr)
+        return EXIT_CERT
+    return EXIT_OK
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

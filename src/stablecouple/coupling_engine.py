@@ -163,10 +163,13 @@ def reflect(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if x.ndim == 1:
         e = x - y
-        nrm2 = float(e @ e)
-        if nrm2 == 0.0:
+        scale = float(np.max(np.abs(e)))
+        if scale == 0.0:
             return -z
-        return z - (2.0 * float(e @ z) / nrm2) * e
+        if scale < 1e-150:
+            # e @ e would underflow into subnormals; the mirror is scale-free
+            e = e / scale
+        return z - (2.0 * float(e @ z) / float(e @ e)) * e
     e = x - y
     nrm2 = np.einsum("ij,ij->i", e, e)
     safe = np.where(nrm2 > 0.0, nrm2, 1.0)

@@ -21,6 +21,7 @@ of the certificate assembled here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -186,15 +187,18 @@ class RadialLyapunov:
     def prime_over_value(self, r: float) -> float:
         """psi'(r)/psi(r), stable against tail overflow.
 
-        On the core the high-alpha ratio is c1 / (e^{c1 r} - 1).  On the tail
-        the exponential dominates once its argument passes ~600 and the ratio
-        is the tail rate up to a relative correction below e^{-600}/A.
+        On the core the high-alpha ratio is c1 / (e^{c1 r} - 1), which is
+        c1 e^{-c1 r} up to a relative e^{-c1 r} once c1 r passes ~600.  On the
+        tail the exponential dominates once its argument passes ~600 and the
+        ratio is the tail rate up to a relative correction below e^{-600}/A.
         """
         r = float(r)
         if r <= 0.0:
             raise ValueError("ratio defined for r > 0")
         if r <= self.switch_r:
             if self.regime is Regime.HIGH_ALPHA:
+                if self.c1 * r > _EXP_SAFE:
+                    return self.c1 * math.exp(-self.c1 * r)
                 return self.c1 / math.expm1(self.c1 * r)
             num = 1.0 - self.c * (1.0 + self.alpha) * r ** self.alpha
             return num / (r - self.c * r ** (1.0 + self.alpha))
@@ -289,6 +293,17 @@ class QuadratureConfig:
             raise ValueError("invalid quadrature configuration")
 
 
+@functools.lru_cache(maxsize=None)
+def _radial_rule(n: int):
+    """Gauss-Legendre rule on [0, 1]; built on first use, then shared."""
+    un, uw = np.polynomial.legendre.leggauss(n)
+    un = 0.5 * (un + 1.0)
+    uw = 0.5 * uw
+    un.flags.writeable = uw.flags.writeable = False
+    return un, uw
+
+
+@functools.lru_cache(maxsize=None)
 def _angular_rule(d: int, n: int):
     """Average over t = z_1/|z| on [0, 1] (the integrand is even in t).
 
@@ -296,26 +311,67 @@ def _angular_rule(d: int, n: int):
     (1 - t^2)^((d-3)/2); for d = 1 it degenerates to atoms at +-1.
     """
     if d == 1:
-        return np.array([1.0]), np.array([1.0])
-    nodes, weights = special.roots_jacobi(n, (d - 3) / 2.0, (d - 3) / 2.0)
-    return np.abs(nodes), weights / weights.sum()
+        nodes, weights = np.array([1.0]), np.array([1.0])
+    else:
+        nodes, weights = special.roots_jacobi(n, (d - 3) / 2.0, (d - 3) / 2.0)
+        nodes, weights = np.abs(nodes), weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _jump_term_fixed(lyap: RadialLyapunov, spec: StableSpec, r: float,
-                     n_radial: int, n_angular: int) -> float:
-    ar = lyap.a * r
+def _jump_term_fixed(lyap: RadialLyapunov, spec: StableSpec, rs: np.ndarray,
+                     n_radial: int, n_angular: int) -> np.ndarray:
+    """J at every radius of ``rs`` with one fixed tensor rule.
+
+    Works on a (radii x radial nodes) array and loops over the angular nodes,
+    so temporaries stay at len(rs) x n_radial.
+    """
+    ar = lyap.a * rs
     tn, tw = _angular_rule(spec.d, n_angular)
-    un, uw = np.polynomial.legendre.leggauss(n_radial)
-    un = 0.5 * (un + 1.0)
-    uw = 0.5 * uw
+    un, uw = _radial_rule(n_radial)
     expo = 1.0 / (2.0 - spec.alpha)
-    s = ar * un ** expo
-    # s^(-1-alpha) ds = (a r)^(-alpha) expo u^(-2 expo) du under s = a r u^expo
-    jac = ar ** (-spec.alpha) * expo * un ** (-2.0 * expo)
+    s = ar[:, None] * un ** expo
+    # s^(-1-alpha) ds = (a r)^(-alpha) expo u^(-2 expo) du under s = a r u^expo;
+    # (a r)^(-alpha) is a float power per radius: numpy's array power can
+    # differ in the last bit, and the sweep outputs are compared bitwise
+    scale = np.array([float(x) ** (-spec.alpha) * expo for x in ar])
+    jac = scale[:, None] * un ** (-2.0 * expo)
+    r_col = rs[:, None]
     f_avg = np.zeros_like(s)
     for t, w in zip(tn, tw):
-        f_avg += w * lyap.second_difference(r, 2.0 * s * t)
-    return float(spec.c_dalpha * spec.omega_d / 2.0 * np.sum(uw * jac * f_avg))
+        f_avg += w * lyap.second_difference(r_col, 2.0 * s * t)
+    return spec.c_dalpha * spec.omega_d / 2.0 * np.sum(uw * jac * f_avg, axis=1)
+
+
+def _jump_term_batch(lyap: RadialLyapunov, spec: StableSpec, rs,
+                     quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """J(r) at every radius in ``rs`` in (0, L0], refined radius by radius.
+
+    n_radial doubles only for the radii whose last two values differ by
+    more than tol (1 + |value|); a converged radius keeps its value.
+    Returns the values and the n_radial each radius converged at.  Raises
+    :class:`CertificateError` carrying the smallest radius still unconverged
+    at ``quad.n_radial_max``.
+    """
+    rs = np.asarray(rs, dtype=float)
+    values = np.empty(len(rs))
+    levels = np.zeros(len(rs), dtype=int)
+    todo = np.arange(len(rs))
+    n = quad.n_radial
+    prev = _jump_term_fixed(lyap, spec, rs, n, quad.n_angular)
+    while len(todo) and n < quad.n_radial_max:
+        n *= 2
+        cur = _jump_term_fixed(lyap, spec, rs[todo], n, quad.n_angular)
+        done = np.abs(cur - prev) <= quad.tol * (1.0 + np.abs(cur))
+        values[todo[done]] = cur[done]
+        levels[todo[done]] = n
+        todo, prev = todo[~done], cur[~done]
+    if len(todo):
+        r = float(rs[todo].min())
+        raise CertificateError(
+            f"jump-term quadrature did not stabilize to {quad.tol:g} at r={r:g}",
+            r=r)
+    return values, levels
 
 
 def jump_term(lyap: RadialLyapunov, spec: StableSpec, r: float,
@@ -329,18 +385,8 @@ def jump_term(lyap: RadialLyapunov, spec: StableSpec, r: float,
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    quad = quad or QuadratureConfig()
-    n = quad.n_radial
-    prev = _jump_term_fixed(lyap, spec, r, n, quad.n_angular)
-    while n < quad.n_radial_max:
-        n *= 2
-        cur = _jump_term_fixed(lyap, spec, r, n, quad.n_angular)
-        if abs(cur - prev) <= quad.tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise CertificateError(
-        f"jump-term quadrature did not stabilize to {quad.tol:g} at r={r:g}", r=r
-    )
+    values, _ = _jump_term_batch(lyap, spec, [r], quad or QuadratureConfig())
+    return float(values[0])
 
 
 def worst_drift_term(cond: DriftCondition, r: float) -> float:
@@ -348,6 +394,25 @@ def worst_drift_term(cond: DriftCondition, r: float) -> float:
     if r <= cond.l0:
         return cond.k1 * r
     return -cond.k2 * r ** (cond.theta - 1.0)
+
+
+def _generator_bound_core(lyap: RadialLyapunov, spec: StableSpec,
+                          cond: DriftCondition, rs: np.ndarray,
+                          quad: QuadratureConfig | None) -> np.ndarray:
+    """L psi(r) = J(r) + psi'(r) K1 r at radii ``rs`` in (0, L0], batched."""
+    jump, _ = _jump_term_batch(lyap, spec, rs, quad or QuadratureConfig())
+    return jump + lyap.prime(rs) * (cond.k1 * rs)
+
+
+def _large_separation_ratio(lyap: RadialLyapunov, cond: DriftCondition,
+                            r: float) -> float:
+    """-L psi(r) / psi(r) = K2 r^(theta-1) psi'(r)/psi(r) for r > L0.
+
+    Goes through the overflow-safe psi'/psi, so it stays finite where psi
+    itself overflows far out on the tail.
+    """
+    r = float(r)
+    return cond.k2 * r ** (cond.theta - 1.0) * lyap.prime_over_value(r)
 
 
 def distance_generator_bound(lyap: RadialLyapunov, spec: StableSpec,
@@ -360,10 +425,10 @@ def distance_generator_bound(lyap: RadialLyapunov, spec: StableSpec,
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    drift_part = float(lyap.prime(r)) * worst_drift_term(cond, r)
     if r > cond.l0:
-        return drift_part
-    return jump_term(lyap, spec, r, quad) + drift_part
+        return float(lyap.prime(r)) * worst_drift_term(cond, r)
+    return float(_generator_bound_core(lyap, spec, cond, np.array([float(r)]),
+                                       quad)[0])
 
 
 def small_distance_rate(lyap: RadialLyapunov, spec: StableSpec,
@@ -392,13 +457,20 @@ def default_radial_grid(l0: float, n: int = 400, r_min_factor: float = 1e-4,
 
 @dataclass(frozen=True)
 class RateSweep:
-    """Grid sweep of the contraction ratio -L psi(r) / psi(r)."""
+    """Grid sweep of the contraction ratio -L psi(r) / psi(r).
+
+    ``generator_bound`` and ``psi`` are L psi(r) and psi(r) at each radius;
+    far out on the tail psi overflows to +inf (bound -inf) while the ratio,
+    taken through psi'/psi, stays finite.
+    """
 
     rs: np.ndarray
     ratios: np.ndarray
     lambda_star: float
     argmin_r: float
     tail_increasing: bool
+    psi: np.ndarray
+    generator_bound: np.ndarray
 
     @property
     def certified(self) -> bool:
@@ -410,6 +482,7 @@ def rate_sweep(lyap: RadialLyapunov, spec: StableSpec, cond: DriftCondition,
                quad: QuadratureConfig | None = None) -> RateSweep:
     """Sweep -L psi / psi over a radial grid; the infimum is the numeric rate.
 
+    The radii in (0, L0] go through the jump-term quadrature in one batch.
     Above L0 the ratio K2 r^(theta-1) psi'(r)/psi(r) is evaluated through the
     overflow-safe ratio.  ``tail_increasing`` records whether the ratio is
     rising at the grid end (the exponential tail of psi dominates beyond it,
@@ -418,18 +491,19 @@ def rate_sweep(lyap: RadialLyapunov, spec: StableSpec, cond: DriftCondition,
     grid = default_radial_grid(cond.l0) if grid is None else np.asarray(grid, float)
     if len(grid) < 200 or grid.max() < 4.0 * cond.l0 or grid.min() <= 0.0:
         raise ValueError("grid must have >= 200 points on (0, R] with R >= 4 L0")
+    below = grid <= cond.l0
+    psi = lyap.value(grid)
+    gen = np.empty(len(grid))
     ratios = np.empty(len(grid))
-    for i, r in enumerate(grid):
-        if r <= cond.l0:
-            gen = distance_generator_bound(lyap, spec, cond, float(r), quad)
-            ratios[i] = -gen / float(lyap.value(r))
-        else:
-            ratios[i] = (cond.k2 * r ** (cond.theta - 1.0)
-                         * lyap.prime_over_value(float(r)))
+    gen[below] = _generator_bound_core(lyap, spec, cond, grid[below], quad)
+    ratios[below] = -gen[below] / psi[below]
+    ratios[~below] = [_large_separation_ratio(lyap, cond, r) for r in grid[~below]]
+    gen[~below] = -ratios[~below] * psi[~below]
     idx = int(np.argmin(ratios))
     return RateSweep(rs=grid, ratios=ratios, lambda_star=float(ratios[idx]),
                      argmin_r=float(grid[idx]),
-                     tail_increasing=bool(ratios[-1] > ratios[-2] > ratios[-3]))
+                     tail_increasing=bool(ratios[-1] > ratios[-2] > ratios[-3]),
+                     psi=psi, generator_bound=gen)
 
 
 @dataclass(frozen=True)
@@ -451,9 +525,18 @@ class TailEnvelopeReport:
 
 def tail_envelope_positivity(lyap: RadialLyapunov,
                              grid: np.ndarray | None = None) -> TailEnvelopeReport:
-    """Check the tail envelope g on [2 L0, 10 L0] and at its stationary point."""
+    """Check the tail envelope g on [2 L0, 10 L0] and at its stationary point.
+
+    Raises :class:`CertificateError` when A has underflowed to 0.
+    """
     cexp = lyap.tail_exp
     two_l0 = lyap.switch_r
+    if not lyap.A > 0.0:
+        # A = (c1/c2) e^(-2 L0 c1) underflows once c1 is large; the tail
+        # piece is then flat in floating point and its envelope undefined
+        raise CertificateError(
+            f"tail coefficient A underflows to {lyap.A:g} (tail rate {cexp:g})",
+            r=two_l0)
     if grid is None:
         grid = np.linspace(two_l0, 10.0 * lyap.l0, 400)
     grid = np.asarray(grid, float)
@@ -630,8 +713,7 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition, p: float,
         lambda1_psi *= cond.l0 * lyap.prime_over_value(cond.l0)
     grid = default_radial_grid(cond.l0) if grid is None else np.asarray(grid, float)
     above = grid[grid > cond.l0]
-    ratios = np.array([cond.k2 * r ** (cond.theta - 1.0) * lyap.prime_over_value(float(r))
-                       for r in above])
+    ratios = np.array([_large_separation_ratio(lyap, cond, r) for r in above])
     i2 = int(np.argmin(ratios))
     lambda2 = float(ratios[i2])
     if lambda2 <= 0.0:

@@ -78,6 +78,21 @@ def test_lyapunov_sweep_csv(tmp_path):
     assert np.all(rows[:, 3] > 0.0)  # certified ratio positive on the grid
 
 
+def test_certify_underflowing_tail_is_certificate_failure(tmp_path, capsys):
+    # alpha = 1.2 with K1 = K2 = L0 = 1 gives c1 = 5.5e4, so the tail
+    # coefficient A = (c1/c2) e^(-2 L0 c1) underflows to 0
+    code = run(["certify", "--alpha", "1.2", "--out", str(tmp_path / "c")])
+    assert code == EXIT_CERT
+    assert "certificate failure" in capsys.readouterr().err
+
+
+def test_lyapunov_large_c1_is_certificate_failure(tmp_path, capsys):
+    # psi'/psi = c1 / expm1(c1 r) on the core would overflow for c1 r > 709
+    code = run(["lyapunov", "--alpha", "1.2", "--out", str(tmp_path / "l")])
+    assert code == EXIT_CERT
+    assert "certificate failure" in capsys.readouterr().err
+
+
 def test_simulate_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     argv = ["simulate", "--alpha", "1.5", "--beta", "1.5", "--paths", "32",

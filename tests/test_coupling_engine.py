@@ -75,6 +75,17 @@ def test_reflect_properties(x, y, z):
             1.0 + np.linalg.norm(e))
 
 
+def test_reflect_tiny_separation_is_isometry():
+    # |x - y|^2 = 2.4e-316 is subnormal: the projection must not lose |z|
+    x, y = np.zeros(3), np.full(3, 9.03286296e-159)
+    z = np.ones(3)
+    phi = reflect(x, y, z)
+    assert np.linalg.norm(phi) == pytest.approx(math.sqrt(3.0), rel=1e-14)
+    assert np.allclose(phi, -z)  # z is parallel to x - y
+    # a separation whose square underflows to 0 is still reflected
+    assert np.allclose(reflect(x, np.array([1e-170, 0.0, 0.0]), z), [-1, 1, 1])
+
+
 def test_reflect_batched_matches_loop():
     rng = rng_at(0)
     xs = rng.standard_normal((40, 3))

@@ -15,6 +15,8 @@ from stablecouple.lyapunov import (
     GateError,
     QuadratureConfig,
     Regime,
+    _jump_term_batch,
+    _jump_term_fixed,
     _power_second_difference,
     build_lyapunov,
     contraction_certificate,
@@ -206,10 +208,71 @@ def test_jump_term_d2_brute_force_oracle():
 
 
 def test_jump_term_refinement_budget_error(high_alpha_model):
-    spec, _, lyap = high_alpha_model
+    spec, cond, lyap = high_alpha_model
     quad = QuadratureConfig(tol=1e-10, n_radial=4, n_radial_max=4)
     with pytest.raises(CertificateError):
         jump_term(lyap, spec, 0.5, quad)
+    # the batched sweep names the smallest radius left unconverged: every
+    # radius when no refinement is allowed ...
+    grid = default_radial_grid(cond.l0)
+    with pytest.raises(CertificateError) as info:
+        rate_sweep(lyap, spec, cond, grid, quad)
+    assert info.value.r == grid[0]
+    # ... and, with one doubling allowed, the first radius that a
+    # one-radius call cannot converge either (small radii pass on the
+    # absolute part of the tolerance)
+    quad = QuadratureConfig(tol=1e-12, n_radial=4, n_radial_max=8)
+    failing = []
+    for r in grid[grid <= cond.l0]:
+        try:
+            jump_term(lyap, spec, float(r), quad)
+        except CertificateError:
+            failing.append(float(r))
+    assert failing and failing[0] > grid[0]
+    with pytest.raises(CertificateError) as info:
+        rate_sweep(lyap, spec, cond, grid, quad)
+    assert info.value.r == failing[0]
+
+
+def test_rate_sweep_matches_scalar_generator_bound(high_alpha_model,
+                                                   low_alpha_model):
+    spec2 = isotropic_stable(2, 1.5)
+    cond2 = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=2.0)
+    cases = [(high_alpha_model, 0.0),
+             ((spec2, cond2, build_lyapunov(spec2, cond2)), 0.0),
+             # the low-alpha series stops once every radius in the batch has
+             # converged, which may add terms below the last bit
+             (low_alpha_model, 1e-15)]
+    for (spec, cond, lyap), rel in cases:
+        sweep = rate_sweep(lyap, spec, cond)
+        below = sweep.rs <= cond.l0
+        # one distance_generator_bound call per radius
+        gen = np.array([distance_generator_bound(lyap, spec, cond, float(r))
+                        for r in sweep.rs[below]])
+        ratios = -gen / lyap.value(sweep.rs[below])
+        if rel == 0.0:
+            assert np.array_equal(sweep.ratios[below], ratios)
+            assert np.array_equal(sweep.generator_bound[below], gen)
+        else:
+            np.testing.assert_allclose(sweep.ratios[below], ratios, rtol=rel,
+                                       atol=0.0)
+        assert np.array_equal(sweep.psi, lyap.value(sweep.rs))
+
+
+def test_jump_term_batch_refines_each_radius_alone(high_alpha_model):
+    # with tol=1e-12 from n=4 the small radii converge at n=8 and the larger
+    # ones need n=16: the batch must stop each radius at its own level
+    spec, _, lyap = high_alpha_model
+    quad = QuadratureConfig(tol=1e-12, n_radial=4)
+    rs = np.geomspace(1e-3, 1.0, 12)
+    values, levels = _jump_term_batch(lyap, spec, rs, quad)
+    assert set(levels) == {8, 16}
+    assert np.array_equal(values,
+                          [jump_term(lyap, spec, float(r), quad) for r in rs])
+    # refining the early radii along with their neighbours would move them
+    early = levels == 8
+    at_16 = _jump_term_fixed(lyap, spec, rs[early], 16, quad.n_angular)
+    assert np.any(values[early] != at_16)
 
 
 # ------------------------------- rates and sweeps -----------------------------
@@ -269,6 +332,22 @@ def test_exact_equality_branch_far_tail(high_alpha_model):
         rhs = 0.5 * cond.k2 * lyap.A * lyap.c2 * math.exp(lyap.c2 * dd) \
             * r ** (cond.theta - 1.0)
         assert lhs >= rhs * (1.0 - 1e-12)
+
+
+def test_large_c1_core_ratio_and_tail_underflow():
+    # alpha = 1.2 with K1 = K2 = L0 = 1: c1 = 5.5e4, A underflows to 0
+    spec = isotropic_stable(1, 1.2)
+    cond = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=2.0)
+    lyap = build_lyapunov(spec, cond)
+    assert lyap.c1 > 5e4 and lyap.A == 0.0
+    # either side of c1 r = 600 the two forms of c1 / expm1(c1 r) agree
+    for x in (599.0, 601.0):
+        r = x / lyap.c1
+        assert lyap.prime_over_value(r) == pytest.approx(
+            lyap.c1 * math.exp(-x), rel=1e-14)
+    assert lyap.prime_over_value(2.0 * cond.l0) == 0.0  # c1 r = 1.1e5
+    with pytest.raises(CertificateError):
+        tail_envelope_positivity(lyap)
 
 
 # ------------------------------ tail envelope --------------------------------
