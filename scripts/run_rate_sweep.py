@@ -16,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stablecouple.cli import build_config, cmd_lyapunov
+from stablecouple.cli import EXIT_OK
+from stablecouple.cli import main as cli_main
 from stablecouple.drift_models import DriftCondition, check_small_alpha_gate
 from stablecouple.lyapunov import build_lyapunov, small_distance_rate
 from stablecouple.stable_noise import isotropic_stable
@@ -37,18 +38,15 @@ def main() -> int:
     gate = check_small_alpha_gate(spec, cond)
     print(f"small-alpha gate: margin = {gate.margin:.6g} "
           f"({'passes' if gate.passed else 'fails'})")
-    if not gate.passed:
-        return 2
-    lyap = build_lyapunov(spec, cond)
-    print(f"closed-form small-separation rate: "
-          f"{small_distance_rate(lyap, spec, cond):.6g}")
-
-    cfg = build_config(None, {
-        "alpha": args.alpha, "d": args.d, "k1": args.k1, "k2": args.k2,
-        "l0": args.l0, "theta": 2.0, "drift": "monomial", "out": args.out,
-    })
-    return cmd_lyapunov(cfg)
-
+    code = cli_main(["lyapunov", "--alpha", str(args.alpha), "--d", str(args.d),
+                     "--k1", str(args.k1), "--k2", str(args.k2),
+                     "--l0", str(args.l0), "--theta", "2", "--drift", "monomial",
+                     "--out", args.out])
+    if code == EXIT_OK:
+        lyap = build_lyapunov(spec, cond)
+        print(f"closed-form small-separation rate: "
+              f"{small_distance_rate(lyap, spec, cond):.6g}")
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

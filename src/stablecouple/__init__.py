@@ -52,14 +52,11 @@ from .lyapunov import (
     ContractionCertificate,
 )
 from .coupling_engine import (
-    CoupledState,
-    CoupledPath,
     PathEnsemble,
     SchemeConfig,
     reflect,
     coupled_jump,
     step_drift,
-    simulate_coupled_path,
     simulate_coupled_ensemble,
     simulate_marginal_ensemble,
     hitting_time_bound,

@@ -45,6 +45,7 @@ from .lyapunov import (
 )
 from .stable_noise import isotropic_stable
 from .streams import derive_stream
+from .wasserstein_metrics import _ASSIGNMENT_CAP as _EXACT_WP_CAP
 from .wasserstein_metrics import (
     DegenerateFitError,
     bootstrap_wp_stderr,
@@ -58,8 +59,6 @@ EXIT_GATE = 2
 EXIT_CERT = 3
 EXIT_FLAGS = 4
 EXIT_RUNTIME = 5
-
-_EXACT_WP_CAP = 1024
 
 
 @dataclass
@@ -90,11 +89,10 @@ class ExperimentConfig:
     eps_delta: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-3
-    compensate_small: bool = False
     force_synchronous: bool = False
 
 
-_BOOL_KEYS = {"compensate_small", "force_synchronous"}
+_BOOL_KEYS = {"force_synchronous"}
 _INT_KEYS = {"d", "n_paths", "seed"}
 _STR_KEYS = {"drift", "out", "x0", "y0"}
 
@@ -154,15 +152,9 @@ def _vector(text: str, d: int, fallback: np.ndarray) -> np.ndarray:
 def resolve_model(cfg: ExperimentConfig):
     """Build (spec, cond, field, x0, y0) from a configuration."""
     spec = isotropic_stable(cfg.d, cfg.alpha)
-    if cfg.drift == "power_potential":
-        field = drift_from_label("power_potential", cfg.d, beta=cfg.beta,
-                                 k1=cfg.k1, l0=cfg.l0)
-    elif cfg.drift == "linear":
-        field = drift_from_label("linear", cfg.d, kappa=cfg.kappa)
-    elif cfg.drift == "monomial":
-        field = drift_from_label("monomial", cfg.d, c=cfg.drift_c, q=cfg.drift_q)
-    else:
-        raise ValueError(f"unknown drift label {cfg.drift!r}")
+    field = drift_from_label(cfg.drift, cfg.d, beta=cfg.beta, k1=cfg.k1,
+                             l0=cfg.l0, kappa=cfg.kappa, c=cfg.drift_c,
+                             q=cfg.drift_q)
     claimed = field.claimed_condition
     if claimed is not None:
         cond = DriftCondition(k1=cfg.k1, k2=claimed.k2, l0=cfg.l0,
@@ -179,7 +171,6 @@ def resolve_model(cfg: ExperimentConfig):
 def scheme_of(cfg: ExperimentConfig) -> SchemeConfig:
     return SchemeConfig(dt_max=cfg.dt_max, eps_delta=cfg.eps_delta,
                         eps_couple=cfg.eps_couple, delta_floor=cfg.delta_floor,
-                        compensate_small=cfg.compensate_small,
                         force_synchronous=cfg.force_synchronous)
 
 
@@ -199,33 +190,22 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _ratio_failure(sweep) -> CertificateError:
+    return CertificateError(f"contraction ratio {sweep.lambda_star:.6g} at "
+                            f"r = {sweep.argmin_r:.6g}", r=sweep.argmin_r)
+
+
 def cmd_certify(cfg: ExperimentConfig) -> int:
     spec, cond, _, _, _ = resolve_model(cfg)
-    gate = check_small_alpha_gate(spec, cond)
-    if not gate.passed:
-        print(f"gate failure: small-alpha margin = {gate.margin:.12g} <= 0",
-              file=sys.stderr)
-        return EXIT_GATE
-    try:
-        lyap = build_lyapunov(spec, cond)
-        envelope = tail_envelope_positivity(lyap)
-        if not envelope.ok:
-            print(f"certificate failure: tail envelope nonpositive at "
-                  f"r = {envelope.failure_r:.6g}", file=sys.stderr)
-            return EXIT_CERT
-        sweep = rate_sweep(lyap, spec, cond)
-        if not sweep.certified:
-            print(f"certificate failure: contraction ratio {sweep.lambda_star:.6g} "
-                  f"at r = {sweep.argmin_r:.6g}", file=sys.stderr)
-            return EXIT_CERT
-        cert = contraction_certificate(spec, cond, cfg.p)
-    except GateError as exc:
-        print(f"gate failure: small-alpha margin = {exc.margin:.12g} <= 0",
-              file=sys.stderr)
-        return EXIT_GATE
-    except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERT
+    lyap = build_lyapunov(spec, cond)
+    envelope = tail_envelope_positivity(lyap)
+    if not envelope.ok:
+        raise CertificateError(f"tail envelope nonpositive at "
+                               f"r = {envelope.failure_r:.6g}", r=envelope.failure_r)
+    sweep = rate_sweep(lyap, spec, cond)
+    if not sweep.certified:
+        raise _ratio_failure(sweep)
+    cert = contraction_certificate(spec, cond, cfg.p)
     out = _outdir(cfg)
     (out / "cert.txt").write_text(cert.to_record())
     print(f"lambda = {cert.lam:.12g} (lambda1_psi = {cert.lambda1_psi:.12g}, "
@@ -239,21 +219,8 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 
 def cmd_lyapunov(cfg: ExperimentConfig) -> int:
     spec, cond, _, _, _ = resolve_model(cfg)
-    gate = check_small_alpha_gate(spec, cond)
-    if not gate.passed:
-        print(f"gate failure: small-alpha margin = {gate.margin:.12g} <= 0",
-              file=sys.stderr)
-        return EXIT_GATE
-    try:
-        lyap = build_lyapunov(spec, cond)
-        sweep = rate_sweep(lyap, spec, cond)
-    except GateError as exc:
-        print(f"gate failure: small-alpha margin = {exc.margin:.12g} <= 0",
-              file=sys.stderr)
-        return EXIT_GATE
-    except CertificateError as exc:
-        print(f"quadrature failure: {exc} (r = {exc.r})", file=sys.stderr)
-        return EXIT_CERT
+    lyap = build_lyapunov(spec, cond)
+    sweep = rate_sweep(lyap, spec, cond)
     out = _outdir(cfg)
     with open(out / "lyapunov.csv", "w") as fh:
         fh.write("r,generator_bound,psi,ratio\n")
@@ -262,29 +229,16 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
     print(f"lambda_star = {sweep.lambda_star:.12g}; sweep written to "
           f"{out / 'lyapunov.csv'}")
     if not sweep.certified:
-        print(f"certificate failure: contraction ratio {sweep.lambda_star:.6g} "
-              f"at r = {sweep.argmin_r:.6g}", file=sys.stderr)
-        return EXIT_CERT
+        raise _ratio_failure(sweep)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     spec, cond, field, x0, y0 = resolve_model(cfg)
-    lyap = None
-    if not cfg.force_synchronous:
-        gate = check_small_alpha_gate(spec, cond)
-        if not gate.passed:
-            print(f"gate failure: small-alpha margin = {gate.margin:.12g} <= 0",
-                  file=sys.stderr)
-            return EXIT_GATE
-        lyap = build_lyapunov(spec, cond)
+    lyap = None if cfg.force_synchronous else build_lyapunov(spec, cond)
     grid = record_grid_of(cfg)
-    try:
-        ens = simulate_coupled_ensemble(x0, y0, field, spec, lyap, scheme_of(cfg),
-                                        cfg.horizon, grid, cfg.n_paths, cfg.seed)
-    except (EventBudgetError, DriftBlowupError) as exc:
-        print(f"runtime guard: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    ens = simulate_coupled_ensemble(x0, y0, field, spec, lyap, scheme_of(cfg),
+                                    cfg.horizon, grid, cfg.n_paths, cfg.seed)
     out = _outdir(cfg)
     write_paths_csv(out / "paths.csv", ens, lyap)
     write_positions_csv(out / "positions.csv", ens)
@@ -351,16 +305,16 @@ def cmd_example(cfg: ExperimentConfig) -> int:
     cfg.drift = "power_potential"
     spec, cond, _, _, _ = resolve_model(cfg)
     shrinks = 0
-    while not check_small_alpha_gate(spec, cond).passed:
+    gate = check_small_alpha_gate(spec, cond)
+    while not gate.passed:
+        if shrinks == 200:
+            raise GateError(gate.margin)
         cfg.k1 *= 0.5
         cfg.l0 *= 0.5
         shrinks += 1
         print(f"gate shrink {shrinks}: k1 = {cfg.k1:.6g}, l0 = {cfg.l0:.6g}")
         spec, cond, _, _, _ = resolve_model(cfg)
-        if shrinks > 200:
-            print("gate failure: shrink loop did not satisfy the gate",
-                  file=sys.stderr)
-            return EXIT_GATE
+        gate = check_small_alpha_gate(spec, cond)
 
     status = cmd_certify(cfg)
     if status != EXIT_OK:
@@ -426,8 +380,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps-delta", type=float, dest="eps_delta")
     sub.add_argument("--eps-couple", type=float, dest="eps_couple")
     sub.add_argument("--delta-floor", type=float, dest="delta_floor")
-    sub.add_argument("--compensate-small", action="store_const", const=True,
-                     dest="compensate_small")
     sub.add_argument("--force-synchronous", action="store_const", const=True,
                      dest="force_synchronous")
 

@@ -18,11 +18,10 @@ truncation radius delta = max(delta_floor, eps_delta a r); drift is
 integrated between events with classical fourth-order steps.  Jump activity
 below delta is applied to both components as a common Gaussian kick with the
 matched per-coordinate variance: it cancels in the separation (those jumps
-would overwhelmingly be synchronous) while keeping the marginal law of each
-component faithful for any truncation level.  The omitted reflected band
-|z| <= min(delta, a r) slows contraction slightly and never fakes it; the
-optional ``compensate_small`` scheme re-injects its separation variance as an
-antithetic kick along the separation axis.
+would overwhelmingly be synchronous), and each component's marginal keeps
+the first two moments of the omitted jumps, not their full law, so the
+marginal error shrinks with delta.  The omitted reflected band
+|z| <= min(delta, a r) slows contraction slightly and never fakes it.
 
 Pairs merge (and stick) once the separation falls below ``eps_couple``;
 exact meeting has probability zero under discretized reflection, and the
@@ -39,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .drift_models import DriftCondition, DriftField
-from .stable_noise import StableSpec, pareto_radius
+from .stable_noise import StableSpec, _unit_directions, decompose, pareto_radius
 from .streams import derive_stream
 
 _CHUNK = 16384  # paths per derived stream; fixed so ensembles are reproducible
@@ -61,16 +60,14 @@ class SchemeConfig:
     ``eps_delta`` truncates explicit jumps at the fraction eps_delta * a * r
     of the reflection band (never below the absolute floor ``delta_floor``);
     ``eps_couple`` is the merge threshold on the separation;
-    ``compensate_small`` enables the antithetic variance compensation of the
-    omitted reflected band; ``force_synchronous`` disables reflection
-    entirely (every jump is applied to both components).
+    ``force_synchronous`` disables reflection entirely (every jump is
+    applied to both components).
     """
 
     dt_max: float = 1e-2
     eps_delta: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-3
-    compensate_small: bool = False
     force_synchronous: bool = False
     max_events: int = 2_000_000_000
 
@@ -93,39 +90,6 @@ class ExcessComponent:
 
 
 @dataclass(frozen=True)
-class CoupledState:
-    t: float
-    x: np.ndarray
-    y: np.ndarray
-    merged: bool
-
-    def __post_init__(self):
-        if self.merged and not np.array_equal(self.x, self.y):
-            raise ValueError("a merged state must have x == y")
-
-
-@dataclass(frozen=True)
-class CoupledPath:
-    """A single coupled trajectory recorded on a time grid."""
-
-    times: np.ndarray          # (T,)
-    xs: np.ndarray             # (T, d)
-    ys: np.ndarray             # (T, d)
-    merged: np.ndarray         # (T,) bool
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.linalg.norm(self.xs - self.ys, axis=1)
-
-    def state(self, i: int) -> CoupledState:
-        return CoupledState(t=float(self.times[i]), x=self.xs[i].copy(),
-                            y=self.ys[i].copy(), merged=bool(self.merged[i]))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Coupled trajectories of an ensemble, recorded on a common grid."""
 
@@ -142,14 +106,17 @@ class PathEnsemble:
     def r(self) -> np.ndarray:
         return np.linalg.norm(self.xs - self.ys, axis=2)
 
-    def path(self, i: int) -> CoupledPath:
-        return CoupledPath(times=self.times, xs=self.xs[i], ys=self.ys[i],
-                           merged=self.merged[i])
-
 
 # ---------------------------------------------------------------------------
-# Reflection map and single-jump coupling
+# Reflection map and the coupled jump
 # ---------------------------------------------------------------------------
+
+
+def _mirror(z: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row-wise z - 2 (z.u) u with u = diff / r; r > 0 is |diff| per row."""
+    e = diff / r[:, None]
+    zdot = np.einsum("ij,ij->i", z, e)
+    return z - 2.0 * zdot[:, None] * e
 
 
 def reflect(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -161,46 +128,40 @@ def reflect(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    if x.ndim == 1:
-        e = x - y
-        scale = float(np.max(np.abs(e)))
-        if scale == 0.0:
-            return -z
-        if scale < 1e-150:
-            # e @ e would underflow into subnormals; the mirror is scale-free
-            e = e / scale
-        return z - (2.0 * float(e @ z) / float(e @ e)) * e
-    e = x - y
-    nrm2 = np.einsum("ij,ij->i", e, e)
-    safe = np.where(nrm2 > 0.0, nrm2, 1.0)
-    proj = np.einsum("ij,ij->i", e, z) / safe
-    out = z - 2.0 * proj[:, None] * e
-    return np.where((nrm2 > 0.0)[:, None], out, -z)
+    diff = np.atleast_2d(x - y)
+    zb = np.atleast_2d(z)
+    scale = np.max(np.abs(diff), axis=1)
+    moving = scale > 0.0
+    # the mirror is scale-free; dividing each row by its largest component
+    # keeps |x - y|^2 out of the subnormals for separations below ~1e-150
+    diff = diff / np.where(moving, scale, 1.0)[:, None]
+    r = np.linalg.norm(diff, axis=1)
+    out = np.where(moving[:, None], _mirror(zb, diff, np.where(moving, r, 1.0)), -zb)
+    return out[0] if x.ndim == 1 else out
 
 
-def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray, channel: str,
-                 a: float, l0: float, rng: np.random.Generator,
-                 merged: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Increments (dx, dy) caused by a single jump z.
+def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                 radius: np.ndarray, merged: np.ndarray, a: float, l0: float,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Increments (dx, dy) of one event round: jump z[i] hits pair i.
 
-    The stable channel reflects when the pair is within L0 and |z| <= a r,
-    picking uniformly between the two mirror assignments (z, phi(z)) and
-    (phi(z), z); everything else, including the excess channel and merged
-    pairs, is synchronous.
+    Row i reflects when the pair is unmerged, within L0 and hit by a jump of
+    size radius[i] = |z[i]| <= a |x[i] - y[i]|; it then takes one of the
+    mirror assignments (z, phi(z)) and (phi(z), z), chosen by a fair coin.
+    Every other row is synchronous, (z, z).  The coins are drawn, one per
+    row, only when some row reflects, so a round without reflection leaves
+    ``rng`` untouched.  The returned arrays may be ``z`` itself.
     """
-    if channel not in ("stable", "excess"):
-        raise ValueError(f"unknown channel {channel!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(x - y))
-    if (channel != "stable" or merged or r > l0
-            or float(np.linalg.norm(z)) > a * r):
-        return z.copy(), z.copy()
-    phi = reflect(x, y, z)
-    if rng.random() < 0.5:
-        return z.copy(), phi
-    return phi, z.copy()
+    diff = x - y
+    r = np.linalg.norm(diff, axis=1)
+    do_refl = (~merged) & (r <= l0) & (radius <= a * r)
+    if not do_refl.any():
+        return z, z
+    phi = _mirror(z, diff, np.where(r > 0.0, r, 1.0))
+    swap = rng.random(len(z)) < 0.5
+    dx = np.where((do_refl & swap)[:, None], phi, z)
+    dy = np.where((do_refl & ~swap)[:, None], phi, z)
+    return dx, dy
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +184,7 @@ def _rk4_one(field: DriftField, x: np.ndarray, h: np.ndarray,
     return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray,
-                substep: float = _DRIFT_SUBSTEP) -> np.ndarray:
+def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Integrate dx = b(x) dt over per-row horizons h with stable steps.
 
     Explicit steps are kept inside the stability region by bounding the step
@@ -247,41 +207,26 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray,
             if not np.isfinite(scale).all():
                 raise DriftBlowupError("non-finite drift value encountered")
             cap = _STABILITY_MARGIN / np.maximum(scale,
-                                                 _STABILITY_MARGIN / substep)
+                                                 _STABILITY_MARGIN / _DRIFT_SUBSTEP)
             step = np.minimum(remaining[act], cap)
             x[act] = _rk4_one(field, xa, step, k1)
             remaining[act] = remaining[act] - step
     raise DriftBlowupError("drift flow did not finish; field too stiff")
 
 
-def step_drift(x: np.ndarray, field: DriftField, dt: float,
-               tol: float = 1e-10, max_doublings: int = 22) -> np.ndarray:
-    """Integrate dx = b(x) dt over ``dt`` to a local error below tol (1+|x|).
+def step_drift(x: np.ndarray, field: DriftField, dt: float) -> np.ndarray:
+    """Integrate dx = b(x) dt over ``dt`` with the engine's drift steps.
 
-    Stability-capped fourth-order steps, halved until two successive
-    resolutions agree; raises on step-size underflow for stiff drifts.
+    One call of the flow the simulator runs between events: fourth-order
+    steps of at most the engine substep, shortened where the drift is stiff.
+    Accepts a single point (d,) or a batch (n, d).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    h = np.full(xb.shape[0], float(dt))
-
-    substep = min(_DRIFT_SUBSTEP, dt)
-    prev = _drift_flow(field, xb, h, substep)
-    for _ in range(max_doublings):
-        substep /= 2.0
-        cur = _drift_flow(field, xb, h, substep)
-        if np.isfinite(cur).all() and np.isfinite(prev).all():
-            err = np.max(np.abs(cur - prev) / (1.0 + np.abs(cur)))
-            if err <= tol:
-                return cur[0] if single else cur
-        prev = cur
-    raise DriftBlowupError(
-        f"drift step of {dt:g} did not converge below tol={tol:g}; "
-        f"the field is too stiff at this step floor"
-    )
+    xb = np.atleast_2d(x)
+    out = _drift_flow(field, xb, np.full(xb.shape[0], float(dt)))
+    return out[0] if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +239,7 @@ def hitting_time_bound(r0: float, cond: DriftCondition) -> tuple[float, float]:
 
     Under dr <= -K2 r^(theta-1), theta > 2, the crossing happens by
     (r0^(2-theta) - L0^(2-theta)) / (K2 (2-theta)); the r0-free cap is
-    t0 = L0^(2-theta) / (K2 (theta-2)).  Returns (bound, t0).
+    t0 = ``cond.hitting_cap``.  Returns (bound, t0).
     """
     if cond.theta <= 2.0:
         raise ValueError("hitting bound requires theta > 2")
@@ -302,8 +247,7 @@ def hitting_time_bound(r0: float, cond: DriftCondition) -> tuple[float, float]:
         raise ValueError("need r0 > L0")
     bound = (r0 ** (2.0 - cond.theta) - cond.l0 ** (2.0 - cond.theta)) / (
         cond.k2 * (2.0 - cond.theta))
-    t0 = cond.l0 ** (2.0 - cond.theta) / (cond.k2 * (cond.theta - 2.0))
-    return float(bound), float(t0)
+    return float(bound), float(cond.hitting_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +280,22 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         xs[:, 0], ys[:, 0], mg[:, 0] = X, Y, merged
         rec = 1
 
-    rate_coeff = spec.c_dalpha * spec.omega_d / spec.alpha
-    var_coeff = spec.c_dalpha * spec.omega_d / (spec.d * (2.0 - spec.alpha))
     events = 0
 
     while rec < T:
         target = float(record_grid[rec])
         while t < target - 1e-12:
             h = min(cfg.dt_max, target - t)
-            r = np.linalg.norm(X - Y, axis=1)
             if cfg.force_synchronous:
                 delta = np.full(n, cfg.delta_floor)
             else:
+                r = np.linalg.norm(X - Y, axis=1)
                 reflecting = (~merged) & (r <= l0)
                 delta = np.where(reflecting,
                                  np.maximum(cfg.delta_floor, cfg.eps_delta * a * r),
                                  cfg.delta_floor)
-            lam = rate_coeff * delta ** (-spec.alpha)
-            var_coord = var_coeff * delta ** (2.0 - spec.alpha)
+            split = decompose(spec, delta)
+            lam = split.rate_above
 
             t_path = np.zeros(n)
             next_jump = rng.standard_exponential(n) / lam
@@ -378,27 +320,12 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
 
                 radius = pareto_radius(delta[idx], spec.alpha,
                                        1.0 - rng.random(idx.size))
-                direc = rng.standard_normal((idx.size, d))
-                direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-                z = radius[:, None] * direc
-
-                dx = z
-                dy = z.copy()
-                if not cfg.force_synchronous:
-                    diff = X[idx] - Y[idx]
-                    rcur = np.linalg.norm(diff, axis=1)
-                    do_refl = (~merged[idx]) & (rcur <= l0) & (radius <= a * rcur)
-                    if do_refl.any():
-                        safe = np.where(rcur > 0.0, rcur, 1.0)
-                        e = diff / safe[:, None]
-                        zdot = np.einsum("ij,ij->i", z, e)
-                        phi = z - 2.0 * zdot[:, None] * e
-                        swap = rng.random(idx.size) < 0.5
-                        keep = do_refl & ~swap
-                        sw = do_refl & swap
-                        dy[keep] = phi[keep]
-                        dx[sw] = phi[sw]
-                        # dy keeps z on the swapped branch
+                z = radius[:, None] * _unit_directions(d, idx.size, rng)
+                if cfg.force_synchronous:
+                    dx = dy = z
+                else:
+                    dx, dy = coupled_jump(X[idx], Y[idx], z, radius, merged[idx],
+                                          a, l0, rng)
                 X[idx] += dx
                 Y[idx] += dy
 
@@ -419,24 +346,11 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
 
             # common Gaussian kick standing in for sub-delta jump activity;
             # identical on both components, so the separation is untouched
-            g = rng.standard_normal((n, d)) * np.sqrt(var_coord * h)[:, None]
+            g = (rng.standard_normal((n, d))
+                 * np.sqrt(split.small_var_per_coord * h)[:, None])
             X += g
             Y[um] += g[um]
             Y[merged] = X[merged]
-
-            if cfg.compensate_small and not cfg.force_synchronous:
-                band = np.minimum(delta, a * r)
-                active_band = (~merged) & (r <= l0) & (band > 0.0)
-                if active_band.any():
-                    v_band = var_coeff * band ** (2.0 - spec.alpha)
-                    gk = rng.standard_normal(n) * np.sqrt(v_band * h)
-                    diff = X - Y
-                    rr = np.linalg.norm(diff, axis=1)
-                    ok = active_band & (rr > 0.0)
-                    e = diff[ok] / rr[ok][:, None]
-                    kick = gk[ok][:, None] * e
-                    X[ok] += kick
-                    Y[ok] -= kick
 
             if excess is not None and excess.rate > 0.0:
                 counts = rng.poisson(excess.rate * h, n)
@@ -509,24 +423,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     ys = np.concatenate([c[1] for c in chunks], axis=0)
     mg = np.concatenate([c[2] for c in chunks], axis=0)
     return PathEnsemble(times=record_grid.copy(), xs=xs, ys=ys, merged=mg)
-
-
-def simulate_coupled_path(x0, y0, field: DriftField, spec: StableSpec, lyap,
-                          cfg: SchemeConfig, horizon: float, record_grid,
-                          rng: np.random.Generator,
-                          excess: ExcessComponent | None = None) -> CoupledPath:
-    """Simulate one coupled pair; the single-path form of the ensemble loop."""
-    record_grid = np.asarray(record_grid, dtype=float)
-    a, l0 = _resolve_band(lyap)
-    if lyap is None and not cfg.force_synchronous:
-        cfg = replace(cfg, force_synchronous=True)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    xs, ys, mg = _simulate_chunk(
-        x0[None, :], y0[None, :], field, spec, a, l0, cfg, record_grid, rng,
-        excess,
-    )
-    return CoupledPath(times=record_grid.copy(), xs=xs[0], ys=ys[0], merged=mg[0])
 
 
 def simulate_marginal_ensemble(x0, field: DriftField, spec: StableSpec,

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stable_noise import StableSpec
+from .stable_noise import StableSpec, _unit_directions
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,17 @@ class DriftCondition:
             raise ValueError("k1, k2, l0 must be positive")
         if self.theta < 2.0:
             raise ValueError(f"theta must be >= 2, got {self.theta}")
+
+    @property
+    def hitting_cap(self) -> float | None:
+        """t0 = L0^(2-theta) / (K2 (theta-2)), None unless theta > 2.
+
+        Under dr <= -K2 r^(theta-1) the separation falls to L0 by t0 from any
+        starting point.
+        """
+        if self.theta <= 2.0:
+            return None
+        return self.l0 ** (2.0 - self.theta) / (self.k2 * (self.theta - 2.0))
 
 
 @dataclass(frozen=True)
@@ -128,8 +139,7 @@ class DissipativityReport:
 
 
 def _uniform_ball(d: int, n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g = _unit_directions(d, n, rng)
     return radius * (rng.random(n) ** (1.0 / d))[:, None] * g
 
 
@@ -155,8 +165,7 @@ def verify_dissipativity(field: DriftField, cond: DriftCondition,
     ys = _uniform_ball(d, n_unif, radius, rng)
     if n_band > 0:
         xb = _uniform_ball(d, n_band, radius, rng)
-        u = rng.standard_normal((n_band, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = _unit_directions(d, n_band, rng)
         sep = cond.l0 * rng.uniform(0.9, 1.1, n_band)
         yb = xb + sep[:, None] * u
         xs = np.vstack([xs, xb])

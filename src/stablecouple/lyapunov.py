@@ -242,7 +242,10 @@ def build_lyapunov(spec: StableSpec, cond: DriftCondition) -> RadialLyapunov:
     """Construct the regime-appropriate radial Lyapunov function.
 
     For alpha in (0, 1] the small-alpha gate must pass; on failure a
-    :class:`GateError` carrying the margin is raised.
+    :class:`GateError` carrying the margin is raised.  For alpha in (1, 2)
+    a tail coefficient A that underflows to 0 (c1 large) raises
+    :class:`CertificateError`: psi would then evaluate to 0 * inf = nan on
+    its tail.
     """
     a_idx = spec.alpha
     if a_idx > 1.0:
@@ -252,10 +255,15 @@ def build_lyapunov(spec: StableSpec, cond: DriftCondition) -> RadialLyapunov:
               * math.exp(2.0 * cond.l0 / (a_idx - 1.0)) + 2.0)
         c2 = 20.0 * c1
         decay = math.exp(-2.0 * cond.l0 * c1)
+        tail_a = c1 / c2 * decay
+        if not tail_a > 0.0:
+            raise CertificateError(
+                f"tail coefficient A underflows to {tail_a:g} (c1 = {c1:g})",
+                r=2.0 * cond.l0)
         return RadialLyapunov(
             regime=Regime.HIGH_ALPHA, alpha=a_idx, l0=cond.l0, a=1.0 / c1,
             c1=c1, c2=c2, big_c=big_c,
-            A=c1 / c2 * decay, B=-(c1 + c2) * c1 / 2.0 * decay,
+            A=tail_a, B=-(c1 + c2) * c1 / 2.0 * decay,
         )
     gate = check_small_alpha_gate(spec, cond)
     if not gate.passed:
@@ -525,18 +533,9 @@ class TailEnvelopeReport:
 
 def tail_envelope_positivity(lyap: RadialLyapunov,
                              grid: np.ndarray | None = None) -> TailEnvelopeReport:
-    """Check the tail envelope g on [2 L0, 10 L0] and at its stationary point.
-
-    Raises :class:`CertificateError` when A has underflowed to 0.
-    """
+    """Check the tail envelope g on [2 L0, 10 L0] and at its stationary point."""
     cexp = lyap.tail_exp
     two_l0 = lyap.switch_r
-    if not lyap.A > 0.0:
-        # A = (c1/c2) e^(-2 L0 c1) underflows once c1 is large; the tail
-        # piece is then flat in floating point and its envelope undefined
-        raise CertificateError(
-            f"tail coefficient A underflows to {lyap.A:g} (tail rate {cexp:g})",
-            r=two_l0)
     if grid is None:
         grid = np.linspace(two_l0, 10.0 * lyap.l0, 400)
     grid = np.asarray(grid, float)
@@ -747,9 +746,8 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition, p: float,
         return np.maximum(u ** (1.0 / p), u) / (1.0 + u)
 
     pieces = [c_p ** (1.0 / p), c2_chain]
-    t0 = None
-    if cond.theta > 2.0:
-        t0 = cond.l0 ** (2.0 - cond.theta) / (cond.k2 * (cond.theta - 2.0))
+    t0 = cond.hitting_cap
+    if t0 is not None:
         prov["t0"] = "closed-form"
         pieces[0] = c_p ** (1.0 / p) * (1.0 + cond.l0)
         u_grid = np.geomspace(cond.l0, 1e6 * max(1.0, cond.l0), 4001)

@@ -72,27 +72,38 @@ def isotropic_stable(d: int, alpha: float) -> StableSpec:
 
 @dataclass(frozen=True)
 class JumpDecomposition:
-    """Split of the jump measure at radius ``delta``.
+    """Split of the jump measure at radius ``delta`` (a float or an array).
 
     ``rate_above`` is the total mass above the threshold (the compound-Poisson
     intensity); ``small_var_per_coord`` the per-coordinate second moment of
-    the jumps at or below it (the variance rate of the Gaussian proxy).
+    the jumps at or below it (the variance rate of the Gaussian proxy).  Both
+    have the shape of ``delta``.
     """
 
     spec: StableSpec
-    delta: float
-    rate_above: float
-    small_var_per_coord: float
+    delta: float | np.ndarray
+    rate_above: float | np.ndarray
+    small_var_per_coord: float | np.ndarray
 
 
-def decompose(spec: StableSpec, delta: float) -> JumpDecomposition:
-    """Decompose the jump measure at truncation radius ``delta`` > 0."""
-    if delta <= 0.0:
+def decompose(spec: StableSpec, delta) -> JumpDecomposition:
+    """Decompose the jump measure at truncation radius ``delta`` > 0.
+
+    rate_above = (c_dalpha omega_d / alpha) delta^(-alpha) and
+    small_var_per_coord = (c_dalpha omega_d / (d (2-alpha))) delta^(2-alpha);
+    the coupled simulator takes both per path from one array call.
+    """
+    arr = np.asarray(delta, dtype=float)
+    if np.any(arr <= 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
     d, a = spec.d, spec.alpha
-    rate = spec.c_dalpha * spec.omega_d * delta ** (-a) / a
-    var = spec.c_dalpha * spec.omega_d * delta ** (2.0 - a) / (d * (2.0 - a))
-    return JumpDecomposition(spec=spec, delta=delta, rate_above=rate,
+    rate = spec.c_dalpha * spec.omega_d / a * arr ** (-a)
+    var = spec.c_dalpha * spec.omega_d / (d * (2.0 - a)) * arr ** (2.0 - a)
+    if arr.ndim == 0:
+        return JumpDecomposition(spec=spec, delta=float(arr),
+                                 rate_above=float(rate),
+                                 small_var_per_coord=float(var))
+    return JumpDecomposition(spec=spec, delta=arr, rate_above=rate,
                              small_var_per_coord=var)
 
 
@@ -105,11 +116,13 @@ def pareto_radius(delta: float, alpha: float, u):
 
 
 def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n directions uniform on the unit sphere of R^d (normalized Gaussians)."""
     g = rng.standard_normal((n, d))
     norm = np.linalg.norm(g, axis=1, keepdims=True)
     # a zero draw has probability 0; guard anyway
     norm[norm == 0.0] = 1.0
-    return g / norm
+    g /= norm
+    return g
 
 
 def sample_large_jump(decomp: JumpDecomposition, rng: np.random.Generator,

@@ -161,14 +161,10 @@ def upper_series_from_paths_csv(path, p: float):
     T = (ids == 0).sum()
     times = raw[:T, 1].copy()
     r = raw[:, 2].reshape(n, T)
-    values = np.empty(T)
-    stderrs = np.empty(T)
-    for k in range(T):
-        cost = r[:, k] ** p
-        m = cost.mean()
-        se_m = cost.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        values[k] = m ** (1.0 / p)
-        stderrs[k] = se_m / p * m ** (1.0 / p - 1.0) if m > 0.0 else 0.0
+    # the pair (r, 0) on the line has separation r
+    origin = np.zeros((n, 1))
+    values, stderrs = np.array([coupling_wp_upper(r[:, k:k + 1], origin, p)
+                                for k in range(T)]).T
     return times, values, stderrs
 
 

@@ -25,14 +25,14 @@ def test_config_file_and_overrides(tmp_path):
         "# demo configuration\n"
         "alpha = 1.5\n"
         "n_paths = 32\n"
-        "compensate_small = true\n"
+        "force_synchronous = true\n"
     )
     parsed = parse_config_file(cfg_file)
     assert parsed["alpha"] == "1.5"
     cfg = build_config(str(cfg_file), {"n_paths": 64})
     assert cfg.alpha == 1.5
     assert cfg.n_paths == 64
-    assert cfg.compensate_small is True
+    assert cfg.force_synchronous is True
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -87,10 +87,23 @@ def test_certify_underflowing_tail_is_certificate_failure(tmp_path, capsys):
 
 
 def test_lyapunov_large_c1_is_certificate_failure(tmp_path, capsys):
-    # psi'/psi = c1 / expm1(c1 r) on the core would overflow for c1 r > 709
-    code = run(["lyapunov", "--alpha", "1.2", "--out", str(tmp_path / "l")])
+    # c1 = 5.5e4: the tail coefficient underflows, so no sweep row is finite
+    # on the tail and no lyapunov.csv is written
+    out = tmp_path / "l"
+    code = run(["lyapunov", "--alpha", "1.2", "--out", str(out)])
     assert code == EXIT_CERT
     assert "certificate failure" in capsys.readouterr().err
+    assert not (out / "lyapunov.csv").exists()
+
+
+def test_simulate_underflowing_tail_is_certificate_failure(tmp_path, capsys):
+    # the profile psi would be 0 * inf = nan on its tail: no file is written
+    out = tmp_path / "s"
+    code = run(["simulate", "--alpha", "1.2", "--r0", "3", "--paths", "64",
+                "--horizon", "0.5", "--out", str(out)])
+    assert code == EXIT_CERT
+    assert "certificate failure" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_simulate_outputs_and_determinism(tmp_path):

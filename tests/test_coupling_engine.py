@@ -1,4 +1,4 @@
-"""Reflection algebra, single jumps, drift steps, coupled simulation."""
+"""Reflection algebra, coupled jumps, drift steps, coupled simulation."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stablecouple.coupling_engine import (
-    CoupledState,
     DriftBlowupError,
     EventBudgetError,
     ExcessComponent,
@@ -19,7 +18,6 @@ from stablecouple.coupling_engine import (
     read_positions_csv,
     reflect,
     simulate_coupled_ensemble,
-    simulate_coupled_path,
     simulate_marginal_ensemble,
     step_drift,
     write_paths_csv,
@@ -99,64 +97,82 @@ def test_reflect_batched_matches_loop():
 # ------------------------------ coupled jump ---------------------------------
 
 
+def jump_round(x, y, z, a, l0, rng, merged=None):
+    """One event round of the engine's coupled jump on rows (x, y, z)."""
+    x, y, z = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, y, z))
+    if merged is None:
+        merged = np.zeros(len(z), dtype=bool)
+    return coupled_jump(x, y, z, np.linalg.norm(z, axis=1), merged, a, l0, rng)
+
+
 def test_coupled_jump_synchronous_when_large_z():
     x, y = np.array([0.3, 0.0]), np.array([0.0, 0.0])
     z = np.array([1.0, 0.0])  # |z| > a |x-y|
-    dx, dy = coupled_jump(x, y, z, "stable", a=0.25, l0=1.0, rng=rng_at(1))
+    dx, dy = jump_round(x, y, z, a=0.25, l0=1.0, rng=rng_at(1))
     assert np.allclose(dx, z) and np.allclose(dy, z)
 
 
 def test_coupled_jump_synchronous_when_far_apart():
     x, y = np.array([3.0, 0.0]), np.array([0.0, 0.0])
     z = np.array([0.01, 0.0])
-    dx, dy = coupled_jump(x, y, z, "stable", a=0.25, l0=1.0, rng=rng_at(2))
+    dx, dy = jump_round(x, y, z, a=0.25, l0=1.0, rng=rng_at(2))
     assert np.allclose(dx, z) and np.allclose(dy, z)
 
 
-def test_coupled_jump_excess_always_synchronous():
-    x, y = np.array([0.3, 0.0]), np.array([0.0, 0.0])
-    z = np.array([0.01, 0.0])
-    dx, dy = coupled_jump(x, y, z, "excess", a=0.25, l0=1.0, rng=rng_at(3))
-    assert np.allclose(dx, z) and np.allclose(dy, z)
+def test_coupled_jump_merged_pair_synchronous():
+    # the same small jump reflects the unmerged row and not the merged one
+    x = np.array([[0.3, 0.0], [0.3, 0.0]])
+    y = np.zeros((2, 2))
+    z = np.array([[0.01, 0.0], [0.01, 0.0]])
+    dx, dy = jump_round(x, y, z, a=0.25, l0=1.0, rng=rng_at(3),
+                        merged=np.array([True, False]))
+    assert np.array_equal(dx[0], z[0]) and np.array_equal(dy[0], z[0])
+    assert np.allclose(sorted([dx[1, 0], dy[1, 0]]), [-0.01, 0.01])
 
 
 def test_coupled_jump_distance_algebra():
     # reflected branch moves the separation to |r + 2 s <e, z>| with the
     # branch sign s = +-1; oracle is the direct vector computation
     rng = rng_at(4)
-    for _ in range(200):
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        r = np.linalg.norm(x - y)
-        if r == 0.0 or r > 1.0:
-            continue
-        e = (x - y) / r
-        z = 0.2 * r * rng.standard_normal(3)
-        z *= min(1.0, 0.45 * r / np.linalg.norm(z))
-        dx, dy = coupled_jump(x, y, z, "stable", a=0.5, l0=1.0, rng=rng)
-        r_new = np.linalg.norm(x + dx - y - dy)
-        zdot = float(e @ z)
-        assert (r_new == pytest.approx(abs(r + 2 * zdot), rel=1e-9, abs=1e-12)
-                or r_new == pytest.approx(abs(r - 2 * zdot), rel=1e-9, abs=1e-12))
-
-
-def test_coupled_jump_rejects_bad_channel():
-    with pytest.raises(ValueError):
-        coupled_jump(np.zeros(1), np.zeros(1), np.zeros(1), "gamma", 0.25, 1.0,
-                     rng_at(5))
+    x = rng.standard_normal((200, 3))
+    y = x + 0.4 * rng.standard_normal((200, 3))
+    r = np.linalg.norm(x - y, axis=1)
+    near = r <= 1.0
+    x, y, r = x[near], y[near], r[near]
+    assert len(r) >= 150
+    e = (x - y) / r[:, None]
+    z = 0.2 * r[:, None] * rng.standard_normal(x.shape)
+    z *= np.minimum(1.0, 0.45 * r / np.linalg.norm(z, axis=1))[:, None]
+    dx, dy = jump_round(x, y, z, a=0.5, l0=1.0, rng=rng)
+    r_new = np.linalg.norm(x + dx - y - dy, axis=1)
+    zdot = np.einsum("ij,ij->i", e, z)
+    for i in range(len(r)):
+        assert (r_new[i] == pytest.approx(abs(r[i] + 2 * zdot[i]), rel=1e-9, abs=1e-12)
+                or r_new[i] == pytest.approx(abs(r[i] - 2 * zdot[i]), rel=1e-9,
+                                             abs=1e-12))
 
 
 def test_coupled_jump_half_branch_mixing():
     # both assignments occur with about equal frequency
-    x, y = np.array([0.5]), np.array([0.0])
-    z = np.array([0.05])
-    rng = rng_at(6)
-    firsts = 0
     n = 4000
-    for _ in range(n):
-        dx, _ = coupled_jump(x, y, z, "stable", a=0.5, l0=1.0, rng=rng)
-        firsts += bool(np.allclose(dx, z))
+    x, y = np.full((n, 1), 0.5), np.zeros((n, 1))
+    z = np.full((n, 1), 0.05)
+    dx, dy = jump_round(x, y, z, a=0.5, l0=1.0, rng=rng_at(6))
+    firsts = int(np.sum(dx[:, 0] == 0.05))
+    assert np.all((dx[:, 0] == 0.05) != (dy[:, 0] == 0.05))
     assert abs(firsts / n - 0.5) < 3.0 * math.sqrt(0.25 / n)
+
+
+def test_coupled_jump_draws_coins_only_when_reflecting():
+    # the engine's draw order: a round without reflection consumes nothing,
+    # a reflecting round exactly one uniform per row
+    x, y = np.array([[0.3, 0.0], [3.0, 0.0]]), np.zeros((2, 2))
+    rng, ref = rng_at(7), rng_at(7)
+    jump_round(x, y, np.array([[1.0, 0.0], [0.01, 0.0]]), a=0.25, l0=1.0, rng=rng)
+    assert np.array_equal(rng.random(3), ref.random(3))
+    jump_round(x, y, np.array([[0.01, 0.0], [0.01, 0.0]]), a=0.25, l0=1.0, rng=rng)
+    ref.random(2)
+    assert np.array_equal(rng.random(3), ref.random(3))
 
 
 # -------------------------------- drift steps --------------------------------
@@ -250,10 +266,11 @@ def _example_model():
 def test_equal_start_is_merged_immediately():
     spec, field, _, lyap = _example_model()
     grid = np.linspace(0.0, 0.5, 6)
-    path = simulate_coupled_path(np.array([0.4]), np.array([0.4]), field, spec,
-                                 lyap, SchemeConfig(), 0.5, grid, rng_at(7))
-    assert path.merged.all()
-    assert np.allclose(path.xs, path.ys)
+    ens = simulate_coupled_ensemble(np.array([0.4]), np.array([0.4]), field,
+                                    spec, lyap, SchemeConfig(), 0.5, grid, 4,
+                                    seed=7)
+    assert ens.merged.all()
+    assert np.array_equal(ens.xs, ens.ys)
 
 
 def test_merge_is_absorbing():
@@ -378,11 +395,6 @@ def test_nan_guard():
         simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), bad,
                                   spec, None, SchemeConfig(), 0.1, grid, 4,
                                   seed=1)
-
-
-def test_coupled_state_invariant():
-    with pytest.raises(ValueError):
-        CoupledState(t=0.0, x=np.array([1.0]), y=np.array([0.0]), merged=True)
 
 
 def test_decay_series_zero_at_equal_start():

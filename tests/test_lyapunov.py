@@ -334,20 +334,29 @@ def test_exact_equality_branch_far_tail(high_alpha_model):
         assert lhs >= rhs * (1.0 - 1e-12)
 
 
-def test_large_c1_core_ratio_and_tail_underflow():
-    # alpha = 1.2 with K1 = K2 = L0 = 1: c1 = 5.5e4, A underflows to 0
+def test_tail_underflow_is_certificate_error():
+    # alpha = 1.2 with K1 = K2 = L0 = 1: c1 = 5.5e4, so A = (c1/c2) e^(-2 L0 c1)
+    # underflows to 0 and psi would be 0 * inf = nan on its tail
     spec = isotropic_stable(1, 1.2)
     cond = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=2.0)
+    with pytest.raises(CertificateError) as info:
+        build_lyapunov(spec, cond)
+    assert info.value.r == 2.0 * cond.l0
+
+
+def test_large_c1_core_ratio():
+    # alpha = 1.5 with K1 = 3: 2 L0 c1 = 690 puts c1 r > 600 on the core
+    # while A = e^(-690) / 20 is still positive
+    spec = isotropic_stable(1, 1.5)
+    cond = DriftCondition(k1=3.0, k2=1.0, l0=1.0, theta=2.0)
     lyap = build_lyapunov(spec, cond)
-    assert lyap.c1 > 5e4 and lyap.A == 0.0
+    assert 600.0 < 2.0 * cond.l0 * lyap.c1 < 745.0 and lyap.A > 0.0
     # either side of c1 r = 600 the two forms of c1 / expm1(c1 r) agree
-    for x in (599.0, 601.0):
+    for x in (599.0, 601.0, 2.0 * cond.l0 * lyap.c1):
         r = x / lyap.c1
         assert lyap.prime_over_value(r) == pytest.approx(
-            lyap.c1 * math.exp(-x), rel=1e-14)
-    assert lyap.prime_over_value(2.0 * cond.l0) == 0.0  # c1 r = 1.1e5
-    with pytest.raises(CertificateError):
-        tail_envelope_positivity(lyap)
+            lyap.c1 * math.exp(-x), rel=1e-13)
+    assert tail_envelope_positivity(lyap).ok
 
 
 # ------------------------------ tail envelope --------------------------------
