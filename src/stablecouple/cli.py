@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,7 @@ from .coupling_engine import (
     simulate_coupled_ensemble,
     write_paths_csv,
     write_positions_csv,
+    write_table,
 )
 from .drift_models import DriftCondition, check_small_alpha_gate, drift_from_label
 from .lyapunov import (
@@ -41,7 +43,6 @@ from .lyapunov import (
     build_lyapunov,
     contraction_certificate,
     rate_sweep,
-    tail_envelope_positivity,
 )
 from .stable_noise import isotropic_stable
 from .streams import derive_stream
@@ -63,7 +64,10 @@ EXIT_RUNTIME = 5
 
 @dataclass
 class ExperimentConfig:
-    """Flat run configuration; every field maps to a config-file key."""
+    """Flat run configuration; every field is a config-file key and a flag.
+
+    A key parses to its default's type; ``n_paths`` is the flag ``--paths``.
+    """
 
     d: int = 1
     alpha: float = 1.5
@@ -92,9 +96,7 @@ class ExperimentConfig:
     force_synchronous: bool = False
 
 
-_BOOL_KEYS = {"force_synchronous"}
-_INT_KEYS = {"d", "n_paths", "seed"}
-_STR_KEYS = {"drift", "out", "x0", "y0"}
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -112,29 +114,25 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _coerce(key: str, val):
-    if isinstance(val, str):
-        if key in _BOOL_KEYS:
-            low = val.lower()
-            if low not in ("true", "false", "0", "1"):
-                raise ValueError(f"bad boolean for {key}: {val!r}")
-            return low in ("true", "1")
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _STR_KEYS:
-            return val
-        return float(val)
-    return val
+    if not isinstance(val, str):
+        return val
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
+        low = val.lower()
+        if low not in ("true", "false", "0", "1"):
+            raise ValueError(f"bad boolean for {key}: {val!r}")
+        return low in ("true", "1")
+    return kind(val)
 
 
 def build_config(file: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     merged: dict = {}
     if file:
         merged.update(parse_config_file(file))
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, val in merged.items():
-        if key not in fields:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key: {key}")
         setattr(cfg, key, _coerce(key, val))
     return cfg
@@ -155,12 +153,9 @@ def resolve_model(cfg: ExperimentConfig):
     field = drift_from_label(cfg.drift, cfg.d, beta=cfg.beta, k1=cfg.k1,
                              l0=cfg.l0, kappa=cfg.kappa, c=cfg.drift_c,
                              q=cfg.drift_q)
-    claimed = field.claimed_condition
-    if claimed is not None:
-        cond = DriftCondition(k1=cfg.k1, k2=claimed.k2, l0=cfg.l0,
-                              theta=claimed.theta)
-    else:
-        cond = DriftCondition(k1=cfg.k1, k2=cfg.k2, l0=cfg.l0, theta=cfg.theta)
+    # a drift that claims its own (K2, theta) overrides the configured pair
+    outer = field.claimed_condition or cfg
+    cond = DriftCondition(k1=cfg.k1, k2=outer.k2, l0=cfg.l0, theta=outer.theta)
     e1 = np.zeros(cfg.d)
     e1[0] = 1.0
     x0 = _vector(cfg.x0, cfg.d, +0.5 * cfg.r0 * e1)
@@ -170,12 +165,15 @@ def resolve_model(cfg: ExperimentConfig):
 
 def scheme_of(cfg: ExperimentConfig) -> SchemeConfig:
     return SchemeConfig(dt_max=cfg.dt_max, eps_delta=cfg.eps_delta,
-                        eps_couple=cfg.eps_couple, delta_floor=cfg.delta_floor,
-                        force_synchronous=cfg.force_synchronous)
+                        eps_couple=cfg.eps_couple, delta_floor=cfg.delta_floor)
 
 
 def record_grid_of(cfg: ExperimentConfig) -> np.ndarray:
-    n_steps = int(round(cfg.horizon / cfg.grid_step))
+    """Multiples of grid_step up to the horizon, with the engine's 1e-12 slack
+    (horizon 0.3, grid_step 0.1 gives 2.9999999999999996 steps, kept as 3)."""
+    if not cfg.grid_step > 0.0:
+        raise ValueError(f"grid_step must be positive, got {cfg.grid_step}")
+    n_steps = math.floor((cfg.horizon + 1e-12) / cfg.grid_step)
     return np.linspace(0.0, n_steps * cfg.grid_step, n_steps + 1)
 
 
@@ -190,21 +188,8 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_failure(sweep) -> CertificateError:
-    return CertificateError(f"contraction ratio {sweep.lambda_star:.6g} at "
-                            f"r = {sweep.argmin_r:.6g}", r=sweep.argmin_r)
-
-
 def cmd_certify(cfg: ExperimentConfig) -> int:
     spec, cond, _, _, _ = resolve_model(cfg)
-    lyap = build_lyapunov(spec, cond)
-    envelope = tail_envelope_positivity(lyap)
-    if not envelope.ok:
-        raise CertificateError(f"tail envelope nonpositive at "
-                               f"r = {envelope.failure_r:.6g}", r=envelope.failure_r)
-    sweep = rate_sweep(lyap, spec, cond)
-    if not sweep.certified:
-        raise _ratio_failure(sweep)
     cert = contraction_certificate(spec, cond, cfg.p)
     out = _outdir(cfg)
     (out / "cert.txt").write_text(cert.to_record())
@@ -222,14 +207,12 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
     lyap = build_lyapunov(spec, cond)
     sweep = rate_sweep(lyap, spec, cond)
     out = _outdir(cfg)
-    with open(out / "lyapunov.csv", "w") as fh:
-        fh.write("r,generator_bound,psi,ratio\n")
-        for row in zip(sweep.rs, sweep.generator_bound, sweep.psi, sweep.ratios):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(out / "lyapunov.csv", ["r", "generator_bound", "psi", "ratio"],
+                np.column_stack([sweep.rs, sweep.generator_bound, sweep.psi,
+                                 sweep.ratios]))
     print(f"lambda_star = {sweep.lambda_star:.12g}; sweep written to "
           f"{out / 'lyapunov.csv'}")
-    if not sweep.certified:
-        raise _ratio_failure(sweep)
+    sweep.require_certified()
     return EXIT_OK
 
 
@@ -244,10 +227,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     write_positions_csv(out / "positions.csv", ens)
     if lyap is not None:
         series = lyapunov_decay_series(ens, lyap)
-        with open(out / "psi_decay.csv", "w") as fh:
-            fh.write("t,mean_psi,stderr,n_paths\n")
-            for t, m, s in zip(series.times, series.mean, series.stderr):
-                fh.write(f"{t:.17g},{m:.17g},{s:.17g},{series.n_paths}\n")
+        write_table(out / "psi_decay.csv", ["t", "mean_psi", "stderr", "n_paths"],
+                    np.column_stack([series.times, series.mean, series.stderr,
+                                     np.full(len(series.times), series.n_paths)]))
     print(f"simulated {cfg.n_paths} paths to horizon {cfg.horizon}; "
           f"outputs in {out}")
     return EXIT_OK
@@ -285,10 +267,8 @@ def cmd_wp(cfg: ExperimentConfig, positions: str | None = None,
         flagged = int(np.isfinite(exact) and exact > bound + 3.0 * exact_se)
         flags += flagged
         rows.append((t, upper, upper_se, exact, exact_se, bound, flagged))
-    with open(out / "wp.csv", "w") as fh:
-        fh.write("t,wp_upper,wp_upper_se,wp_exact,wp_exact_se,cert_bound,flag\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row[:-1]) + f",{row[-1]}\n")
+    write_table(out / "wp.csv", ["t", "wp_upper", "wp_upper_se", "wp_exact",
+                                 "wp_exact_se", "cert_bound", "flag"], rows)
     print(f"wp columns written to {out / 'wp.csv'}; flags = {flags}")
     return EXIT_FLAGS if flags else EXIT_OK
 
@@ -358,30 +338,12 @@ def cmd_example(cfg: ExperimentConfig) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--paths", type=int, dest="n_paths")
-    sub.add_argument("--horizon", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--out")
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--k1", type=float)
-    sub.add_argument("--k2", type=float)
-    sub.add_argument("--l0", type=float)
-    sub.add_argument("--theta", type=float)
-    sub.add_argument("--drift")
-    sub.add_argument("--kappa", type=float)
-    sub.add_argument("--r0", type=float)
-    sub.add_argument("--x0")
-    sub.add_argument("--y0")
-    sub.add_argument("--grid-step", type=float, dest="grid_step")
-    sub.add_argument("--dt-max", type=float, dest="dt_max")
-    sub.add_argument("--eps-delta", type=float, dest="eps_delta")
-    sub.add_argument("--eps-couple", type=float, dest="eps_couple")
-    sub.add_argument("--delta-floor", type=float, dest="delta_floor")
-    sub.add_argument("--force-synchronous", action="store_const", const=True,
-                     dest="force_synchronous")
+    for key, kind in _FIELD_TYPES.items():
+        flag = "--paths" if key == "n_paths" else "--" + key.replace("_", "-")
+        if kind is bool:
+            sub.add_argument(flag, action="store_const", const=True, dest=key)
+        else:
+            sub.add_argument(flag, type=kind, dest=key)
 
 
 def main(argv=None) -> int:
@@ -390,7 +352,9 @@ def main(argv=None) -> int:
         description="coupled simulation and certified contraction rates for "
                     "stable-noise SDEs")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("certify", "lyapunov", "simulate", "wp", "example"):
+    commands = {"certify": cmd_certify, "lyapunov": cmd_lyapunov,
+                "simulate": cmd_simulate, "wp": cmd_wp, "example": cmd_example}
+    for name in commands:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name == "wp":
@@ -398,8 +362,7 @@ def main(argv=None) -> int:
             sub.add_argument("--cert", help="certificate record from certify")
     args = parser.parse_args(argv)
 
-    config_keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    overrides = {k: v for k, v in vars(args).items() if k in config_keys}
+    overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
     try:
         cfg = build_config(args.config, overrides)
     except (ValueError, OSError) as exc:
@@ -407,27 +370,22 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
     try:
-        if args.command == "certify":
-            return cmd_certify(cfg)
-        if args.command == "lyapunov":
-            return cmd_lyapunov(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
         if args.command == "wp":
             return cmd_wp(cfg, positions=args.positions, cert_path=args.cert)
-        if args.command == "example":
-            return cmd_example(cfg)
+        return commands[args.command](cfg)
     except GateError as exc:
         print(f"gate failure: small-alpha margin = {exc.margin:.12g} <= 0",
               file=sys.stderr)
         return EXIT_GATE
+    except ValueError as exc:  # a parameter out of its domain; after GateError
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERT
     except (EventBudgetError, DriftBlowupError, OverflowError) as exc:
         print(f"runtime guard: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ bounds the event budget at a quantifiable Lyapunov cost psi(eps_couple).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,16 +59,14 @@ class SchemeConfig:
 
     ``eps_delta`` truncates explicit jumps at the fraction eps_delta * a * r
     of the reflection band (never below the absolute floor ``delta_floor``);
-    ``eps_couple`` is the merge threshold on the separation;
-    ``force_synchronous`` disables reflection entirely (every jump is
-    applied to both components).
+    ``eps_couple`` is the merge threshold on the separation.  The
+    synchronous switch is ``lyap=None`` in :func:`simulate_coupled_ensemble`.
     """
 
     dt_max: float = 1e-2
     eps_delta: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-3
-    force_synchronous: bool = False
     max_events: int = 2_000_000_000
 
     def __post_init__(self):
@@ -260,10 +258,12 @@ def _chunk_spans(n_paths: int) -> list[tuple[int, int]]:
 
 
 def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
-                    spec: StableSpec, a: float, l0: float, cfg: SchemeConfig,
+                    spec: StableSpec, lyap, cfg: SchemeConfig,
                     record_grid: np.ndarray, rng: np.random.Generator,
                     excess: ExcessComponent | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, d = x0.shape
+    if lyap is not None:
+        a, l0 = float(lyap.a), float(lyap.l0)
     X = x0.copy()
     Y = y0.copy()
     r0 = np.linalg.norm(X - Y, axis=1)
@@ -286,7 +286,7 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         target = float(record_grid[rec])
         while t < target - 1e-12:
             h = min(cfg.dt_max, target - t)
-            if cfg.force_synchronous:
+            if lyap is None:
                 delta = np.full(n, cfg.delta_floor)
             else:
                 r = np.linalg.norm(X - Y, axis=1)
@@ -321,7 +321,7 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 radius = pareto_radius(delta[idx], spec.alpha,
                                        1.0 - rng.random(idx.size))
                 z = radius[:, None] * _unit_directions(d, idx.size, rng)
-                if cfg.force_synchronous:
+                if lyap is None:
                     dx = dy = z
                 else:
                     dx, dy = coupled_jump(X[idx], Y[idx], z, radius, merged[idx],
@@ -380,12 +380,6 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     return xs, ys, mg
 
 
-def _resolve_band(lyap) -> tuple[float, float]:
-    if lyap is None:
-        return 0.0, float("inf")
-    return float(lyap.a), float(lyap.l0)
-
-
 def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               spec: StableSpec, lyap, cfg: SchemeConfig,
                               horizon: float, record_grid: np.ndarray,
@@ -395,7 +389,8 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
 
     Paths are processed in fixed-size chunks, one derived stream per chunk,
     so the output depends only on (inputs, seed).  ``lyap`` supplies the
-    reflection band (a, L0); pass None to force synchronous coupling.
+    reflection band (a, L0); ``lyap=None`` is the synchronous switch: every
+    jump is then applied to both components and no pair reflects.
     """
     record_grid = np.asarray(record_grid, dtype=float)
     if record_grid.ndim != 1 or len(record_grid) == 0:
@@ -404,9 +399,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         raise ValueError("record_grid must lie within [0, horizon]")
     if np.any(np.diff(record_grid) <= 0.0):
         raise ValueError("record_grid must be strictly increasing")
-    a, l0 = _resolve_band(lyap)
-    if lyap is None and not cfg.force_synchronous:
-        cfg = replace(cfg, force_synchronous=True)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
 
@@ -415,7 +407,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         m = hi - lo
         rng = derive_stream(seed, ci)
         chunk = _simulate_chunk(
-            np.tile(x0, (m, 1)), np.tile(y0, (m, 1)), field, spec, a, l0,
+            np.tile(x0, (m, 1)), np.tile(y0, (m, 1)), field, spec, lyap,
             cfg, record_grid, rng, excess,
         )
         chunks.append(chunk)
@@ -468,6 +460,41 @@ def lyapunov_decay_series(ensemble: PathEnsemble, lyap) -> DecaySeries:
 # ---------------------------------------------------------------------------
 
 
+_TABLE_BLOCK = 4096  # rows formatted per write; bounds the text held at once
+
+
+def write_table(path, header: Sequence[str], table) -> None:
+    """Write a 2-D float table as CSV, one "%.17g" line per row.
+
+    "%.17g" round-trips float64 and prints integer-valued floats (ids,
+    counts, flags) without a decimal point.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(table), _TABLE_BLOCK):
+            block = table[lo:lo + _TABLE_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _path_table(times: np.ndarray, *cols: np.ndarray) -> np.ndarray:
+    """Path-major rows (path_id, t, cols...) from (n, T) or (n, T, k) arrays."""
+    n, T = cols[0].shape[:2]
+    return np.hstack([np.repeat(np.arange(n), T)[:, None],
+                      np.tile(times, n)[:, None]]
+                     + [np.reshape(c, (n * T, -1)) for c in cols])
+
+
+def read_path_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times and the (n_paths, n_times, k) other columns of a
+    path-major (path_id, t, ...) table written by :func:`write_table`."""
+    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    ids = raw[:, 0].astype(int)
+    n, T = ids.max() + 1, (ids == 0).sum()
+    return raw[:T, 1].copy(), raw[:, 2:].reshape(n, T, -1)
+
+
 def write_paths_csv(path, ensemble: PathEnsemble, lyap=None) -> None:
     """Write the per-path series: path_id, t, r, psi_r, merged.
 
@@ -478,12 +505,8 @@ def write_paths_csv(path, ensemble: PathEnsemble, lyap=None) -> None:
         psi_r = np.where(ensemble.merged, 0.0, lyap.value(r))
     else:
         psi_r = np.full_like(r, np.nan)
-    with open(path, "w") as fh:
-        fh.write("path_id,t,r,psi_r,merged\n")
-        for i in range(ensemble.n_paths):
-            for k, t in enumerate(ensemble.times):
-                fh.write(f"{i},{t:.17g},{r[i, k]:.17g},{psi_r[i, k]:.17g},"
-                         f"{int(ensemble.merged[i, k])}\n")
+    write_table(path, ["path_id", "t", "r", "psi_r", "merged"],
+                _path_table(ensemble.times, r, psi_r, ensemble.merged))
 
 
 def write_positions_csv(path, ensemble: PathEnsemble) -> None:
@@ -491,26 +514,13 @@ def write_positions_csv(path, ensemble: PathEnsemble) -> None:
     d = ensemble.xs.shape[2]
     cols = (["path_id", "t"] + [f"x{j}" for j in range(d)]
             + [f"y{j}" for j in range(d)] + ["merged"])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(ensemble.n_paths):
-            for k, t in enumerate(ensemble.times):
-                xv = ",".join(f"{v:.17g}" for v in ensemble.xs[i, k])
-                yv = ",".join(f"{v:.17g}" for v in ensemble.ys[i, k])
-                fh.write(f"{i},{t:.17g},{xv},{yv},{int(ensemble.merged[i, k])}\n")
+    write_table(path, cols, _path_table(ensemble.times, ensemble.xs,
+                                        ensemble.ys, ensemble.merged))
 
 
 def read_positions_csv(path) -> PathEnsemble:
     """Load an ensemble written by :func:`write_positions_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        d = sum(1 for c in header if c.startswith("x"))
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    ids = raw[:, 0].astype(int)
-    n = ids.max() + 1
-    T = (ids == 0).sum()
-    times = raw[:T, 1].copy()
-    xs = raw[:, 2:2 + d].reshape(n, T, d)
-    ys = raw[:, 2 + d:2 + 2 * d].reshape(n, T, d)
-    merged = raw[:, -1].reshape(n, T).astype(bool)
-    return PathEnsemble(times=times, xs=xs, ys=ys, merged=merged)
+    times, cols = read_path_table(path)
+    d = (cols.shape[2] - 1) // 2
+    return PathEnsemble(times=times, xs=cols[:, :, :d], ys=cols[:, :, d:2 * d],
+                        merged=cols[:, :, -1].astype(bool))

@@ -484,6 +484,12 @@ class RateSweep:
     def certified(self) -> bool:
         return self.lambda_star > 0.0
 
+    def require_certified(self) -> None:
+        """Raise :class:`CertificateError` at the minimizing radius unless lambda* > 0."""
+        if not self.certified:
+            raise CertificateError(f"contraction ratio {self.lambda_star:.6g} at "
+                                   f"r = {self.argmin_r:.6g}", r=self.argmin_r)
+
 
 def rate_sweep(lyap: RadialLyapunov, spec: StableSpec, cond: DriftCondition,
                grid: np.ndarray | None = None,
@@ -669,22 +675,22 @@ def _sup_on_grid(fn, grid: np.ndarray) -> tuple[float, float]:
     return float(vals[i]), float(grid[i])
 
 
-def contraction_certificate(spec: StableSpec, cond: DriftCondition, p: float,
-                            grid: np.ndarray | None = None,
-                            quad: QuadratureConfig | None = None) -> ContractionCertificate:
+def contraction_certificate(spec: StableSpec, cond: DriftCondition,
+                            p: float) -> ContractionCertificate:
     """Assemble the full contraction certificate for exponent ``p`` >= 1.
 
-    lambda1 is the closed-form small-separation rate and lambda1_psi the
-    rate it gives for -L psi / psi on (0, L0]: for alpha in (1, 2) the
-    construction proves only -L psi(r) >= lambda1 r psi'(r) there, and
-    r psi'/psi = c1 r / expm1(c1 r) decreases in r, so
+    Builds psi, checks its tail envelope and runs :func:`rate_sweep` once,
+    failing unless the sweep infimum is positive.  lambda1 is the
+    closed-form small-separation rate and lambda1_psi the rate it gives for
+    -L psi / psi on (0, L0]: for alpha in (1, 2) the construction proves only
+    -L psi(r) >= lambda1 r psi'(r) there, and r psi'/psi decreases in r, so
     lambda1_psi = lambda1 L0 psi'(L0) / psi(L0); for alpha in (0, 1]
     lambda1 is taken as a bound on the ratio itself, lambda1_psi = lambda1
     (checked on a grid, not proved: the ratio is smallest as r -> 0+,
-    where it tends to lambda1 for alpha = 1).  lambda2 is
-    the numeric infimum of -L psi / psi over (L0, 10 L0] (the ratio is
-    verified to be increasing at the grid end, where the exponential tail
-    dominates), and lam = min(lambda1_psi, lambda2).  The moment constant
+    where it tends to lambda1 for alpha = 1).  lambda2 is the sweep's
+    infimum over (L0, 10 L0] (the ratio is verified to be increasing at the
+    grid end, where the exponential tail dominates), and
+    lam = min(lambda1_psi, lambda2).  The moment constant
     c_p multiplies the suprema of r^p / psi(r) (numeric, finite by the
     exponential tail) and psi(r)/r on (0, L0] (attained at 0+, equal to
     psi'(0)).  The distance-bound prefactor is assembled case by case:
@@ -703,24 +709,21 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition, p: float,
     lyap = build_lyapunov(spec, cond)
     envelope = tail_envelope_positivity(lyap)
     if not envelope.ok:
-        raise CertificateError("tail envelope positivity failed",
-                               r=envelope.failure_r)
+        raise CertificateError(f"tail envelope nonpositive at "
+                               f"r = {envelope.failure_r:.6g}", r=envelope.failure_r)
+    sweep = rate_sweep(lyap, spec, cond)
+    sweep.require_certified()
 
     lambda1 = small_distance_rate(lyap, spec, cond)
     lambda1_psi = lambda1
     if lyap.regime is Regime.HIGH_ALPHA:
         lambda1_psi *= cond.l0 * lyap.prime_over_value(cond.l0)
-    grid = default_radial_grid(cond.l0) if grid is None else np.asarray(grid, float)
-    above = grid[grid > cond.l0]
-    ratios = np.array([_large_separation_ratio(lyap, cond, r) for r in above])
-    i2 = int(np.argmin(ratios))
-    lambda2 = float(ratios[i2])
-    if lambda2 <= 0.0:
-        raise CertificateError("numeric large-separation rate is not positive",
-                               r=float(above[i2]))
+    grid = sweep.rs
+    ratios = sweep.ratios[grid > cond.l0]
+    lambda2 = float(ratios.min())  # >= lambda* > 0
     if not (ratios[-1] > ratios[-2]):
         raise CertificateError("contraction ratio not increasing at grid end",
-                               r=float(above[-1]))
+                               r=float(grid[-1]))
     lam = min(lambda1_psi, lambda2)
 
     def moment_ratio(rs):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .coupling_engine import read_path_table
+
 _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
 
 
@@ -155,12 +157,9 @@ def upper_series_from_paths_csv(path, p: float):
     coupling engine; the paired separations r are all the upper bound needs.
     Returns (times, values, stderrs).
     """
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    ids = raw[:, 0].astype(int)
-    n = ids.max() + 1
-    T = (ids == 0).sum()
-    times = raw[:T, 1].copy()
-    r = raw[:, 2].reshape(n, T)
+    times, cols = read_path_table(path)
+    r = cols[:, :, 0]
+    n, T = r.shape
     # the pair (r, 0) on the line has separation r
     origin = np.zeros((n, 1))
     values, stderrs = np.array([coupling_wp_upper(r[:, k:k + 1], origin, p)

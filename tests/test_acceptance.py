@@ -470,7 +470,7 @@ def test_criterion_10_dissipative_synchronous():
 
     spec = isotropic_stable(1, 1.5)
     field = linear_drift(1.0, 1)
-    cfg = SchemeConfig(force_synchronous=True)
+    cfg = SchemeConfig()
     grid = np.arange(0.0, 3.0 + 1e-9, 0.25)
     ens = simulate_coupled_ensemble(np.array([0.5]), np.array([-0.5]), field,
                                     spec, None, cfg, 3.0, grid, 256,

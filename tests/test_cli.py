@@ -1,17 +1,22 @@
 """End-to-end command-line runs at small budgets."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from stablecouple import cli
 from stablecouple.cli import (
     EXIT_CERT,
     EXIT_GATE,
     EXIT_OK,
+    EXIT_RUNTIME,
+    ExperimentConfig,
     build_config,
     main,
     parse_config_file,
+    record_grid_of,
 )
 
 
@@ -33,6 +38,36 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.alpha == 1.5
     assert cfg.n_paths == 64
     assert cfg.force_synchronous is True
+
+
+def test_every_config_field_parses_from_its_flag(monkeypatch):
+    # each ExperimentConfig field has a flag that yields the field's type
+    seen = {}
+
+    def fake_certify(cfg):
+        seen["cfg"] = cfg
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_certify", fake_certify)
+    argv = ["certify"]
+    want = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = "--paths" if f.name == "n_paths" else "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            argv.append(flag)
+            want[f.name] = True
+        elif isinstance(f.default, (int, float)):
+            argv += [flag, "7"]
+            want[f.name] = type(f.default)(7)
+        else:
+            argv += [flag, "text"]
+            want[f.name] = "text"
+    assert main(argv) == EXIT_OK
+    cfg = seen["cfg"]
+    for name, value in want.items():
+        got = getattr(cfg, name)
+        assert type(got) is type(value) and got == value, name
+    assert cfg.n_paths == 7
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -198,3 +233,37 @@ def test_wp_flags_violation_exit_code(tmp_path):
     assert code == 4
     rows = np.loadtxt(out / "wp.csv", delimiter=",", skiprows=1)
     assert rows[:, -1].sum() > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--p", "0.5"],
+    ["certify", "--alpha", "2.5"],
+    ["certify", "--drift", "monomial", "--theta", "1.5"],
+    ["certify", "--beta", "0.5"],
+    ["certify", "--d", "0"],
+    ["simulate", "--dt-max", "0"],
+    ["simulate", "--x0", "1,2"],
+])
+def test_invalid_model_flags_are_configuration_errors(tmp_path, capsys, argv):
+    code = run(argv + ["--paths", "4", "--horizon", "0.25",
+                       "--out", str(tmp_path / "bad")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_record_grid_never_passes_horizon(tmp_path):
+    def grid(horizon, step):
+        return record_grid_of(ExperimentConfig(horizon=horizon, grid_step=step))
+
+    assert np.array_equal(grid(0.5, 0.3), [0.0, 0.3])
+    # unchanged where the rounded grid fit the horizon
+    assert np.array_equal(grid(1.0, 0.25), np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(grid(0.25, 0.125), np.linspace(0.0, 0.25, 3))
+    assert np.array_equal(grid(0.3, 0.1), np.linspace(0.0, 3 * 0.1, 4))
+    code = run(["simulate", "--alpha", "1.5", "--beta", "1.5", "--paths", "4",
+                "--horizon", "0.5", "--grid-step", "0.3",
+                "--out", str(tmp_path / "g")])
+    assert code == EXIT_OK
+    decay = np.loadtxt(tmp_path / "g" / "psi_decay.csv", delimiter=",",
+                       skiprows=1)
+    assert np.array_equal(decay[:, 0], [0.0, 0.3])

@@ -22,6 +22,7 @@ from stablecouple.coupling_engine import (
     step_drift,
     write_paths_csv,
     write_positions_csv,
+    write_table,
 )
 from stablecouple.drift_models import (
     DriftCondition,
@@ -302,12 +303,12 @@ def test_determinism_same_seed():
 
 
 def test_synchronous_difference_is_drift_ode():
-    # forced synchronous: every jump and the small-jump proxy cancel in the
-    # difference, so x - y follows the pair drift ODE; linear drift solves it
-    # in closed form
+    # lyap=None is synchronous: every jump and the small-jump proxy cancel in
+    # the difference, so x - y follows the pair drift ODE; linear drift solves
+    # it in closed form
     spec = isotropic_stable(1, 1.5)
     field = linear_drift(1.0, 1)
-    cfg = SchemeConfig(force_synchronous=True)
+    cfg = SchemeConfig()
     grid = np.linspace(0.0, 3.0, 13)
     ens = simulate_coupled_ensemble(np.array([0.5]), np.array([-0.5]), field,
                                     spec, None, cfg, 3.0, grid, 32, seed=5)
@@ -420,18 +421,38 @@ def test_decay_series_start_value_deterministic():
 
 
 def test_positions_csv_roundtrip(tmp_path):
-    spec, field, _, lyap = _example_model()
-    grid = np.linspace(0.0, 0.5, 3)
-    ens = simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
-                                    spec, lyap, SchemeConfig(), 0.5, grid, 8,
-                                    seed=13)
-    f = tmp_path / "positions.csv"
-    write_positions_csv(f, ens)
-    back = read_positions_csv(f)
-    assert np.allclose(back.xs, ens.xs)
-    assert np.allclose(back.ys, ens.ys)
-    assert np.array_equal(back.merged, ens.merged)
+    # "%.17g" round-trips float64, so the read-back is exact
+    for d in (1, 2):
+        spec = isotropic_stable(d, 1.5)
+        field = power_potential_drift(1.5, d)
+        lyap = build_lyapunov(spec, field.claimed_condition)
+        x0 = np.zeros(d)
+        x0[0] = 0.25
+        grid = np.linspace(0.0, 0.5, 3)
+        ens = simulate_coupled_ensemble(x0, -x0, field, spec, lyap,
+                                        SchemeConfig(), 0.5, grid, 8, seed=13)
+        f = tmp_path / f"positions{d}.csv"
+        write_positions_csv(f, ens)
+        back = read_positions_csv(f)
+        assert np.array_equal(back.times, ens.times)
+        assert np.array_equal(back.xs, ens.xs)
+        assert np.array_equal(back.ys, ens.ys)
+        assert np.array_equal(back.merged, ens.merged)
     f2 = tmp_path / "paths.csv"
     write_paths_csv(f2, ens, lyap)
     header = f2.read_text().splitlines()[0]
     assert header == "path_id,t,r,psi_r,merged"
+
+
+def test_write_table_golden_bytes(tmp_path):
+    f = tmp_path / "t.csv"
+    write_table(f, ["a", "b", "c"],
+                [[0.0, 512.0, 1.0],
+                 [-0.0, np.nan, 1e-300],
+                 [np.inf, -np.inf, 0.1],
+                 [3.0, -2.5, 1.0 / 3.0]])
+    assert f.read_text() == ("a,b,c\n"
+                             "0,512,1\n"
+                             "-0,nan,1e-300\n"
+                             "inf,-inf,0.10000000000000001\n"
+                             "3,-2.5,0.33333333333333331\n")
