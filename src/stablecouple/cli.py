@@ -277,8 +277,12 @@ def cmd_example(cfg: ExperimentConfig) -> int:
     """Full pipeline for the super-convex potential drift.
 
     For alpha <= 1 the admissibility gate is monotone in K1 L0^alpha, so K1
-    and L0 are halved until it passes (each shrink is logged).
+    and L0 are halved until it passes (each shrink is logged).  The rate fit
+    needs psi_decay.csv, so ``force_synchronous`` is rejected up front.
     """
+    if cfg.force_synchronous:
+        raise ValueError("example needs the Lyapunov profile; "
+                         "force_synchronous is not supported")
     if cfg.beta <= 1.0:
         print(f"invalid beta = {cfg.beta}: must exceed 1", file=sys.stderr)
         return EXIT_GATE

@@ -12,6 +12,9 @@ merging, with jumps handled in three channels:
   so it cancels in the separation;
 - an optional finite-activity extra jump component, always synchronous.
 
+Without a profile (``lyap=None``) the band is empty, (a, L0) = (0, 0), so
+the same loop runs the purely synchronous coupling.
+
 Time stepping is jump-adapted: within frozen windows of length at most
 ``dt_max`` the jump clock runs at the compound-Poisson rate of jumps above a
 truncation radius delta = max(delta_floor, eps_delta a r); drift is
@@ -23,10 +26,11 @@ the first two moments of the omitted jumps, not their full law, so the
 marginal error shrinks with delta.  The omitted reflected band
 |z| <= min(delta, a r) slows contraction slightly and never fakes it.
 
-Pairs merge (and stick) once the separation falls below ``eps_couple``;
-exact meeting has probability zero under discretized reflection, and the
-jump intensity grows like r^(-alpha) as r -> 0, so a positive threshold
-bounds the event budget at a quantifiable Lyapunov cost psi(eps_couple).
+Pairs merge (and stick, with Y a bitwise copy of X) once the separation
+falls below ``eps_couple``; exact meeting has probability zero under
+discretized reflection, and the jump intensity grows like r^(-alpha) as
+r -> 0, so a positive threshold bounds the event budget at a quantifiable
+Lyapunov cost psi(eps_couple).
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .drift_models import DriftCondition, DriftField
 from .stable_noise import StableSpec, _unit_directions, decompose, pareto_radius
 from .streams import derive_stream
 
-_CHUNK = 16384  # paths per derived stream; fixed so ensembles are reproducible
 _DRIFT_SUBSTEP = 5e-3
 
 
@@ -171,11 +174,10 @@ _STABILITY_MARGIN = 0.2  # |b'| h kept below this for the explicit steps
 
 
 def _rk4_one(field: DriftField, x: np.ndarray, h: np.ndarray,
-             k1: np.ndarray | None = None) -> np.ndarray:
-    """One classical fourth-order step with per-row step h; x is (n, d)."""
+             k1: np.ndarray) -> np.ndarray:
+    """One classical fourth-order step with per-row step h from the slope
+    k1 = b(x); x is (n, d)."""
     h = h[:, None]
-    if k1 is None:
-        k1 = field(x)
     k2 = field(x + 0.5 * h * k1)
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
@@ -253,8 +255,13 @@ def hitting_time_bound(r0: float, cond: DriftCondition) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_spans(n_paths: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+def _settle(X: np.ndarray, Y: np.ndarray, merged: np.ndarray, rows: np.ndarray,
+            eps: float) -> None:
+    """Merge the pairs in ``rows`` within ``eps``; set Y := X on every merged
+    row among them, so a merged pair is bitwise equal from then on."""
+    merged[rows] |= np.linalg.norm(X[rows] - Y[rows], axis=1) <= eps
+    on = rows[merged[rows]]
+    Y[on] = X[on]
 
 
 def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
@@ -262,13 +269,14 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     record_grid: np.ndarray, rng: np.random.Generator,
                     excess: ExcessComponent | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, d = x0.shape
-    if lyap is not None:
-        a, l0 = float(lyap.a), float(lyap.l0)
+    # synchronous coupling is the empty band: no pair reflects, so
+    # coupled_jump returns (z, z) and draws no coins
+    a, l0 = (0.0, 0.0) if lyap is None else (float(lyap.a), float(lyap.l0))
     X = x0.copy()
     Y = y0.copy()
-    r0 = np.linalg.norm(X - Y, axis=1)
-    merged = r0 <= cfg.eps_couple
-    Y[merged] = X[merged]
+    merged = np.zeros(n, dtype=bool)
+    every = np.arange(n)
+    _settle(X, Y, merged, every, cfg.eps_couple)
 
     T = len(record_grid)
     xs = np.empty((n, T, d))
@@ -286,17 +294,15 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         target = float(record_grid[rec])
         while t < target - 1e-12:
             h = min(cfg.dt_max, target - t)
-            if lyap is None:
-                delta = np.full(n, cfg.delta_floor)
-            else:
-                r = np.linalg.norm(X - Y, axis=1)
-                reflecting = (~merged) & (r <= l0)
-                delta = np.where(reflecting,
-                                 np.maximum(cfg.delta_floor, cfg.eps_delta * a * r),
-                                 cfg.delta_floor)
+            r = np.linalg.norm(X - Y, axis=1)
+            reflecting = (~merged) & (r <= l0)
+            delta = np.where(reflecting,
+                             np.maximum(cfg.delta_floor, cfg.eps_delta * a * r),
+                             cfg.delta_floor)
             split = decompose(spec, delta)
             lam = split.rate_above
 
+            # between settles a merged row's Y is stale; _settle restores it
             t_path = np.zeros(n)
             next_jump = rng.standard_exponential(n) / lam
             while True:
@@ -315,25 +321,16 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 um = idx[~merged[idx]]
                 if um.size:
                     Y[um] = _drift_flow(field, Y[um], dt[~merged[idx]])
-                Y[idx[merged[idx]]] = X[idx[merged[idx]]]
                 t_path[idx] = next_jump[idx]
 
                 radius = pareto_radius(delta[idx], spec.alpha,
                                        1.0 - rng.random(idx.size))
                 z = radius[:, None] * _unit_directions(d, idx.size, rng)
-                if lyap is None:
-                    dx = dy = z
-                else:
-                    dx, dy = coupled_jump(X[idx], Y[idx], z, radius, merged[idx],
-                                          a, l0, rng)
+                dx, dy = coupled_jump(X[idx], Y[idx], z, radius, merged[idx],
+                                      a, l0, rng)
                 X[idx] += dx
                 Y[idx] += dy
-
-                rn = np.linalg.norm(X[idx] - Y[idx], axis=1)
-                newly = (~merged[idx]) & (rn <= cfg.eps_couple)
-                just = idx[newly]
-                Y[just] = X[just]
-                merged[just] = True
+                _settle(X, Y, merged, idx, cfg.eps_couple)
                 next_jump[idx] = next_jump[idx] + rng.standard_exponential(idx.size) / lam[idx]
 
             # drift to the window end
@@ -342,15 +339,13 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             um = ~merged
             if um.any():
                 Y[um] = _drift_flow(field, Y[um], dt[um])
-            Y[merged] = X[merged]
 
             # common Gaussian kick standing in for sub-delta jump activity;
             # identical on both components, so the separation is untouched
             g = (rng.standard_normal((n, d))
                  * np.sqrt(split.small_var_per_coord * h)[:, None])
             X += g
-            Y[um] += g[um]
-            Y[merged] = X[merged]
+            Y += g
 
             if excess is not None and excess.rate > 0.0:
                 counts = rng.poisson(excess.rate * h, n)
@@ -360,14 +355,10 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     sums = np.zeros((n, d))
                     np.add.at(sums, np.repeat(np.arange(n), counts), jumps)
                     X += sums
-                    Y[um] += sums[um]
-                    Y[merged] = X[merged]
+                    Y += sums
 
             # drift or kicks may have crossed the merge threshold
-            rn = np.linalg.norm(X - Y, axis=1)
-            newly = (~merged) & (rn <= cfg.eps_couple)
-            Y[newly] = X[newly]
-            merged[newly] = True
+            _settle(X, Y, merged, every, cfg.eps_couple)
 
             if not (np.isfinite(X).all() and np.isfinite(Y).all()):
                 bad = int(np.nonzero(~np.isfinite(X).all(axis=1)
@@ -387,11 +378,14 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               excess: ExcessComponent | None = None) -> PathEnsemble:
     """Simulate ``n_paths`` independent coupled pairs from (x0, y0).
 
-    Paths are processed in fixed-size chunks, one derived stream per chunk,
+    The ensemble draws from one derived stream, ``derive_stream(seed, 0)``,
     so the output depends only on (inputs, seed).  ``lyap`` supplies the
-    reflection band (a, L0); ``lyap=None`` is the synchronous switch: every
-    jump is then applied to both components and no pair reflects.
+    reflection band (a, L0); ``lyap=None`` is the synchronous switch, the
+    empty band (0, 0): every jump is then applied to both components and no
+    pair reflects.
     """
+    if n_paths <= 0:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
     record_grid = np.asarray(record_grid, dtype=float)
     if record_grid.ndim != 1 or len(record_grid) == 0:
         raise ValueError("record_grid must be a nonempty 1-d array")
@@ -401,19 +395,9 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         raise ValueError("record_grid must be strictly increasing")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-
-    chunks = []
-    for ci, (lo, hi) in enumerate(_chunk_spans(n_paths)):
-        m = hi - lo
-        rng = derive_stream(seed, ci)
-        chunk = _simulate_chunk(
-            np.tile(x0, (m, 1)), np.tile(y0, (m, 1)), field, spec, lyap,
-            cfg, record_grid, rng, excess,
-        )
-        chunks.append(chunk)
-    xs = np.concatenate([c[0] for c in chunks], axis=0)
-    ys = np.concatenate([c[1] for c in chunks], axis=0)
-    mg = np.concatenate([c[2] for c in chunks], axis=0)
+    xs, ys, mg = _simulate_chunk(
+        np.tile(x0, (n_paths, 1)), np.tile(y0, (n_paths, 1)), field, spec,
+        lyap, cfg, record_grid, derive_stream(seed, 0), excess)
     return PathEnsemble(times=record_grid.copy(), xs=xs, ys=ys, merged=mg)
 
 

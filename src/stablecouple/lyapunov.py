@@ -397,13 +397,6 @@ def jump_term(lyap: RadialLyapunov, spec: StableSpec, r: float,
     return float(values[0])
 
 
-def worst_drift_term(cond: DriftCondition, r: float) -> float:
-    """Largest admissible radial drift D(r): K1 r below L0, -K2 r^(theta-1) above."""
-    if r <= cond.l0:
-        return cond.k1 * r
-    return -cond.k2 * r ** (cond.theta - 1.0)
-
-
 def _generator_bound_core(lyap: RadialLyapunov, spec: StableSpec,
                           cond: DriftCondition, rs: np.ndarray,
                           quad: QuadratureConfig | None) -> np.ndarray:
@@ -428,13 +421,14 @@ def distance_generator_bound(lyap: RadialLyapunov, spec: StableSpec,
                              quad: QuadratureConfig | None = None) -> float:
     """Worst-case generator action L psi(r) = J(r) + psi'(r) D(r).
 
-    J vanishes above L0 where the coupling is synchronous and jumps cancel
-    in the separation.
+    D(r) is K1 r below L0 and -K2 r^(theta-1) above.  J vanishes above L0
+    where the coupling is synchronous and jumps cancel in the separation;
+    there the value is the sweep's -ratio * psi(r).
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     if r > cond.l0:
-        return float(lyap.prime(r)) * worst_drift_term(cond, r)
+        return -_large_separation_ratio(lyap, cond, r) * float(lyap.value(r))
     return float(_generator_bound_core(lyap, spec, cond, np.array([float(r)]),
                                        quad)[0])
 
@@ -457,10 +451,14 @@ def small_distance_rate(lyap: RadialLyapunov, spec: StableSpec,
     return lam
 
 
-def default_radial_grid(l0: float, n: int = 400, r_min_factor: float = 1e-4,
-                        r_max_factor: float = 10.0) -> np.ndarray:
-    """Geometric grid on (r_min_factor L0, r_max_factor L0] used by the sweeps."""
-    return np.geomspace(r_min_factor * l0, r_max_factor * l0, n)
+_GRID_POINTS = 400
+_GRID_MIN_FACTOR = 1e-4
+_GRID_MAX_FACTOR = 10.0
+
+
+def default_radial_grid(l0: float) -> np.ndarray:
+    """Geometric grid of 400 radii on [1e-4 L0, 10 L0] used by the sweeps."""
+    return np.geomspace(_GRID_MIN_FACTOR * l0, _GRID_MAX_FACTOR * l0, _GRID_POINTS)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Reproducible random streams.
 
 Every stochastic routine in the package takes an explicit
-``numpy.random.Generator``.  Ensembles derive one independent stream per
-worker (chunk of paths) from a master seed by counter-based derivation, so a
-run is reproducible regardless of how the path loop is scheduled.
+``numpy.random.Generator``.  Streams are derived from a master seed by
+counter-based derivation: each ensemble draws from one stream (index 0),
+and other consumers, such as the W_p bootstrap, take their own index, so a
+run is reproducible from (configuration, seed) alone.
 """
 
 from __future__ import annotations

@@ -212,6 +212,27 @@ def test_example_invalid_beta(tmp_path):
     assert code == EXIT_GATE
 
 
+def test_example_rejects_force_synchronous(tmp_path, capsys):
+    # without a profile simulate writes no psi_decay.csv for the rate fit,
+    # so the run stops before any stage writes
+    out = tmp_path / "sync"
+    code = run(["example", "--force-synchronous", "--paths", "16",
+                "--horizon", "0.25", "--grid-step", "0.25", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "configuration error: " in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+    assert not (out / "cert.txt").exists()
+
+
+def test_simulate_zero_paths_is_configuration_error(tmp_path, capsys):
+    out = tmp_path / "empty"
+    code = run(["simulate", "--paths", "0", "--horizon", "0.25",
+                "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("configuration error: n_paths")
+    assert not (out / "paths.csv").exists()
+
+
 def test_wp_flags_violation_exit_code(tmp_path):
     # a doctored certificate with a tiny prefactor must trip the
     # bound-violation flag and exit code 4

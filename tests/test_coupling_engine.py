@@ -285,7 +285,7 @@ def test_merge_is_absorbing():
         idx = np.nonzero(merged[i])[0]
         if idx.size:
             assert merged[i, idx[0]:].all()
-            assert np.allclose(ens.xs[i, idx[0]:], ens.ys[i, idx[0]:])
+            assert np.array_equal(ens.xs[i, idx[0]:], ens.ys[i, idx[0]:])
     assert merged[:, -1].any()
 
 
@@ -377,6 +377,15 @@ def test_excess_component_cancels_in_difference():
     want = 1.0 * np.exp(-grid)
     for i in range(16):
         assert np.allclose(ens.r[i], want, rtol=1e-7, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_nonpositive_n_paths_rejected(n_paths):
+    spec, field, _, lyap = _example_model()
+    with pytest.raises(ValueError, match="n_paths"):
+        simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
+                                  spec, lyap, SchemeConfig(), 0.5,
+                                  np.array([0.0, 0.5]), n_paths, seed=1)
 
 
 def test_event_budget_guard():

@@ -246,16 +246,18 @@ def test_rate_sweep_matches_scalar_generator_bound(high_alpha_model,
     for (spec, cond, lyap), rel in cases:
         sweep = rate_sweep(lyap, spec, cond)
         below = sweep.rs <= cond.l0
-        # one distance_generator_bound call per radius
+        # one distance_generator_bound call per radius, on the whole grid
         gen = np.array([distance_generator_bound(lyap, spec, cond, float(r))
-                        for r in sweep.rs[below]])
-        ratios = -gen / lyap.value(sweep.rs[below])
+                        for r in sweep.rs])
+        ratios = -gen[below] / lyap.value(sweep.rs[below])
         if rel == 0.0:
             assert np.array_equal(sweep.ratios[below], ratios)
-            assert np.array_equal(sweep.generator_bound[below], gen)
+            assert np.array_equal(sweep.generator_bound[below], gen[below])
         else:
             np.testing.assert_allclose(sweep.ratios[below], ratios, rtol=rel,
                                        atol=0.0)
+        # above L0 both take the same closed form, so they agree exactly
+        assert np.array_equal(sweep.generator_bound[~below], gen[~below])
         assert np.array_equal(sweep.psi, lyap.value(sweep.rs))
 
 
