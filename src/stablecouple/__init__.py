@@ -40,7 +40,6 @@ from .lyapunov import (
     RadialLyapunov,
     GateError,
     CertificateError,
-    QuadratureConfig,
     build_lyapunov,
     jump_term,
     distance_generator_bound,

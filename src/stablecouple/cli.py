@@ -30,6 +30,7 @@ from .coupling_engine import (
     SchemeConfig,
     lyapunov_decay_series,
     read_positions_csv,
+    require_positive_paths,
     simulate_coupled_ensemble,
     write_paths_csv,
     write_positions_csv,
@@ -278,14 +279,15 @@ def cmd_example(cfg: ExperimentConfig) -> int:
 
     For alpha <= 1 the admissibility gate is monotone in K1 L0^alpha, so K1
     and L0 are halved until it passes (each shrink is logged).  The rate fit
-    needs psi_decay.csv, so ``force_synchronous`` is rejected up front.
+    needs psi_decay.csv, so ``force_synchronous`` is rejected up front, and
+    so are invalid simulate inputs: no stage writes before they are checked.
     """
     if cfg.force_synchronous:
         raise ValueError("example needs the Lyapunov profile; "
                          "force_synchronous is not supported")
-    if cfg.beta <= 1.0:
-        print(f"invalid beta = {cfg.beta}: must exceed 1", file=sys.stderr)
-        return EXIT_GATE
+    scheme_of(cfg)
+    record_grid_of(cfg)
+    require_positive_paths(cfg.n_paths)
     cfg.drift = "power_potential"
     spec, cond, _, _, _ = resolve_model(cfg)
     shrinks = 0

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drift_models import DriftCondition, DriftField
-from .stable_noise import StableSpec, _unit_directions, decompose, pareto_radius
+from .stable_noise import StableSpec, _large_jumps, decompose
 from .streams import derive_stream
 
 _DRIFT_SUBSTEP = 5e-3
@@ -323,9 +323,7 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     Y[um] = _drift_flow(field, Y[um], dt[~merged[idx]])
                 t_path[idx] = next_jump[idx]
 
-                radius = pareto_radius(delta[idx], spec.alpha,
-                                       1.0 - rng.random(idx.size))
-                z = radius[:, None] * _unit_directions(d, idx.size, rng)
+                radius, z = _large_jumps(delta[idx], spec.alpha, d, idx.size, rng)
                 dx, dy = coupled_jump(X[idx], Y[idx], z, radius, merged[idx],
                                       a, l0, rng)
                 X[idx] += dx
@@ -371,6 +369,12 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     return xs, ys, mg
 
 
+def require_positive_paths(n_paths: int) -> None:
+    """Raise ValueError unless the ensemble size is positive."""
+    if n_paths <= 0:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
+
+
 def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               spec: StableSpec, lyap, cfg: SchemeConfig,
                               horizon: float, record_grid: np.ndarray,
@@ -384,8 +388,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     empty band (0, 0): every jump is then applied to both components and no
     pair reflects.
     """
-    if n_paths <= 0:
-        raise ValueError(f"n_paths must be positive, got {n_paths}")
+    require_positive_paths(n_paths)
     record_grid = np.asarray(record_grid, dtype=float)
     if record_grid.ndim != 1 or len(record_grid) == 0:
         raise ValueError("record_grid must be a nonempty 1-d array")

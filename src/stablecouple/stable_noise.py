@@ -125,18 +125,25 @@ def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
+def _large_jumps(delta, alpha: float, d: int, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n jumps above ``delta`` (scalar or per jump): (radii, jumps (n, d)).
+
+    Radius by Pareto inverse CDF, then direction uniform on the sphere.
+    """
+    # 1 - U lies in (0, 1], avoiding the zero that would blow the inverse CDF
+    radius = pareto_radius(delta, alpha, 1.0 - rng.random(n))
+    return radius, radius[:, None] * _unit_directions(d, n, rng)
+
+
 def sample_large_jump(decomp: JumpDecomposition, rng: np.random.Generator,
                       size: int | None = None) -> np.ndarray:
     """Sample jumps from the measure restricted to |z| > delta.
 
-    Radius by Pareto inverse CDF, direction uniform on the sphere.  Returns
-    shape (d,) for ``size=None``, else (size, d).
+    Returns shape (d,) for ``size=None``, else (size, d).
     """
     n = 1 if size is None else int(size)
-    d, a = decomp.spec.d, decomp.spec.alpha
-    # 1 - U lies in (0, 1], avoiding the zero that would blow the inverse CDF
-    radius = pareto_radius(decomp.delta, a, 1.0 - rng.random(n))
-    z = radius[:, None] * _unit_directions(d, n, rng)
+    _, z = _large_jumps(decomp.delta, decomp.spec.alpha, decomp.spec.d, n, rng)
     return z[0] if size is None else z
 
 

@@ -43,7 +43,6 @@ from stablecouple.lyapunov import (
     Regime,
     build_lyapunov,
     contraction_certificate,
-    default_radial_grid,
     distance_generator_bound,
     rate_sweep,
     small_distance_rate,
@@ -283,14 +282,14 @@ def test_criterion_05a_valid_chain(high_alpha_default):
 def test_criterion_05b_lambda_star_positive(high_alpha_default):
     t0 = time.time()
     spec, cond, lyap = high_alpha_default
-    sweep = rate_sweep(lyap, spec, cond, default_radial_grid(cond.l0))
+    sweep = rate_sweep(lyap, spec, cond)
 
     spec_l = isotropic_stable(1, 1.0)
     cond_l = DriftCondition(k1=0.05, k2=1.0, l0=1.0, theta=2.0)
     gate = check_small_alpha_gate(spec_l, cond_l)
     margin_exact = 1.0 / (4.0 * math.pi) - 0.05
     lyap_l = build_lyapunov(spec_l, cond_l)
-    sweep_l = rate_sweep(lyap_l, spec_l, cond_l, default_radial_grid(1.0))
+    sweep_l = rate_sweep(lyap_l, spec_l, cond_l)
     elapsed = time.time() - t0
 
     ok = (sweep.lambda_star > 0.0 and sweep.tail_increasing

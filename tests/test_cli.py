@@ -1,6 +1,7 @@
 """End-to-end command-line runs at small budgets."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -113,6 +114,29 @@ def test_lyapunov_sweep_csv(tmp_path):
     assert np.all(rows[:, 3] > 0.0)  # certified ratio positive on the grid
 
 
+@pytest.mark.parametrize("flags, cert_sha256, sweep_sha256", [
+    ([], "6d66d580c2fe507f4dc2e53c243e0b517df9af9f0a7f472aa5aeb634a79808f4",
+     "f399a32a2a40859de18f3003fdbd8f0301d08adb55862b037b14691fd844568d"),
+    (["--d", "2", "--p", "2"],
+     "a475acc05e4fb16db39c537c4c8b18e61f3a5a6dc076807847d70402c51637ac",
+     "99011ff48da0183e8fe8ec0b4a68821a7ee89aad5653e4bcf48cbc8961a62ce6"),
+    (["--alpha", "1", "--k1", "0.05", "--drift", "monomial", "--theta", "2"],
+     "07f90369daf53a6832177f640eedf67bef16dab997f7ad85eea8d15050f1264b",
+     "13297ab61b750898e50b90d1914a599c204ea1d76c57b29ba2362b0c5ea9075c"),
+], ids=["headline_d1", "ot_d2", "alpha1_monomial"])
+def test_certificate_outputs_golden_digests(tmp_path, flags, cert_sha256,
+                                            sweep_sha256):
+    # cert.txt and lyapunov.csv pinned bitwise (recorded with Python 3.11,
+    # numpy 2.4 and scipy 1.17 on x86-64): a refactor of the certificate
+    # layer must not move a bit of either
+    out = tmp_path / "gold"
+    assert run(["certify"] + flags + ["--out", str(out)]) == EXIT_OK
+    assert run(["lyapunov"] + flags + ["--out", str(out)]) == EXIT_OK
+    for name, want in (("cert.txt", cert_sha256), ("lyapunov.csv", sweep_sha256)):
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == want, name
+
+
 def test_certify_underflowing_tail_is_certificate_failure(tmp_path, capsys):
     # alpha = 1.2 with K1 = K2 = L0 = 1 gives c1 = 5.5e4, so the tail
     # coefficient A = (c1/c2) e^(-2 L0 c1) underflows to 0
@@ -207,9 +231,24 @@ def test_example_auto_shrink_low_alpha(tmp_path, capsys):
     assert "gate_shrinks" in (out / "summary.txt").read_text()
 
 
-def test_example_invalid_beta(tmp_path):
+def test_example_invalid_beta(tmp_path, capsys):
+    # reported like every other model flag, as a configuration error
     code = run(["example", "--beta", "1", "--out", str(tmp_path / "bad")])
-    assert code == EXIT_GATE
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(
+        "configuration error: beta must exceed 1")
+
+
+@pytest.mark.parametrize("flags", [["--paths", "0"], ["--dt-max", "0"],
+                                   ["--grid-step", "0"]])
+def test_example_checks_simulate_inputs_first(tmp_path, capsys, flags):
+    # an invalid simulate input stops the run before certify writes
+    out = tmp_path / "ex0"
+    code = run(["example", "--paths", "8", "--horizon", "0.25"] + flags
+               + ["--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out / "cert.txt").exists()
 
 
 def test_example_rejects_force_synchronous(tmp_path, capsys):

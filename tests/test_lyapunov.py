@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from stablecouple import lyapunov
 from stablecouple.drift_models import DriftCondition
 from stablecouple.lyapunov import (
     CertificateError,
     ContractionCertificate,
     GateError,
-    QuadratureConfig,
+    RateSweep,
     Regime,
     _jump_term_batch,
     _jump_term_fixed,
@@ -207,30 +208,36 @@ def test_jump_term_d2_brute_force_oracle():
     assert mine == pytest.approx(brute, rel=1e-7)
 
 
-def test_jump_term_refinement_budget_error(high_alpha_model):
+def _set_quadrature(monkeypatch, tol, n_radial, n_radial_max=1024):
+    monkeypatch.setattr(lyapunov, "_QUAD_TOL", tol)
+    monkeypatch.setattr(lyapunov, "_N_RADIAL", n_radial)
+    monkeypatch.setattr(lyapunov, "_N_RADIAL_MAX", n_radial_max)
+
+
+def test_jump_term_refinement_budget_error(high_alpha_model, monkeypatch):
     spec, cond, lyap = high_alpha_model
-    quad = QuadratureConfig(tol=1e-10, n_radial=4, n_radial_max=4)
+    _set_quadrature(monkeypatch, tol=1e-10, n_radial=4, n_radial_max=4)
     with pytest.raises(CertificateError):
-        jump_term(lyap, spec, 0.5, quad)
+        jump_term(lyap, spec, 0.5)
     # the batched sweep names the smallest radius left unconverged: every
     # radius when no refinement is allowed ...
     grid = default_radial_grid(cond.l0)
     with pytest.raises(CertificateError) as info:
-        rate_sweep(lyap, spec, cond, grid, quad)
+        rate_sweep(lyap, spec, cond)
     assert info.value.r == grid[0]
     # ... and, with one doubling allowed, the first radius that a
     # one-radius call cannot converge either (small radii pass on the
     # absolute part of the tolerance)
-    quad = QuadratureConfig(tol=1e-12, n_radial=4, n_radial_max=8)
+    _set_quadrature(monkeypatch, tol=1e-12, n_radial=4, n_radial_max=8)
     failing = []
     for r in grid[grid <= cond.l0]:
         try:
-            jump_term(lyap, spec, float(r), quad)
+            jump_term(lyap, spec, float(r))
         except CertificateError:
             failing.append(float(r))
     assert failing and failing[0] > grid[0]
     with pytest.raises(CertificateError) as info:
-        rate_sweep(lyap, spec, cond, grid, quad)
+        rate_sweep(lyap, spec, cond)
     assert info.value.r == failing[0]
 
 
@@ -261,19 +268,20 @@ def test_rate_sweep_matches_scalar_generator_bound(high_alpha_model,
         assert np.array_equal(sweep.psi, lyap.value(sweep.rs))
 
 
-def test_jump_term_batch_refines_each_radius_alone(high_alpha_model):
+def test_jump_term_batch_refines_each_radius_alone(high_alpha_model,
+                                                   monkeypatch):
     # with tol=1e-12 from n=4 the small radii converge at n=8 and the larger
     # ones need n=16: the batch must stop each radius at its own level
     spec, _, lyap = high_alpha_model
-    quad = QuadratureConfig(tol=1e-12, n_radial=4)
+    _set_quadrature(monkeypatch, tol=1e-12, n_radial=4)
     rs = np.geomspace(1e-3, 1.0, 12)
-    values, levels = _jump_term_batch(lyap, spec, rs, quad)
+    values, levels = _jump_term_batch(lyap, spec, rs)
     assert set(levels) == {8, 16}
     assert np.array_equal(values,
-                          [jump_term(lyap, spec, float(r), quad) for r in rs])
+                          [jump_term(lyap, spec, float(r)) for r in rs])
     # refining the early radii along with their neighbours would move them
     early = levels == 8
-    at_16 = _jump_term_fixed(lyap, spec, rs[early], 16, quad.n_angular)
+    at_16 = _jump_term_fixed(lyap, spec, rs[early], 16, lyapunov._N_ANGULAR)
     assert np.any(values[early] != at_16)
 
 
@@ -319,10 +327,18 @@ def test_rate_sweep_positive_both_regimes(high_alpha_model, low_alpha_model):
         assert sweep.tail_increasing
 
 
-def test_rate_sweep_grid_validation(high_alpha_model):
-    spec, cond, lyap = high_alpha_model
-    with pytest.raises(ValueError):
-        rate_sweep(lyap, spec, cond, grid=np.linspace(0.1, 2.0, 50))
+def test_require_certified_rejects_falling_tail():
+    # lambda* > 0, but the ratio falls over the last grid points: the
+    # infimum over the unbounded tail may lie beyond the grid
+    rs = np.linspace(0.5, 5.0, 10)
+    ratios = np.array([3.0, 2.0, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.2, 3.1])
+    sweep = RateSweep(rs=rs, ratios=ratios, lambda_star=1.0, argmin_r=rs[2],
+                      tail_increasing=bool(ratios[-1] > ratios[-2] > ratios[-3]),
+                      psi=np.ones(10), generator_bound=-ratios)
+    assert sweep.certified
+    with pytest.raises(CertificateError, match="not increasing at grid end") as info:
+        sweep.require_certified()
+    assert info.value.r == rs[-1]
 
 
 def test_exact_equality_branch_far_tail(high_alpha_model):
