@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drift_models import DriftCondition, DriftField
-from .stable_noise import StableSpec, _large_jumps, decompose
+from .stable_noise import StableSpec, _large_jumps, _rownorm, decompose
 from .streams import derive_stream
 
 _DRIFT_SUBSTEP = 5e-3
@@ -105,7 +105,7 @@ class PathEnsemble:
 
     @property
     def r(self) -> np.ndarray:
-        return np.linalg.norm(self.xs - self.ys, axis=2)
+        return _rownorm(self.xs - self.ys)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def reflect(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     # the mirror is scale-free; dividing each row by its largest component
     # keeps |x - y|^2 out of the subnormals for separations below ~1e-150
     diff = diff / np.where(moving, scale, 1.0)[:, None]
-    r = np.linalg.norm(diff, axis=1)
+    r = _rownorm(diff)
     out = np.where(moving[:, None], _mirror(zb, diff, np.where(moving, r, 1.0)), -zb)
     return out[0] if x.ndim == 1 else out
 
@@ -154,7 +154,7 @@ def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     ``rng`` untouched.  The returned arrays may be ``z`` itself.
     """
     diff = x - y
-    r = np.linalg.norm(diff, axis=1)
+    r = _rownorm(diff)
     do_refl = (~merged) & (r <= l0) & (radius <= a * r)
     if not do_refl.any():
         return z, z
@@ -178,9 +178,10 @@ def _rk4_one(field: DriftField, x: np.ndarray, h: np.ndarray,
     """One classical fourth-order step with per-row step h from the slope
     k1 = b(x); x is (n, d)."""
     h = h[:, None]
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
+    b = field.evaluate
+    k2 = b(x + 0.5 * h * k1)
+    k3 = b(x + 0.5 * h * k2)
+    k4 = b(x + h * k3)
     return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -190,9 +191,11 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     Explicit steps are kept inside the stability region by bounding the step
     against the local scale |b(x)| / (1 + |x|); superlinear drifts hit by a
     heavy-tailed jump are therefore contracted back instead of overflowing.
+    Rows never interact, so stacking two batches into one call gives each
+    row the bits it would get alone.
     """
     x = x.copy()
-    remaining = np.asarray(h, dtype=float).copy()
+    remaining = h.copy()
     # non-finite intermediates are possible for pathological fields and are
     # caught by the caller's guard; keep the warnings quiet here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,10 +203,11 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
             act = remaining > 0.0
             if not act.any():
                 return x
+            if act.all():
+                act = slice(None)  # a view: no gather, no scatter
             xa = x[act]
-            k1 = field(xa)
-            scale = (np.linalg.norm(k1, axis=1)
-                     / (1.0 + np.linalg.norm(xa, axis=1)))
+            k1 = field.evaluate(xa)
+            scale = _rownorm(k1) / (1.0 + _rownorm(xa))
             if not np.isfinite(scale).all():
                 raise DriftBlowupError("non-finite drift value encountered")
             cap = _STABILITY_MARGIN / np.maximum(scale,
@@ -212,6 +216,19 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
             x[act] = _rk4_one(field, xa, step, k1)
             remaining[act] = remaining[act] - step
     raise DriftBlowupError("drift flow did not finish; field too stiff")
+
+
+def _flow_pair(field: DriftField, x: np.ndarray, y_live: np.ndarray,
+               h: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift the rows x and the rows y_live = y[live] over horizons h in one
+    stacked flow; returns (x, y) with y := x on the rows outside ``live``."""
+    n = len(x)
+    out = _drift_flow(field, np.concatenate((x, y_live)),
+                      np.concatenate((h, h[live])))
+    x = out[:n]
+    y = x.copy()
+    y[live] = out[n:]
+    return x, y
 
 
 def step_drift(x: np.ndarray, field: DriftField, dt: float) -> np.ndarray:
@@ -255,13 +272,12 @@ def hitting_time_bound(r0: float, cond: DriftCondition) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _settle(X: np.ndarray, Y: np.ndarray, merged: np.ndarray, rows: np.ndarray,
+def _settle(x: np.ndarray, y: np.ndarray, merged: np.ndarray,
             eps: float) -> None:
-    """Merge the pairs in ``rows`` within ``eps``; set Y := X on every merged
-    row among them, so a merged pair is bitwise equal from then on."""
-    merged[rows] |= np.linalg.norm(X[rows] - Y[rows], axis=1) <= eps
-    on = rows[merged[rows]]
-    Y[on] = X[on]
+    """Merge, in place, the rows of (x, y) within ``eps``; set y := x on every
+    merged row, so a merged pair is bitwise equal from then on."""
+    merged |= _rownorm(x - y) <= eps
+    y[merged] = x[merged]
 
 
 def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
@@ -275,8 +291,7 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     X = x0.copy()
     Y = y0.copy()
     merged = np.zeros(n, dtype=bool)
-    every = np.arange(n)
-    _settle(X, Y, merged, every, cfg.eps_couple)
+    _settle(X, Y, merged, cfg.eps_couple)
 
     T = len(record_grid)
     xs = np.empty((n, T, d))
@@ -294,7 +309,7 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         target = float(record_grid[rec])
         while t < target - 1e-12:
             h = min(cfg.dt_max, target - t)
-            r = np.linalg.norm(X - Y, axis=1)
+            r = _rownorm(X - Y)
             reflecting = (~merged) & (r <= l0)
             delta = np.where(reflecting,
                              np.maximum(cfg.delta_floor, cfg.eps_delta * a * r),
@@ -302,41 +317,41 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             split = decompose(spec, delta)
             lam = split.rate_above
 
-            # between settles a merged row's Y is stale; _settle restores it
+            # one event round: gather the active rows once, drift them to
+            # their jump time, jump, settle, scatter once
             t_path = np.zeros(n)
             next_jump = rng.standard_exponential(n) / lam
             while True:
-                active = next_jump < h
-                if not active.any():
+                idx = np.nonzero(next_jump < h)[0]
+                m = idx.size
+                if not m:
                     break
-                idx = np.nonzero(active)[0]
-                events += idx.size
+                events += m
                 if events > cfg.max_events:
                     raise EventBudgetError(
                         f"event budget {cfg.max_events} exceeded at t={t:g} "
-                        f"({idx.size} active paths)"
+                        f"({m} active paths)"
                     )
-                dt = next_jump[idx] - t_path[idx]
-                X[idx] = _drift_flow(field, X[idx], dt)
-                um = idx[~merged[idx]]
-                if um.size:
-                    Y[um] = _drift_flow(field, Y[um], dt[~merged[idx]])
-                t_path[idx] = next_jump[idx]
+                tj = next_jump[idx]
+                mi = merged[idx]
+                live = ~mi
+                xi, yi = _flow_pair(field, X[idx], Y[idx[live]],
+                                    tj - t_path[idx], live)
+                t_path[idx] = tj
 
-                radius, z = _large_jumps(delta[idx], spec.alpha, d, idx.size, rng)
-                dx, dy = coupled_jump(X[idx], Y[idx], z, radius, merged[idx],
-                                      a, l0, rng)
-                X[idx] += dx
-                Y[idx] += dy
-                _settle(X, Y, merged, idx, cfg.eps_couple)
-                next_jump[idx] = next_jump[idx] + rng.standard_exponential(idx.size) / lam[idx]
+                radius, z = _large_jumps(delta[idx], spec.alpha, d, m, rng)
+                dx, dy = coupled_jump(xi, yi, z, radius, mi, a, l0, rng)
+                xi += dx
+                yi += dy
+                _settle(xi, yi, mi, cfg.eps_couple)
+                X[idx] = xi
+                Y[idx] = yi
+                merged[idx] = mi
+                next_jump[idx] = tj + rng.standard_exponential(m) / lam[idx]
 
             # drift to the window end
-            dt = h - t_path
-            X = _drift_flow(field, X, dt)
-            um = ~merged
-            if um.any():
-                Y[um] = _drift_flow(field, Y[um], dt[um])
+            live = ~merged
+            X, Y = _flow_pair(field, X, Y[live], h - t_path, live)
 
             # common Gaussian kick standing in for sub-delta jump activity;
             # identical on both components, so the separation is untouched
@@ -356,7 +371,7 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     Y += sums
 
             # drift or kicks may have crossed the merge threshold
-            _settle(X, Y, merged, every, cfg.eps_couple)
+            _settle(X, Y, merged, cfg.eps_couple)
 
             if not (np.isfinite(X).all() and np.isfinite(Y).all()):
                 bad = int(np.nonzero(~np.isfinite(X).all(axis=1)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stable_noise import StableSpec, _unit_directions
+from .stable_noise import StableSpec, _rownorm, _unit_directions
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def monomial_drift(c: float, q: float, d: int,
         if x.ndim == 1:
             r = np.linalg.norm(x)
             return -c * r ** q * x
-        r = np.linalg.norm(x, axis=1, keepdims=True)
+        r = _rownorm(x, keepdims=True)
         return -c * r ** q * x
 
     return DriftField(evaluate=b_any, d=int(d), label=f"monomial(c={c},q={q})",

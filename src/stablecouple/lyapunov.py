@@ -628,6 +628,7 @@ class ContractionCertificate:
 
     @classmethod
     def from_record(cls, text: str) -> "ContractionCertificate":
+        """Parse a :meth:`to_record` text; ValueError names missing keys."""
         values: dict[str, float] = {}
         prov: dict[str, str] = {}
         inputs: dict[str, float] = {}
@@ -643,6 +644,10 @@ class ContractionCertificate:
             else:
                 values[key] = float(val)
                 prov[key] = tag
+        missing = [key for key, name in _RECORD_FIELDS
+                   if key not in values and name != "t0"]
+        if missing:
+            raise ValueError("certificate record lacks " + ", ".join(missing))
         return cls(**{name: values[key] for key, name in _RECORD_FIELDS
                       if key in values}, provenance=prov, inputs=inputs)
 

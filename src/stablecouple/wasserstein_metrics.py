@@ -64,13 +64,10 @@ def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, 
     return value, stderr
 
 
-def exact_empirical_wp(mu: EmpiricalMeasure | np.ndarray,
-                       nu: EmpiricalMeasure | np.ndarray, p: float) -> float:
-    """Exact W_p between equal-size empirical measures.
-
-    One dimension: sort both samples and pair order statistics (optimal for
-    every convex cost).  Otherwise: exact assignment on |x_i - y_j|^p.
-    """
+def _wp_inputs(mu: EmpiricalMeasure | np.ndarray,
+               nu: EmpiricalMeasure | np.ndarray,
+               p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) points of two equal-size measures, checked for the exact solve."""
     if not isinstance(mu, EmpiricalMeasure):
         mu = EmpiricalMeasure(mu)
     if not isinstance(nu, EmpiricalMeasure):
@@ -81,26 +78,49 @@ def exact_empirical_wp(mu: EmpiricalMeasure | np.ndarray,
         raise ValueError(f"sample size {mu.n} exceeds the cap {_ASSIGNMENT_CAP}")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    x, y = mu.points, nu.points
-    if x.shape[1] == 1:
-        cost = np.abs(np.sort(x[:, 0]) - np.sort(y[:, 0])) ** p
-        return float(cost.mean() ** (1.0 / p))
-    cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) ** p
+    return mu.points, nu.points
+
+
+def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """The n x n assignment cost |x_i - y_j|^p."""
+    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) ** p
+
+
+def _assignment_wp(cost: np.ndarray, p: float) -> float:
     rows, cols = linear_sum_assignment(cost)
     return float((cost[rows, cols].mean()) ** (1.0 / p))
 
 
+def exact_empirical_wp(mu: EmpiricalMeasure | np.ndarray,
+                       nu: EmpiricalMeasure | np.ndarray, p: float) -> float:
+    """Exact W_p between equal-size empirical measures.
+
+    One dimension: sort both samples and pair order statistics (optimal for
+    every convex cost).  Otherwise: exact assignment on |x_i - y_j|^p.
+    """
+    x, y = _wp_inputs(mu, nu, p)
+    if x.shape[1] == 1:
+        cost = np.abs(np.sort(x[:, 0]) - np.sort(y[:, 0])) ** p
+        return float(cost.mean() ** (1.0 / p))
+    return _assignment_wp(_cost_matrix(x, y, p), p)
+
+
 def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
                         rng: np.random.Generator, n_boot: int = 100) -> float:
-    """Bootstrap standard error of the exact empirical W_p (resample pairs)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n = xs.shape[0]
+    """Bootstrap standard error of the exact empirical W_p (resample pairs).
+
+    For d >= 2 the cost matrix is built once; each resample solves the
+    assignment on its rows and columns, the entries a fresh build would give.
+    """
+    x, y = _wp_inputs(xs, ys, p)
+    n = x.shape[0]
+    cost = None if x.shape[1] == 1 else _cost_matrix(x, y, p)
     vals = np.empty(n_boot)
     for b in range(n_boot):
         ix = rng.integers(0, n, n)
         iy = rng.integers(0, n, n)
-        vals[b] = exact_empirical_wp(xs[ix], ys[iy], p)
+        vals[b] = (exact_empirical_wp(x[ix], y[iy], p) if cost is None
+                   else _assignment_wp(cost[np.ix_(ix, iy)], p))
     return float(vals.std(ddof=1))
 
 

@@ -295,6 +295,38 @@ def test_wp_flags_violation_exit_code(tmp_path):
     assert rows[:, -1].sum() > 0
 
 
+def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
+    out = tmp_path / "nokey"
+    base = ["--alpha", "1.5", "--beta", "1.5", "--p", "1", "--out", str(out),
+            "--seed", "9"]
+    assert run(["certify"] + base) == EXIT_OK
+    assert run(["simulate", "--paths", "16", "--horizon", "0.25",
+                "--grid-step", "0.25"] + base) == EXIT_OK
+    cert = (out / "cert.txt").read_text().splitlines()
+    (out / "cert.txt").write_text("\n".join(
+        line for line in cert if not line.startswith("prefactor = ")) + "\n")
+    capsys.readouterr()
+    assert run(["wp"] + base) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "prefactor" in err and "Traceback" not in err
+    assert not (out / "wp.csv").exists()
+
+
+def test_wp_d2_golden_digest(tmp_path):
+    # the d >= 2 exact solve and its bootstrap pinned bitwise (recorded with
+    # Python 3.11, numpy 2.4 and scipy 1.17 on x86-64)
+    out = tmp_path / "wp2"
+    base = ["--d", "2", "--alpha", "1.5", "--beta", "1.5", "--p", "2",
+            "--seed", "7", "--out", str(out)]
+    assert run(["certify"] + base) == EXIT_OK
+    assert run(["simulate", "--paths", "32", "--horizon", "0.25",
+                "--grid-step", "0.125"] + base) == EXIT_OK
+    assert run(["wp"] + base) == EXIT_OK
+    got = hashlib.sha256((out / "wp.csv").read_bytes()).hexdigest()
+    assert got == ("fae2fc165e43e0511c2980abacd53f7de5e1ff6b328e13568b9820e6fe7a49d0")
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--p", "0.5"],
     ["certify", "--alpha", "2.5"],

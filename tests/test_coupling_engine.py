@@ -1,5 +1,7 @@
 """Reflection algebra, coupled jumps, drift steps, coupled simulation."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from stablecouple.coupling_engine import (
     DriftBlowupError,
+    _drift_flow,
     EventBudgetError,
     ExcessComponent,
     SchemeConfig,
@@ -32,7 +35,7 @@ from stablecouple.drift_models import (
     power_potential_drift,
 )
 from stablecouple.lyapunov import build_lyapunov
-from stablecouple.stable_noise import isotropic_stable
+from stablecouple.stable_noise import _rownorm, isotropic_stable
 from stablecouple.streams import derive_stream
 
 
@@ -201,6 +204,46 @@ def test_step_drift_rejects_bad_dt():
     field = linear_drift(1.0, 1)
     with pytest.raises(ValueError):
         step_drift(np.array([1.0]), field, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rownorm_is_bitwise_linalg_norm(d):
+    # zeros, subnormals (whose squares underflow), overflowing squares,
+    # infinities and nans, in every combination, plus ordinary rows
+    special = [0.0, -0.0, 5e-324, 2.2e-310, 1e-160, 1.0, -3.5, 1e300, -1e300,
+               np.inf, -np.inf, np.nan]
+    rows = np.array(list(itertools.product(special, repeat=d)))
+    rows = np.vstack([rows, rng_at(40 + d).standard_normal((64, d))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(rows, axis=1)
+        assert np.array_equal(_rownorm(rows), want, equal_nan=True)
+        assert np.array_equal(_rownorm(rows, keepdims=True),
+                              np.linalg.norm(rows, axis=1, keepdims=True),
+                              equal_nan=True)
+        stack = rows.reshape(2, -1, d)
+        assert np.array_equal(_rownorm(stack), np.linalg.norm(stack, axis=-1),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("field", [power_potential_drift(1.5, 2),
+                                   monomial_drift(2.0, 1.0, 2),
+                                   linear_drift(1.0, 2)],
+                         ids=["power_potential", "monomial", "linear"])
+def test_stacked_drift_flow_is_bitwise_two_flows(field):
+    # the engine flows X and the live Y rows in one call; rows never
+    # interact, so the stacked call must give each row its own bits
+    rng = rng_at(50)
+    a = rng.standard_normal((7, 2)) * np.array([[3.0], [0.1], [1.0], [40.0],
+                                                [1.0], [0.5], [2.0]])
+    b = rng.standard_normal((5, 2))
+    ha = rng.uniform(1e-4, 0.03, 7)          # every row active at first
+    hb = np.array([0.0, 2e-3, 0.0, 0.017, 6e-3])  # partly active from the start
+    for hx, hy in ((ha, ha[:5]), (ha, hb)):
+        both = _drift_flow(field, np.concatenate((a, b)),
+                           np.concatenate((hx, hy)))
+        assert np.array_equal(both[:7], _drift_flow(field, a, hx))
+        assert np.array_equal(both[7:], _drift_flow(field, b, hy))
+    assert np.array_equal(_drift_flow(field, b, hb)[hb == 0.0], b[hb == 0.0])
 
 
 def test_step_drift_stable_far_from_origin():
@@ -377,6 +420,60 @@ def test_excess_component_cancels_in_difference():
     want = 1.0 * np.exp(-grid)
     for i in range(16):
         assert np.allclose(ens.r[i], want, rtol=1e-7, atol=1e-10)
+
+
+def _ensemble_digest(ens) -> str:
+    h = hashlib.sha256()
+    for arr in (ens.times, ens.xs, ens.ys, ens.merged):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _golden_reflecting_d1():
+    # reflection with a wide merge threshold: 48 of 64 pairs merge by t = 1
+    spec, field, _, lyap = _example_model()
+    return simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
+                                     spec, lyap, SchemeConfig(eps_couple=5e-2),
+                                     1.0, np.linspace(0.0, 1.0, 5), 64, seed=17)
+
+
+def _golden_synchronous_d1():
+    spec, field, _, _ = _example_model()
+    excess = ExcessComponent(rate=3.0,
+                             sampler=lambda rng, n: rng.uniform(-1, 1, (n, 1)))
+    return simulate_coupled_ensemble(np.array([0.5]), np.array([-0.5]), field,
+                                     spec, None, SchemeConfig(), 1.0,
+                                     np.linspace(0.0, 1.0, 5), 64, seed=5,
+                                     excess=excess)
+
+
+def _golden_merging_d2():
+    # 243 of 300 pairs merge by t = 0.5, so the merge step and the rows of
+    # merged pairs inside an event round are exercised
+    spec = isotropic_stable(2, 1.7)
+    field = linear_drift(1.0, 2)
+    lyap = build_lyapunov(spec, field.claimed_condition)
+    x0 = np.array([0.2, 0.0])
+    return simulate_coupled_ensemble(x0, -x0, field, spec, lyap,
+                                     SchemeConfig(eps_couple=0.15), 0.5,
+                                     np.linspace(0.0, 0.5, 6), 300, seed=3)
+
+
+@pytest.mark.parametrize("make, merged_at_end, sha256", [
+    (_golden_reflecting_d1, 48,
+     "445a68748ffac9cc5e5e4a3610692be5ca763b795af6e16dd95c9c307c9b9983"),
+    (_golden_synchronous_d1, 0,
+     "417c125797f465c56a9596ff20be08a54753449b4635ed0ea2eb3df045396064"),
+    (_golden_merging_d2, 243,
+     "6cc463be47ca1a6174e55a0bcc661b817c9a268f4546f05e67976549cb7f954e"),
+], ids=["reflecting_d1", "synchronous_d1", "merging_d2"])
+def test_ensemble_golden_digests(make, merged_at_end, sha256):
+    # times, xs, ys and merged pinned bitwise (recorded with Python 3.11,
+    # numpy 2.4 and scipy 1.17 on x86-64): a change to the engine's hot path
+    # must not move a bit of any of them
+    ens = make()
+    assert int(ens.merged[:, -1].sum()) == merged_at_end
+    assert _ensemble_digest(ens) == sha256
 
 
 @pytest.mark.parametrize("n_paths", [0, -1])

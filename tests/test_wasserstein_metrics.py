@@ -143,6 +143,23 @@ def test_bootstrap_stderr_positive():
     assert se > 0.0
 
 
+@pytest.mark.parametrize("d, p", [(1, 1.0), (2, 2.0), (3, 1.5)])
+def test_bootstrap_reuses_cost_bitwise(d, p):
+    # one cost matrix per call must give the bits of a fresh exact solve per
+    # resample, drawn in the same order
+    xs = rng_at(7).standard_normal((24, d))
+    ys = rng_at(8).standard_normal((24, d)) + 0.5
+    rng = rng_at(9)
+    vals = []
+    for _ in range(15):
+        ix = rng.integers(0, 24, 24)
+        iy = rng.integers(0, 24, 24)
+        vals.append(exact_empirical_wp(xs[ix], ys[iy], p))
+    want = float(np.std(vals, ddof=1))
+    assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
+                          want)
+
+
 # --------------------------------- rate fit -----------------------------------
 
 
