@@ -45,15 +45,14 @@ from .lyapunov import (
     contraction_certificate,
     rate_sweep,
 )
-from .stable_noise import isotropic_stable
+from .stable_noise import _rownorm, isotropic_stable
 from .streams import derive_stream
 from .wasserstein_metrics import _ASSIGNMENT_CAP as _EXACT_WP_CAP
 from .wasserstein_metrics import (
     DegenerateFitError,
-    bootstrap_wp_stderr,
     contraction_rate_fit,
     coupling_wp_upper,
-    exact_empirical_wp,
+    exact_wp_with_stderr,
 )
 
 EXIT_OK = 0
@@ -61,6 +60,8 @@ EXIT_GATE = 2
 EXIT_CERT = 3
 EXIT_FLAGS = 4
 EXIT_RUNTIME = 5
+
+_VACUOUS_DECAY = 1e-3  # lambda * horizon below this: the bound barely decays
 
 
 @dataclass
@@ -200,6 +201,10 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     if cert.t0 is not None:
         print(f"t0 = {cert.t0:.12g}")
     print(f"certificate written to {out / 'cert.txt'}")
+    if cert.lam * cfg.horizon < _VACUOUS_DECAY:
+        print(f"warning: vacuous certificate: lambda * horizon = "
+              f"{cert.lam * cfg.horizon:.3g} < {_VACUOUS_DECAY:g}; the bound "
+              f"barely decays over the horizon", file=sys.stderr)
     return EXIT_OK
 
 
@@ -233,6 +238,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                                      np.full(len(series.times), series.n_paths)]))
     print(f"simulated {cfg.n_paths} paths to horizon {cfg.horizon}; "
           f"outputs in {out}")
+    if lyap is not None and not ens.merged[:, -1].any():
+        print(f"warning: no pair merged by the horizon {cfg.horizon} with "
+              f"reflection on (eps_couple = {cfg.eps_couple:g})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -251,7 +259,7 @@ def cmd_wp(cfg: ExperimentConfig, positions: str | None = None,
     ens = read_positions_csv(pos_file)
     cert = ContractionCertificate.from_record(cert_file.read_text())
     p = cert.p
-    r0 = float(np.linalg.norm(ens.xs[:, 0, :] - ens.ys[:, 0, :], axis=1).mean())
+    r0 = float(_rownorm(ens.xs[:, 0, :] - ens.ys[:, 0, :]).mean())
     rng = derive_stream(cfg.seed, 997)
 
     flags = 0
@@ -260,8 +268,7 @@ def cmd_wp(cfg: ExperimentConfig, positions: str | None = None,
         xs, ys = ens.xs[:, k, :], ens.ys[:, k, :]
         upper, upper_se = coupling_wp_upper(xs, ys, p)
         if ens.n_paths <= _EXACT_WP_CAP:
-            exact = exact_empirical_wp(xs, ys, p)
-            exact_se = bootstrap_wp_stderr(xs, ys, p, rng, n_boot=60)
+            exact, exact_se = exact_wp_with_stderr(xs, ys, p, rng, n_boot=60)
         else:
             exact, exact_se = float("nan"), float("nan")
         bound = cert.wp_bound(float(t), r0)

@@ -10,12 +10,15 @@ ensemble mean (E |x - y|^p)^(1/p) is the one used throughout.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .coupling_engine import read_path_table
+from .stable_noise import _rownorm
 
 _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
 
@@ -55,7 +58,7 @@ def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, 
         raise ValueError("need equally many x and y points")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    cost = np.linalg.norm(xs - ys, axis=1) ** p
+    cost = _rownorm(xs - ys) ** p
     m = float(cost.mean())
     n = len(cost)
     se_m = float(cost.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -83,12 +86,43 @@ def _wp_inputs(mu: EmpiricalMeasure | np.ndarray,
 
 def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     """The n x n assignment cost |x_i - y_j|^p."""
-    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) ** p
+    return _rownorm(x[:, None, :] - y[None, :, :]) ** p
 
 
 def _assignment_wp(cost: np.ndarray, p: float) -> float:
     rows, cols = linear_sum_assignment(cost)
     return float((cost[rows, cols].mean()) ** (1.0 / p))
+
+
+def _pool_size(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, at most one per task."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
+
+
+def _pooled_assignment_wp(cost: np.ndarray, p: float,
+                          pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """W_p of each resample ``cost[np.ix_(ix, iy)]``, in the order of ``pairs``.
+
+    The solves are independent and scipy's solver releases the GIL, so they
+    run on a thread pool; each task gathers its own submatrix, and results
+    come back by index, so the values do not depend on the worker count.
+    """
+    def solve(pair):
+        ix, iy = pair
+        return _assignment_wp(cost[np.ix_(ix, iy)], p)
+
+    with ThreadPoolExecutor(max_workers=_pool_size(len(pairs))) as pool:
+        return list(pool.map(solve, pairs))
+
+
+def _resample_pairs(n: int, rng: np.random.Generator,
+                    n_boot: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of ``n_boot`` paired resamples, x before y."""
+    return [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(n_boot)]
 
 
 def exact_empirical_wp(mu: EmpiricalMeasure | np.ndarray,
@@ -113,15 +147,29 @@ def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
     assignment on its rows and columns, the entries a fresh build would give.
     """
     x, y = _wp_inputs(xs, ys, p)
-    n = x.shape[0]
-    cost = None if x.shape[1] == 1 else _cost_matrix(x, y, p)
-    vals = np.empty(n_boot)
-    for b in range(n_boot):
-        ix = rng.integers(0, n, n)
-        iy = rng.integers(0, n, n)
-        vals[b] = (exact_empirical_wp(x[ix], y[iy], p) if cost is None
-                   else _assignment_wp(cost[np.ix_(ix, iy)], p))
-    return float(vals.std(ddof=1))
+    pairs = _resample_pairs(x.shape[0], rng, n_boot)
+    if x.shape[1] == 1:
+        vals = [exact_empirical_wp(x[ix], y[iy], p) for ix, iy in pairs]
+    else:
+        vals = _pooled_assignment_wp(_cost_matrix(x, y, p), p, pairs)
+    return float(np.array(vals).std(ddof=1))
+
+
+def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
+                         rng: np.random.Generator,
+                         n_boot: int = 100) -> tuple[float, float]:
+    """``(exact_empirical_wp, bootstrap_wp_stderr)`` from one cost matrix.
+
+    For d >= 2 the exact solve and the resamples share one build of
+    |x_i - y_j|^p and one pool; the bits equal the two separate calls.
+    """
+    x, y = _wp_inputs(xs, ys, p)
+    if x.shape[1] == 1:
+        return exact_empirical_wp(x, y, p), bootstrap_wp_stderr(x, y, p, rng, n_boot)
+    identity = np.arange(x.shape[0])
+    pairs = [(identity, identity)] + _resample_pairs(x.shape[0], rng, n_boot)
+    vals = _pooled_assignment_wp(_cost_matrix(x, y, p), p, pairs)
+    return vals[0], float(np.array(vals[1:]).std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -193,7 +241,7 @@ def upper_series_from_paths_csv(path, p: float):
 
 
 def _pairwise_mean(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    d = _rownorm(a[:, None, :] - b[None, :, :])
     return float(d.mean())
 
 
@@ -221,7 +269,7 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray,
         y = y[rng.choice(y.shape[0], max_n, replace=False)]
     n, m = x.shape[0], y.shape[0]
     pooled = np.vstack([x, y])
-    dmat = np.linalg.norm(pooled[:, None, :] - pooled[None, :, :], axis=2)
+    dmat = _rownorm(pooled[:, None, :] - pooled[None, :, :])
 
     def stat_for(idx_a):
         mask = np.zeros(n + m, dtype=bool)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -325,6 +326,49 @@ def test_wp_d2_golden_digest(tmp_path):
     assert run(["wp"] + base) == EXIT_OK
     got = hashlib.sha256((out / "wp.csv").read_bytes()).hexdigest()
     assert got == ("fae2fc165e43e0511c2980abacd53f7de5e1ff6b328e13568b9820e6fe7a49d0")
+
+
+def test_wp_leaves_no_thread_running(tmp_path):
+    out = tmp_path / "threads"
+    base = ["--d", "2", "--alpha", "1.5", "--beta", "1.5", "--p", "2",
+            "--seed", "5", "--out", str(out)]
+    assert run(["certify"] + base) == EXIT_OK
+    assert run(["simulate", "--paths", "16", "--horizon", "0.25",
+                "--grid-step", "0.125"] + base) == EXIT_OK
+    before = threading.active_count()
+    assert run(["wp"] + base) == EXIT_OK
+    assert threading.active_count() == before
+
+
+def test_certify_warns_vacuous_rate(tmp_path, capsys):
+    # the headline model's lambda = 4.0e-33
+    assert run(["certify", "--horizon", "1", "--out", str(tmp_path)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("warning: vacuous certificate: lambda * horizon = 4.01e-33")
+    assert (tmp_path / "cert.txt").exists()
+
+
+def test_simulate_warns_no_merge(tmp_path, capsys):
+    out = tmp_path / "nomerge"
+    assert run(["simulate", "--paths", "16", "--horizon", "0.25",
+                "--grid-step", "0.25", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    merged = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)[:, 4]
+    assert not merged.any()
+    assert capsys.readouterr().err.startswith(
+        "warning: no pair merged by the horizon 0.25 with reflection on")
+
+
+def test_healthy_model_prints_no_warning(tmp_path, capsys):
+    out = tmp_path / "healthy"
+    argv = ["--d", "2", "--alpha", "1.7", "--drift", "linear", "--k1", "0.1",
+            "--l0", "0.5", "--eps-couple", "0.15", "--x0", "0.2,0",
+            "--y0=-0.2,0", "--paths", "64", "--horizon", "0.5",
+            "--grid-step", "0.25", "--seed", "3", "--out", str(out)]
+    assert run(["certify"] + argv) == EXIT_OK
+    assert run(["simulate"] + argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    merged = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)[:, 4]
+    assert merged.any()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablecouple import wasserstein_metrics
 from stablecouple.wasserstein_metrics import (
     DegenerateFitError,
     EmpiricalMeasure,
@@ -16,6 +18,7 @@ from stablecouple.wasserstein_metrics import (
     energy_distance,
     energy_distance_test,
     exact_empirical_wp,
+    exact_wp_with_stderr,
 )
 from stablecouple.streams import derive_stream
 
@@ -158,6 +161,56 @@ def test_bootstrap_reuses_cost_bitwise(d, p):
     want = float(np.std(vals, ddof=1))
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
+
+
+def serial_exact_and_stderr(xs, ys, p, seed, n_boot):
+    """The exact value and the per-resample loop, one solve after another."""
+    rng = derive_stream(seed, 0)
+    n = len(xs)
+    vals = []
+    for _ in range(n_boot):
+        ix = rng.integers(0, n, n)
+        iy = rng.integers(0, n, n)
+        vals.append(exact_empirical_wp(xs[ix], ys[iy], p))
+    return exact_empirical_wp(xs, ys, p), float(np.std(vals, ddof=1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_exact_wp_with_stderr_is_bitwise_serial(d, p):
+    # 16 solves on one matrix and a pool of at most a few workers
+    xs = rng_at(10).standard_normal((24, d))
+    ys = rng_at(11).standard_normal((24, d)) + 0.5
+    got = exact_wp_with_stderr(xs, ys, p, derive_stream(12, 0), n_boot=15)
+    assert np.array_equal(got, serial_exact_and_stderr(xs, ys, p, 12, 15))
+    assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, derive_stream(12, 0), 15),
+                          got[1])
+
+
+def test_exact_wp_with_stderr_one_worker(monkeypatch):
+    xs = rng_at(13).standard_normal((24, 2))
+    ys = rng_at(14).standard_normal((24, 2))
+    want = exact_wp_with_stderr(xs, ys, 2.0, derive_stream(15, 0), n_boot=15)
+    monkeypatch.setattr(wasserstein_metrics.os, "sched_getaffinity",
+                        lambda pid: {0}, raising=False)
+    assert wasserstein_metrics._pool_size(16) == 1
+    got = exact_wp_with_stderr(xs, ys, 2.0, derive_stream(15, 0), n_boot=15)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, serial_exact_and_stderr(xs, ys, 2.0, 15, 15))
+
+
+def test_pooled_solve_error_reaches_caller():
+    # |x - y|^3 overflows to inf everywhere, which the solver rejects
+    xs = np.full((8, 2), 1e150)
+    before = threading.active_count()
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as serial:
+            exact_empirical_wp(xs, -xs, 3.0)
+        with pytest.raises(type(serial.value)):
+            exact_wp_with_stderr(xs, -xs, 3.0, rng_at(16), n_boot=5)
+        with pytest.raises(type(serial.value)):
+            bootstrap_wp_stderr(xs, -xs, 3.0, rng_at(16), n_boot=5)
+    assert threading.active_count() == before
 
 
 # --------------------------------- rate fit -----------------------------------
