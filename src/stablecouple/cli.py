@@ -30,6 +30,7 @@ from .coupling_engine import (
     SchemeConfig,
     lyapunov_decay_series,
     read_positions_csv,
+    read_table,
     require_positive_paths,
     simulate_coupled_ensemble,
     write_paths_csv,
@@ -155,9 +156,10 @@ def resolve_model(cfg: ExperimentConfig):
     field = drift_from_label(cfg.drift, cfg.d, beta=cfg.beta, k1=cfg.k1,
                              l0=cfg.l0, kappa=cfg.kappa, c=cfg.drift_c,
                              q=cfg.drift_q)
+    configured = DriftCondition(k1=cfg.k1, k2=cfg.k2, l0=cfg.l0, theta=cfg.theta)
     # a drift that claims its own (K2, theta) overrides the configured pair
-    outer = field.claimed_condition or cfg
-    cond = DriftCondition(k1=cfg.k1, k2=outer.k2, l0=cfg.l0, theta=outer.theta)
+    outer = field.claimed_condition or configured
+    cond = dataclasses.replace(configured, k2=outer.k2, theta=outer.theta)
     e1 = np.zeros(cfg.d)
     e1[0] = 1.0
     x0 = _vector(cfg.x0, cfg.d, +0.5 * cfg.r0 * e1)
@@ -173,8 +175,10 @@ def scheme_of(cfg: ExperimentConfig) -> SchemeConfig:
 def record_grid_of(cfg: ExperimentConfig) -> np.ndarray:
     """Multiples of grid_step up to the horizon, with the engine's 1e-12 slack
     (horizon 0.3, grid_step 0.1 gives 2.9999999999999996 steps, kept as 3)."""
-    if not cfg.grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {cfg.grid_step}")
+    if not 0.0 <= cfg.horizon < math.inf:
+        raise ValueError(f"horizon must lie in [0, inf), got {cfg.horizon}")
+    if not 0.0 < cfg.grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {cfg.grid_step}")
     n_steps = math.floor((cfg.horizon + 1e-12) / cfg.grid_step)
     return np.linspace(0.0, n_steps * cfg.grid_step, n_steps + 1)
 
@@ -244,11 +248,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_wp(cfg: ExperimentConfig, positions: str | None = None,
-           cert_path: str | None = None) -> int:
+def cmd_wp(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
-    pos_file = Path(positions) if positions else out / "positions.csv"
-    cert_file = Path(cert_path) if cert_path else out / "cert.txt"
+    pos_file = out / "positions.csv"
+    cert_file = out / "cert.txt"
     if not pos_file.exists():
         print(f"missing positions file {pos_file}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -321,7 +324,7 @@ def cmd_example(cfg: ExperimentConfig) -> int:
 
     out = _outdir(cfg)
     cert = ContractionCertificate.from_record((out / "cert.txt").read_text())
-    decay = np.loadtxt(out / "psi_decay.csv", delimiter=",", skiprows=1, ndmin=2)
+    decay = read_table(out / "psi_decay.csv")
     pos = decay[:, 1] > 0.0
     last = len(pos) if pos.all() else int(np.argmin(pos))
     try:
@@ -331,8 +334,7 @@ def cmd_example(cfg: ExperimentConfig) -> int:
     except (DegenerateFitError, ValueError) as exc:
         print(f"rate fit skipped: {exc}", file=sys.stderr)
         lam_hat, lam_se = float("nan"), float("nan")
-    wp_rows = np.loadtxt(out / "wp.csv", delimiter=",", skiprows=1, ndmin=2)
-    flags = int(wp_rows[:, -1].sum())
+    flags = int(read_table(out / "wp.csv")[:, -1].sum())
     with open(out / "summary.txt", "w") as fh:
         fh.write(f"lambda_cert = {cert.lam:.17g}\n")
         fh.write(f"lambda_hat = {lam_hat:.17g}\n")
@@ -368,11 +370,7 @@ def main(argv=None) -> int:
     commands = {"certify": cmd_certify, "lyapunov": cmd_lyapunov,
                 "simulate": cmd_simulate, "wp": cmd_wp, "example": cmd_example}
     for name in commands:
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "wp":
-            sub.add_argument("--positions", help="positions CSV from simulate")
-            sub.add_argument("--cert", help="certificate record from certify")
+        _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
 
     overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
@@ -383,8 +381,6 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
     try:
-        if args.command == "wp":
-            return cmd_wp(cfg, positions=args.positions, cert_path=args.cert)
         return commands[args.command](cfg)
     except GateError as exc:
         print(f"gate failure: small-alpha margin = {exc.margin:.12g} <= 0",

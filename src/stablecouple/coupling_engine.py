@@ -75,8 +75,10 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_delta < 1.0:
             raise ValueError("eps_delta must lie in (0, 1)")
-        if self.eps_couple <= 0.0 or self.dt_max <= 0.0 or self.delta_floor <= 0.0:
-            raise ValueError("eps_couple, dt_max, delta_floor must be positive")
+        for name in ("eps_couple", "dt_max", "delta_floor"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -443,13 +445,17 @@ class DecaySeries:
     n_paths: int
 
 
+def _psi_r(r: np.ndarray, merged: np.ndarray, lyap) -> np.ndarray:
+    """psi(r) per path and grid time; merged pairs get psi(0) = 0 exactly."""
+    return np.where(merged, 0.0, lyap.value(r))
+
+
 def lyapunov_decay_series(ensemble: PathEnsemble, lyap) -> DecaySeries:
     """Mean and standard error of psi(r_t) over the ensemble at each grid time.
 
     Merged pairs contribute psi(0) = 0 exactly.
     """
-    r = ensemble.r
-    vals = np.where(ensemble.merged, 0.0, lyap.value(np.maximum(r, 0.0)))
+    vals = _psi_r(ensemble.r, ensemble.merged, lyap)
     mean = vals.mean(axis=0)
     n = vals.shape[0]
     stderr = vals.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
@@ -480,6 +486,11 @@ def write_table(path, header: Sequence[str], table) -> None:
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def read_table(path) -> np.ndarray:
+    """The rows of a table written by :func:`write_table`, always 2-D."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def _path_table(times: np.ndarray, *cols: np.ndarray) -> np.ndarray:
     """Path-major rows (path_id, t, cols...) from (n, T) or (n, T, k) arrays."""
     n, T = cols[0].shape[:2]
@@ -491,7 +502,7 @@ def _path_table(times: np.ndarray, *cols: np.ndarray) -> np.ndarray:
 def read_path_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Grid times and the (n_paths, n_times, k) other columns of a
     path-major (path_id, t, ...) table written by :func:`write_table`."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    raw = read_table(path)
     ids = raw[:, 0].astype(int)
     n, T = ids.max() + 1, (ids == 0).sum()
     return raw[:T, 1].copy(), raw[:, 2:].reshape(n, T, -1)
@@ -503,10 +514,8 @@ def write_paths_csv(path, ensemble: PathEnsemble, lyap=None) -> None:
     ``psi_r`` is nan when no Lyapunov function is supplied (synchronous runs).
     """
     r = ensemble.r
-    if lyap is not None:
-        psi_r = np.where(ensemble.merged, 0.0, lyap.value(r))
-    else:
-        psi_r = np.full_like(r, np.nan)
+    psi_r = (np.full_like(r, np.nan) if lyap is None
+             else _psi_r(r, ensemble.merged, lyap))
     write_table(path, ["path_id", "t", "r", "psi_r", "merged"],
                 _path_table(ensemble.times, r, psi_r, ensemble.merged))
 

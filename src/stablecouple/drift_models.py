@@ -8,6 +8,7 @@ stratified band around |x-y| = L0 to stress the regime boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,10 +27,12 @@ class DriftCondition:
     theta: float
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0 or self.l0 <= 0:
-            raise ValueError("k1, k2, l0 must be positive")
-        if self.theta < 2.0:
-            raise ValueError(f"theta must be >= 2, got {self.theta}")
+        for name in ("k1", "k2", "l0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 2.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must lie in [2, inf), got {self.theta}")
 
     @property
     def hitting_cap(self) -> float | None:
@@ -76,15 +79,10 @@ def monomial_drift(c: float, q: float, d: int,
     if c <= 0 or q < 0:
         raise ValueError("need c > 0 and q >= 0")
 
-    def b_any(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            r = np.linalg.norm(x)
-            return -c * r ** q * x
-        r = _rownorm(x, keepdims=True)
-        return -c * r ** q * x
+    def b(x):
+        return -c * _rownorm(x, keepdims=True) ** q * x
 
-    return DriftField(evaluate=b_any, d=int(d), label=f"monomial(c={c},q={q})",
+    return DriftField(evaluate=b, d=int(d), label=f"monomial(c={c},q={q})",
                       claimed_condition=claimed)
 
 
@@ -172,7 +170,7 @@ def verify_dissipativity(field: DriftField, cond: DriftCondition,
         ys = np.vstack([ys, yb])
 
     diff = xs - ys
-    r = np.linalg.norm(diff, axis=1)
+    r = _rownorm(diff)
     keep = r > 0
     xs, ys, diff, r = xs[keep], ys[keep], diff[keep], r[keep]
 

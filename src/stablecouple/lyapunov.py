@@ -31,6 +31,7 @@ from scipy import special
 
 from .drift_models import DriftCondition, check_small_alpha_gate
 from .stable_noise import StableSpec
+from .wasserstein_metrics import require_order
 
 
 class Regime(Enum):
@@ -697,8 +698,7 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
       the power-law envelope R(t) = (K2 (theta-2) t)^(-1/(theta-2)), handled
       with a numeric supremum.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    require_order(p)
     lyap = build_lyapunov(spec, cond)
     envelope = tail_envelope_positivity(lyap)
     if not envelope.ok:

@@ -118,7 +118,7 @@ def pareto_radius(delta: float, alpha: float, u):
 def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis.
 
-    The arithmetic of ``np.linalg.norm(v, axis=-1)``, so bitwise equal to it
+    The arithmetic of numpy's ``linalg.norm(v, axis=-1)``, so bitwise equal to it
     in every dimension, without its per-call dispatch.
     """
     return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))

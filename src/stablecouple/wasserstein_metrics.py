@@ -46,6 +46,12 @@ class EmpiricalMeasure:
         return self.points.shape[0]
 
 
+def require_order(p: float) -> None:
+    """Raise ValueError unless the Wasserstein order p lies in [1, inf)."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+
+
 def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, float]:
     """Coupling upper bound (mean |x_i - y_i|^p)^(1/p) with delta-method stderr.
 
@@ -56,8 +62,7 @@ def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, 
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape != ys.shape or xs.shape[0] == 0:
         raise ValueError("need equally many x and y points")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    require_order(p)
     cost = _rownorm(xs - ys) ** p
     m = float(cost.mean())
     n = len(cost)
@@ -79,19 +84,13 @@ def _wp_inputs(mu: EmpiricalMeasure | np.ndarray,
         raise ValueError(f"sample sizes differ: {mu.n} vs {nu.n}")
     if mu.n > _ASSIGNMENT_CAP:
         raise ValueError(f"sample size {mu.n} exceeds the cap {_ASSIGNMENT_CAP}")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    require_order(p)
     return mu.points, nu.points
 
 
-def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
-    """The n x n assignment cost |x_i - y_j|^p."""
-    return _rownorm(x[:, None, :] - y[None, :, :]) ** p
-
-
-def _assignment_wp(cost: np.ndarray, p: float) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    return float((cost[rows, cols].mean()) ** (1.0 / p))
+def _pairwise_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, m) matrix |a_i - b_j| of the rows of a (n, d) and b (m, d)."""
+    return _rownorm(a[:, None, :] - b[None, :, :])
 
 
 def _pool_size(n_tasks: int) -> int:
@@ -103,20 +102,30 @@ def _pool_size(n_tasks: int) -> int:
     return max(1, min(cpus, n_tasks))
 
 
-def _pooled_assignment_wp(cost: np.ndarray, p: float,
-                          pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """W_p of each resample ``cost[np.ix_(ix, iy)]``, in the order of ``pairs``.
+def _exact_wps(x: np.ndarray, y: np.ndarray, p: float,
+               pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """Exact W_p of ``x[ix]`` against ``y[iy]`` for each (ix, iy) in ``pairs``.
 
-    The solves are independent and scipy's solver releases the GIL, so they
-    run on a thread pool; each task gathers its own submatrix, and results
-    come back by index, so the values do not depend on the worker count.
+    One dimension: sort both samples and pair order statistics (optimal for
+    every convex cost).  Otherwise: one |x_i - y_j|^p matrix for all pairs,
+    each pair's assignment solved on its rows ix and columns iy, the entries
+    a fresh build would give.  scipy's solver releases the GIL, so the solves
+    run on a thread pool; results come back in the order of ``pairs``, so the
+    values do not depend on the worker count.
     """
-    def solve(pair):
-        ix, iy = pair
-        return _assignment_wp(cost[np.ix_(ix, iy)], p)
+    if x.shape[1] == 1:
+        matched = [np.abs(np.sort(x[ix, 0]) - np.sort(y[iy, 0])) ** p
+                   for ix, iy in pairs]
+    else:
+        cost = _pairwise_norms(x, y) ** p
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(pairs))) as pool:
-        return list(pool.map(solve, pairs))
+        def match(pair):
+            sub = cost[np.ix_(*pair)]
+            return sub[linear_sum_assignment(sub)]
+
+        with ThreadPoolExecutor(max_workers=_pool_size(len(pairs))) as pool:
+            matched = list(pool.map(match, pairs))
+    return [float(c.mean() ** (1.0 / p)) for c in matched]
 
 
 def _resample_pairs(n: int, rng: np.random.Generator,
@@ -127,49 +136,33 @@ def _resample_pairs(n: int, rng: np.random.Generator,
 
 def exact_empirical_wp(mu: EmpiricalMeasure | np.ndarray,
                        nu: EmpiricalMeasure | np.ndarray, p: float) -> float:
-    """Exact W_p between equal-size empirical measures.
-
-    One dimension: sort both samples and pair order statistics (optimal for
-    every convex cost).  Otherwise: exact assignment on |x_i - y_j|^p.
-    """
+    """Exact W_p between equal-size empirical measures."""
     x, y = _wp_inputs(mu, nu, p)
-    if x.shape[1] == 1:
-        cost = np.abs(np.sort(x[:, 0]) - np.sort(y[:, 0])) ** p
-        return float(cost.mean() ** (1.0 / p))
-    return _assignment_wp(_cost_matrix(x, y, p), p)
+    identity = np.arange(x.shape[0])
+    return _exact_wps(x, y, p, [(identity, identity)])[0]
 
 
 def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
                         rng: np.random.Generator, n_boot: int = 100) -> float:
-    """Bootstrap standard error of the exact empirical W_p (resample pairs).
-
-    For d >= 2 the cost matrix is built once; each resample solves the
-    assignment on its rows and columns, the entries a fresh build would give.
-    """
+    """Bootstrap standard error of the exact empirical W_p (resample pairs)."""
     x, y = _wp_inputs(xs, ys, p)
-    pairs = _resample_pairs(x.shape[0], rng, n_boot)
-    if x.shape[1] == 1:
-        vals = [exact_empirical_wp(x[ix], y[iy], p) for ix, iy in pairs]
-    else:
-        vals = _pooled_assignment_wp(_cost_matrix(x, y, p), p, pairs)
-    return float(np.array(vals).std(ddof=1))
+    vals = _exact_wps(x, y, p, _resample_pairs(x.shape[0], rng, n_boot))
+    return float(np.std(vals, ddof=1))
 
 
 def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
                          rng: np.random.Generator,
                          n_boot: int = 100) -> tuple[float, float]:
-    """``(exact_empirical_wp, bootstrap_wp_stderr)`` from one cost matrix.
+    """``(exact_empirical_wp, bootstrap_wp_stderr)`` from one core call.
 
-    For d >= 2 the exact solve and the resamples share one build of
-    |x_i - y_j|^p and one pool; the bits equal the two separate calls.
+    The exact solve and the resamples share one build of |x_i - y_j|^p and
+    one pool; the bits equal the two separate calls.
     """
     x, y = _wp_inputs(xs, ys, p)
-    if x.shape[1] == 1:
-        return exact_empirical_wp(x, y, p), bootstrap_wp_stderr(x, y, p, rng, n_boot)
     identity = np.arange(x.shape[0])
-    pairs = [(identity, identity)] + _resample_pairs(x.shape[0], rng, n_boot)
-    vals = _pooled_assignment_wp(_cost_matrix(x, y, p), p, pairs)
-    return vals[0], float(np.array(vals[1:]).std(ddof=1))
+    vals = _exact_wps(x, y, p, [(identity, identity)]
+                      + _resample_pairs(x.shape[0], rng, n_boot))
+    return vals[0], float(np.std(vals[1:], ddof=1))
 
 
 @dataclass(frozen=True)
@@ -240,16 +233,12 @@ def upper_series_from_paths_csv(path, p: float):
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_mean(a: np.ndarray, b: np.ndarray) -> float:
-    d = _rownorm(a[:, None, :] - b[None, :, :])
-    return float(d.mean())
-
-
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| between two samples."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return 2.0 * _pairwise_mean(x, y) - _pairwise_mean(x, x) - _pairwise_mean(y, y)
+    return float(2.0 * _pairwise_norms(x, y).mean() - _pairwise_norms(x, x).mean()
+                 - _pairwise_norms(y, y).mean())
 
 
 def energy_distance_test(x: np.ndarray, y: np.ndarray,
@@ -269,7 +258,7 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray,
         y = y[rng.choice(y.shape[0], max_n, replace=False)]
     n, m = x.shape[0], y.shape[0]
     pooled = np.vstack([x, y])
-    dmat = _rownorm(pooled[:, None, :] - pooled[None, :, :])
+    dmat = _pairwise_norms(pooled, pooled)
 
     def stat_for(idx_a):
         mask = np.zeros(n + m, dtype=bool)

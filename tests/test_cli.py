@@ -314,18 +314,22 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
     assert not (out / "wp.csv").exists()
 
 
-def test_wp_d2_golden_digest(tmp_path):
-    # the d >= 2 exact solve and its bootstrap pinned bitwise (recorded with
-    # Python 3.11, numpy 2.4 and scipy 1.17 on x86-64)
-    out = tmp_path / "wp2"
-    base = ["--d", "2", "--alpha", "1.5", "--beta", "1.5", "--p", "2",
+@pytest.mark.parametrize("d, p, sha256", [
+    (1, "1", "96cfe778aee27c363650db316cec15a841cf30e0b83ea6f47b2033a76ff460eb"),
+    (2, "2", "fae2fc165e43e0511c2980abacd53f7de5e1ff6b328e13568b9820e6fe7a49d0"),
+], ids=["d1", "d2"])
+def test_wp_golden_digests(tmp_path, d, p, sha256):
+    # the exact solve and its bootstrap pinned bitwise, on the d = 1 sort
+    # path and the d >= 2 assignment path (recorded with Python 3.11,
+    # numpy 2.4 and scipy 1.17 on x86-64)
+    out = tmp_path / f"wp{d}"
+    base = ["--d", str(d), "--alpha", "1.5", "--beta", "1.5", "--p", p,
             "--seed", "7", "--out", str(out)]
     assert run(["certify"] + base) == EXIT_OK
     assert run(["simulate", "--paths", "32", "--horizon", "0.25",
                 "--grid-step", "0.125"] + base) == EXIT_OK
     assert run(["wp"] + base) == EXIT_OK
-    got = hashlib.sha256((out / "wp.csv").read_bytes()).hexdigest()
-    assert got == ("fae2fc165e43e0511c2980abacd53f7de5e1ff6b328e13568b9820e6fe7a49d0")
+    assert hashlib.sha256((out / "wp.csv").read_bytes()).hexdigest() == sha256
 
 
 def test_wp_leaves_no_thread_running(tmp_path):
@@ -379,10 +383,19 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
     ["certify", "--d", "0"],
     ["simulate", "--dt-max", "0"],
     ["simulate", "--x0", "1,2"],
+    ["certify", "--l0", "inf"],
+    ["certify", "--k1", "nan"],
+    ["certify", "--k2", "inf"],
+    ["certify", "--p", "nan"],
+    ["certify", "--p", "inf"],
+    ["simulate", "--eps-couple", "nan"],
+    ["simulate", "--dt-max", "nan"],
+    ["simulate", "--horizon", "inf"],
 ])
 def test_invalid_model_flags_are_configuration_errors(tmp_path, capsys, argv):
-    code = run(argv + ["--paths", "4", "--horizon", "0.25",
-                       "--out", str(tmp_path / "bad")])
+    # the flags under test come last, so they override the defaults here
+    code = run(argv[:1] + ["--paths", "4", "--horizon", "0.25",
+                           "--out", str(tmp_path / "bad")] + argv[1:])
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("configuration error: ")
 

@@ -29,6 +29,11 @@ def test_condition_validation():
         DriftCondition(k1=0.0, k2=1.0, l0=1.0, theta=2.0)
     with pytest.raises(ValueError):
         DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="l0 must be positive and finite"):
+            DriftCondition(k1=1.0, k2=1.0, l0=bad, theta=2.0)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=bad)
 
 
 def test_power_potential_origin_and_hand_value():
@@ -187,3 +192,12 @@ def test_registry_fields_are_continuous():
             bump = h * rng.standard_normal((200, 2))
             delta = np.linalg.norm(field(xs + bump) - field(xs), axis=1)
             assert np.all(delta <= 50.0 * np.linalg.norm(bump, axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_point_drift_is_bitwise_batch_row(d):
+    # a point (d,) and a batch (n, d) go through the same row norm
+    xs = 3.0 * rng_at(30 + d).standard_normal((50, d))
+    for field in (monomial_drift(2.0, 0.7, d), power_potential_drift(1.5, d)):
+        batch = field(xs)
+        assert all(np.array_equal(field(x), row) for x, row in zip(xs, batch))

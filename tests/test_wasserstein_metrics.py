@@ -111,6 +111,11 @@ def test_exact_wp_errors():
         exact_empirical_wp(np.zeros((2000, 1)), np.zeros((2000, 1)), 1.0)
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([[np.nan]]))
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must lie in"):
+            exact_empirical_wp(np.zeros((3, 1)), np.ones((3, 1)), p)
+        with pytest.raises(ValueError, match="p must lie in"):
+            coupling_wp_upper(np.zeros((3, 1)), np.ones((3, 1)), p)
 
 
 @settings(max_examples=30, deadline=None)
