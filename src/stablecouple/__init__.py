@@ -22,7 +22,6 @@ from .stable_noise import (
     levy_constant,
     sphere_surface,
     decompose,
-    sample_large_jump,
     sample_increment,
 )
 from .drift_models import (
@@ -41,7 +40,6 @@ from .lyapunov import (
     GateError,
     CertificateError,
     build_lyapunov,
-    jump_term,
     distance_generator_bound,
     small_distance_rate,
     default_radial_grid,
@@ -53,22 +51,16 @@ from .lyapunov import (
 from .coupling_engine import (
     PathEnsemble,
     SchemeConfig,
-    reflect,
     coupled_jump,
-    step_drift,
     simulate_coupled_ensemble,
-    simulate_marginal_ensemble,
-    hitting_time_bound,
     lyapunov_decay_series,
 )
 from .wasserstein_metrics import (
-    EmpiricalMeasure,
     coupling_wp_upper,
     exact_empirical_wp,
     contraction_rate_fit,
     energy_distance,
     energy_distance_test,
-    upper_series_from_paths_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

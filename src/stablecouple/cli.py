@@ -1,12 +1,15 @@
 """Command-line orchestration.
 
-Subcommands
------------
+Commands
+--------
 certify    gates, Lyapunov construction, rate sweep, certificate record
 lyapunov   radial sweep CSV of the generator bound and contraction ratio
 simulate   coupled ensemble; per-path CSV, positions CSV, decay series CSV
 wp         empirical Wasserstein columns against the certified bound
 example    full pipeline for the super-convex potential drift
+
+The command is one positional argument; every flag applies to all five
+commands and may come before or after it.
 
 Configuration is a flat ``key = value`` text file plus flag overrides; runs
 are deterministic given (config, seed).  Exit codes: 0 success, 2 gate
@@ -141,12 +144,14 @@ def build_config(file: str | None, overrides: dict) -> ExperimentConfig:
     return cfg
 
 
-def _vector(text: str, d: int, fallback: np.ndarray) -> np.ndarray:
+def _vector(name: str, text: str, d: int, fallback: np.ndarray) -> np.ndarray:
     if not text:
         return fallback
     vec = np.array([float(s) for s in text.split(",")], dtype=float)
     if len(vec) != d:
-        raise ValueError(f"expected {d} components, got {len(vec)}")
+        raise ValueError(f"{name} must have {d} components, got {len(vec)}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite, got {text}")
     return vec
 
 
@@ -160,10 +165,12 @@ def resolve_model(cfg: ExperimentConfig):
     # a drift that claims its own (K2, theta) overrides the configured pair
     outer = field.claimed_condition or configured
     cond = dataclasses.replace(configured, k2=outer.k2, theta=outer.theta)
+    if not math.isfinite(cfg.r0):
+        raise ValueError(f"r0 must be finite, got {cfg.r0}")
     e1 = np.zeros(cfg.d)
     e1[0] = 1.0
-    x0 = _vector(cfg.x0, cfg.d, +0.5 * cfg.r0 * e1)
-    y0 = _vector(cfg.y0, cfg.d, -0.5 * cfg.r0 * e1)
+    x0 = _vector("x0", cfg.x0, cfg.d, +0.5 * cfg.r0 * e1)
+    y0 = _vector("y0", cfg.y0, cfg.d, -0.5 * cfg.r0 * e1)
     return spec, cond, field, x0, y0
 
 
@@ -351,14 +358,14 @@ def cmd_example(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value configuration file")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="flat key = value configuration file")
     for key, kind in _FIELD_TYPES.items():
         flag = "--paths" if key == "n_paths" else "--" + key.replace("_", "-")
         if kind is bool:
-            sub.add_argument(flag, action="store_const", const=True, dest=key)
+            parser.add_argument(flag, action="store_const", const=True, dest=key)
         else:
-            sub.add_argument(flag, type=kind, dest=key)
+            parser.add_argument(flag, type=kind, dest=key)
 
 
 def main(argv=None) -> int:
@@ -366,11 +373,10 @@ def main(argv=None) -> int:
         prog="stablecouple",
         description="coupled simulation and certified contraction rates for "
                     "stable-noise SDEs")
-    subs = parser.add_subparsers(dest="command", required=True)
     commands = {"certify": cmd_certify, "lyapunov": cmd_lyapunov,
                 "simulate": cmd_simulate, "wp": cmd_wp, "example": cmd_example}
-    for name in commands:
-        _add_common(subs.add_parser(name))
+    parser.add_argument("command", choices=commands)
+    _add_common(parser)
     args = parser.parse_args(argv)
 
     overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}

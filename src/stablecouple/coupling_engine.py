@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drift_models import DriftCondition, DriftField
+from .drift_models import DriftField
 from .stable_noise import StableSpec, _large_jumps, _rownorm, decompose
 from .streams import derive_stream
 
@@ -116,31 +116,14 @@ class PathEnsemble:
 
 
 def _mirror(z: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row-wise z - 2 (z.u) u with u = diff / r; r > 0 is |diff| per row."""
+    """Row-wise z - 2 (z.u) u with u = diff / r; r > 0 is |diff| per row.
+
+    The mirror image across the hyperplane orthogonal to diff: an involution
+    that preserves |z| and moves z only along diff.
+    """
     e = diff / r[:, None]
     zdot = np.einsum("ij,ij->i", z, e)
     return z - 2.0 * zdot[:, None] * e
-
-
-def reflect(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mirror z across the hyperplane orthogonal to x - y; -z when x == y.
-
-    An involution that preserves |z| and moves z only along x - y.
-    Accepts single vectors (d,) or batches (n, d).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    diff = np.atleast_2d(x - y)
-    zb = np.atleast_2d(z)
-    scale = np.max(np.abs(diff), axis=1)
-    moving = scale > 0.0
-    # the mirror is scale-free; dividing each row by its largest component
-    # keeps |x - y|^2 out of the subnormals for separations below ~1e-150
-    diff = diff / np.where(moving, scale, 1.0)[:, None]
-    r = _rownorm(diff)
-    out = np.where(moving[:, None], _mirror(zb, diff, np.where(moving, r, 1.0)), -zb)
-    return out[0] if x.ndim == 1 else out
 
 
 def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -231,42 +214,6 @@ def _flow_pair(field: DriftField, x: np.ndarray, y_live: np.ndarray,
     y = x.copy()
     y[live] = out[n:]
     return x, y
-
-
-def step_drift(x: np.ndarray, field: DriftField, dt: float) -> np.ndarray:
-    """Integrate dx = b(x) dt over ``dt`` with the engine's drift steps.
-
-    One call of the flow the simulator runs between events: fourth-order
-    steps of at most the engine substep, shortened where the drift is stiff.
-    Accepts a single point (d,) or a batch (n, d).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    xb = np.atleast_2d(x)
-    out = _drift_flow(field, xb, np.full(xb.shape[0], float(dt)))
-    return out[0] if x.ndim == 1 else out
-
-
-# ---------------------------------------------------------------------------
-# Hitting-time bound for the synchronous phase
-# ---------------------------------------------------------------------------
-
-
-def hitting_time_bound(r0: float, cond: DriftCondition) -> tuple[float, float]:
-    """Time bound for the synchronous separation to fall from r0 to L0.
-
-    Under dr <= -K2 r^(theta-1), theta > 2, the crossing happens by
-    (r0^(2-theta) - L0^(2-theta)) / (K2 (2-theta)); the r0-free cap is
-    t0 = ``cond.hitting_cap``.  Returns (bound, t0).
-    """
-    if cond.theta <= 2.0:
-        raise ValueError("hitting bound requires theta > 2")
-    if r0 <= cond.l0:
-        raise ValueError("need r0 > L0")
-    bound = (r0 ** (2.0 - cond.theta) - cond.l0 ** (2.0 - cond.theta)) / (
-        cond.k2 * (2.0 - cond.theta))
-    return float(bound), float(cond.hitting_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +366,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         np.tile(x0, (n_paths, 1)), np.tile(y0, (n_paths, 1)), field, spec,
         lyap, cfg, record_grid, derive_stream(seed, 0), excess)
     return PathEnsemble(times=record_grid.copy(), xs=xs, ys=ys, merged=mg)
-
-
-def simulate_marginal_ensemble(x0, field: DriftField, spec: StableSpec,
-                               cfg: SchemeConfig, horizon: float, record_grid,
-                               n_paths: int, seed: int,
-                               excess: ExcessComponent | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Uncoupled ensemble of the single SDE, same scheme, no coupling machinery.
-
-    Realized as pairs merged from the start (Y tracks X exactly); returns
-    (times, xs) with xs of shape (n, T, d).
-    """
-    ens = simulate_coupled_ensemble(x0, x0, field, spec, None, cfg, horizon,
-                                    record_grid, n_paths, seed, excess)
-    return ens.times, ens.xs
 
 
 @dataclass(frozen=True)

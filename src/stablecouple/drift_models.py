@@ -65,8 +65,8 @@ class DriftField:
 
 def linear_drift(kappa: float, d: int) -> DriftField:
     """b(x) = -kappa x; uniformly dissipative with rate kappa."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     return DriftField(evaluate=lambda x: -kappa * x, d=int(d),
                       label=f"linear(kappa={kappa})",
                       claimed_condition=DriftCondition(k1=kappa, k2=kappa,
@@ -76,8 +76,10 @@ def linear_drift(kappa: float, d: int) -> DriftField:
 def monomial_drift(c: float, q: float, d: int,
                    claimed: DriftCondition | None = None) -> DriftField:
     """b(x) = -c |x|^q x for c > 0, q >= 0."""
-    if c <= 0 or q < 0:
-        raise ValueError("need c > 0 and q >= 0")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must lie in [0, inf), got {q}")
 
     def b(x):
         return -c * _rownorm(x, keepdims=True) ** q * x
@@ -96,8 +98,8 @@ def power_potential_drift(beta: float, d: int, k1: float = 1.0,
     any positive K1, L0 (defaults 1; shrink them to satisfy the small-alpha
     gate when needed).
     """
-    if beta <= 1.0:
-        raise ValueError(f"beta must exceed 1, got {beta}")
+    if not 1.0 < beta < math.inf:
+        raise ValueError(f"beta must exceed 1 and be finite, got {beta}")
     cond = DriftCondition(k1=k1, k2=beta * 2.0 ** (4.0 - 3.0 * beta),
                           l0=l0, theta=2.0 * beta)
     field = monomial_drift(2.0 * beta, 2.0 * beta - 2.0, d, claimed=cond)

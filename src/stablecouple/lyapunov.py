@@ -375,20 +375,6 @@ def _jump_term_batch(lyap: RadialLyapunov, spec: StableSpec,
     return values, levels
 
 
-def jump_term(lyap: RadialLyapunov, spec: StableSpec, r: float) -> float:
-    """Reflected-jump part J(r) of the distance generator, r in (0, L0].
-
-    J(r) = 1/2 int_{|z| <= a r} [psi(r + 2 z_1) + psi(r - 2 z_1) - 2 psi(r)]
-           c_dalpha |z|^(-d-alpha) dz,
-    reduced to a radial x angular tensor quadrature.  Nonpositive whenever
-    psi is concave on the integration range.
-    """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    values, _ = _jump_term_batch(lyap, spec, [r])
-    return float(values[0])
-
-
 def _generator_bound_core(lyap: RadialLyapunov, spec: StableSpec,
                           cond: DriftCondition, rs: np.ndarray) -> np.ndarray:
     """L psi(r) = J(r) + psi'(r) K1 r at radii ``rs`` in (0, L0], batched."""

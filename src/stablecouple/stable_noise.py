@@ -80,8 +80,6 @@ class JumpDecomposition:
     have the shape of ``delta``.
     """
 
-    spec: StableSpec
-    delta: float | np.ndarray
     rate_above: float | np.ndarray
     small_var_per_coord: float | np.ndarray
 
@@ -100,11 +98,9 @@ def decompose(spec: StableSpec, delta) -> JumpDecomposition:
     rate = spec.c_dalpha * spec.omega_d / a * arr ** (-a)
     var = spec.c_dalpha * spec.omega_d / (d * (2.0 - a)) * arr ** (2.0 - a)
     if arr.ndim == 0:
-        return JumpDecomposition(spec=spec, delta=float(arr),
-                                 rate_above=float(rate),
+        return JumpDecomposition(rate_above=float(rate),
                                  small_var_per_coord=float(var))
-    return JumpDecomposition(spec=spec, delta=arr, rate_above=rate,
-                             small_var_per_coord=var)
+    return JumpDecomposition(rate_above=rate, small_var_per_coord=var)
 
 
 def pareto_radius(delta: float, alpha: float, u):
@@ -143,17 +139,6 @@ def _large_jumps(delta, alpha: float, d: int, n: int,
     # 1 - U lies in (0, 1], avoiding the zero that would blow the inverse CDF
     radius = pareto_radius(delta, alpha, 1.0 - rng.random(n))
     return radius, radius[:, None] * _unit_directions(d, n, rng)
-
-
-def sample_large_jump(decomp: JumpDecomposition, rng: np.random.Generator,
-                      size: int | None = None) -> np.ndarray:
-    """Sample jumps from the measure restricted to |z| > delta.
-
-    Returns shape (d,) for ``size=None``, else (size, d).
-    """
-    n = 1 if size is None else int(size)
-    _, z = _large_jumps(decomp.delta, decomp.spec.alpha, decomp.spec.d, n, rng)
-    return z[0] if size is None else z
 
 
 def sample_truncated_jump(spec: StableSpec, lo: float, hi: float,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coupling_engine import read_path_table
 from .stable_noise import _rownorm
 
 _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
@@ -25,25 +24,6 @@ _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
 
 class DegenerateFitError(ValueError):
     """Rate fit attempted on a series containing nonpositive values."""
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """A finite sample treated as a uniform empirical measure."""
-
-    points: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if not np.isfinite(pts).all():
-            raise ValueError("empirical measure points must be finite")
-        if pts.shape[0] < 1:
-            raise ValueError("empirical measure needs at least one point")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
 
 def require_order(p: float) -> None:
@@ -72,20 +52,21 @@ def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, 
     return value, stderr
 
 
-def _wp_inputs(mu: EmpiricalMeasure | np.ndarray,
-               nu: EmpiricalMeasure | np.ndarray,
+def _wp_inputs(xs: np.ndarray, ys: np.ndarray,
                p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d) points of two equal-size measures, checked for the exact solve."""
-    if not isinstance(mu, EmpiricalMeasure):
-        mu = EmpiricalMeasure(mu)
-    if not isinstance(nu, EmpiricalMeasure):
-        nu = EmpiricalMeasure(nu)
-    if mu.n != nu.n:
-        raise ValueError(f"sample sizes differ: {mu.n} vs {nu.n}")
-    if mu.n > _ASSIGNMENT_CAP:
-        raise ValueError(f"sample size {mu.n} exceeds the cap {_ASSIGNMENT_CAP}")
+    """The (n, d) points of two equal-size samples, checked for the exact solve."""
+    x = np.atleast_2d(np.asarray(xs, dtype=float))
+    y = np.atleast_2d(np.asarray(ys, dtype=float))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("sample points must be finite")
+    if x.shape[0] < 1:
+        raise ValueError("a sample needs at least one point")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"sample sizes differ: {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[0] > _ASSIGNMENT_CAP:
+        raise ValueError(f"sample size {x.shape[0]} exceeds the cap {_ASSIGNMENT_CAP}")
     require_order(p)
-    return mu.points, nu.points
+    return x, y
 
 
 def _pairwise_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,10 +115,9 @@ def _resample_pairs(n: int, rng: np.random.Generator,
     return [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(n_boot)]
 
 
-def exact_empirical_wp(mu: EmpiricalMeasure | np.ndarray,
-                       nu: EmpiricalMeasure | np.ndarray, p: float) -> float:
-    """Exact W_p between equal-size empirical measures."""
-    x, y = _wp_inputs(mu, nu, p)
+def exact_empirical_wp(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
+    """Exact W_p between the uniform empirical measures of two equal-size samples."""
+    x, y = _wp_inputs(xs, ys, p)
     identity = np.arange(x.shape[0])
     return _exact_wps(x, y, p, [(identity, identity)])[0]
 
@@ -209,23 +189,6 @@ def contraction_rate_fit(times, values, stderrs=None) -> RateFit:
     slope_var = (sse / dof) / stt
     return RateFit(lambda_hat=float(-slope), intercept=float(intercept),
                    r_squared=float(r2), lambda_stderr=float(math.sqrt(slope_var)))
-
-
-def upper_series_from_paths_csv(path, p: float):
-    """Coupling upper bound per grid time from the per-path CSV schema.
-
-    Accepts the stable (path_id, t, r, psi_r, merged) schema written by the
-    coupling engine; the paired separations r are all the upper bound needs.
-    Returns (times, values, stderrs).
-    """
-    times, cols = read_path_table(path)
-    r = cols[:, :, 0]
-    n, T = r.shape
-    # the pair (r, 0) on the line has separation r
-    origin = np.zeros((n, 1))
-    values, stderrs = np.array([coupling_wp_upper(r[:, k:k + 1], origin, p)
-                                for k in range(T)]).T
-    return times, values, stderrs
 
 
 # ---------------------------------------------------------------------------

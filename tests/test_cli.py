@@ -391,13 +391,47 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
     ["simulate", "--eps-couple", "nan"],
     ["simulate", "--dt-max", "nan"],
     ["simulate", "--horizon", "inf"],
+    ["simulate", "--r0", "nan"],
+    ["simulate", "--x0", "nan"],
+    ["simulate", "--drift", "monomial", "--drift-c", "nan"],
+    ["simulate", "--horizon", "0.1", "--r0", "nan"],
+    ["certify", "--drift", "monomial", "--drift-q", "nan"],
+    ["certify", "--drift", "monomial", "--drift-c", "nan"],
+    ["certify", "--beta", "inf"],
+    ["certify", "--drift", "linear", "--kappa", "nan"],
 ])
 def test_invalid_model_flags_are_configuration_errors(tmp_path, capsys, argv):
     # the flags under test come last, so they override the defaults here
+    out = tmp_path / "bad"
     code = run(argv[:1] + ["--paths", "4", "--horizon", "0.25",
-                           "--out", str(tmp_path / "bad")] + argv[1:])
+                           "--out", str(out)] + argv[1:])
     assert code == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    # the message names the parameter of the last flag (--drift-c is the
+    # drift's c), and no stage wrote anything
+    name = argv[-2].removeprefix("--").removeprefix("drift-").replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"configuration error: {name} must")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_missing_or_unknown_command_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "command" in capsys.readouterr().err
+
+
+def test_flags_may_precede_the_command(monkeypatch):
+    # one parser: every flag is shared, on either side of the command
+    seen = {}
+
+    def fake_lyapunov(cfg):
+        seen["cfg"] = cfg
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_lyapunov", fake_lyapunov)
+    assert run(["--alpha", "1.2", "lyapunov", "--paths", "7"]) == EXIT_OK
+    assert (seen["cfg"].alpha, seen["cfg"].n_paths) == (1.2, 7)
 
 
 def test_record_grid_never_passes_horizon(tmp_path):

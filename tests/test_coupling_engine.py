@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stablecouple.coupling_engine import (
@@ -15,14 +15,11 @@ from stablecouple.coupling_engine import (
     EventBudgetError,
     ExcessComponent,
     SchemeConfig,
+    _mirror,
     coupled_jump,
-    hitting_time_bound,
     lyapunov_decay_series,
     read_positions_csv,
-    reflect,
     simulate_coupled_ensemble,
-    simulate_marginal_ensemble,
-    step_drift,
     write_paths_csv,
     write_positions_csv,
     write_table,
@@ -46,12 +43,16 @@ def rng_at(index: int) -> np.random.Generator:
 # ------------------------------- reflection ----------------------------------
 
 
+def mirror(x, y, z):
+    """``_mirror(z, x - y, |x - y|)`` on rows, the call ``coupled_jump`` makes."""
+    diff = np.atleast_2d(x - y)
+    return _mirror(np.atleast_2d(z), diff, _rownorm(diff))
+
+
 def test_reflect_examples():
     x, y = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-    assert np.allclose(reflect(x, y, np.array([0.0, 1.0])), [0.0, 1.0])
-    assert np.allclose(reflect(x, y, np.array([1.0, 0.0])), [-1.0, 0.0])
-    z = np.array([2.0, -3.0])
-    assert np.allclose(reflect(x, x, z), -z)
+    assert np.allclose(mirror(x, y, np.array([0.0, 1.0])), [0.0, 1.0])
+    assert np.allclose(mirror(x, y, np.array([1.0, 0.0])), [-1.0, 0.0])
 
 
 finite_vec = arrays(np.float64, 3, elements=st.floats(-1e3, 1e3))
@@ -60,9 +61,12 @@ finite_vec = arrays(np.float64, 3, elements=st.floats(-1e3, 1e3))
 @settings(max_examples=200, deadline=None)
 @given(x=finite_vec, y=finite_vec, z=finite_vec)
 def test_reflect_properties(x, y, z):
-    phi = reflect(x, y, z)
+    # the engine mirrors only a jump with delta <= |z| <= a |x - y|, so
+    # never at a vanishing separation
+    assume(np.linalg.norm(x - y) > 1e-100)
+    phi = mirror(x, y, z)[0]
     # involution
-    assert np.allclose(reflect(x, y, phi), z, atol=1e-9)
+    assert np.allclose(mirror(x, y, phi)[0], z, atol=1e-9)
     # isometry
     assert np.linalg.norm(phi) == pytest.approx(np.linalg.norm(z), rel=1e-12,
                                                 abs=1e-12)
@@ -77,25 +81,14 @@ def test_reflect_properties(x, y, z):
             1.0 + np.linalg.norm(e))
 
 
-def test_reflect_tiny_separation_is_isometry():
-    # |x - y|^2 = 2.4e-316 is subnormal: the projection must not lose |z|
-    x, y = np.zeros(3), np.full(3, 9.03286296e-159)
-    z = np.ones(3)
-    phi = reflect(x, y, z)
-    assert np.linalg.norm(phi) == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    assert np.allclose(phi, -z)  # z is parallel to x - y
-    # a separation whose square underflows to 0 is still reflected
-    assert np.allclose(reflect(x, np.array([1e-170, 0.0, 0.0]), z), [-1, 1, 1])
-
-
 def test_reflect_batched_matches_loop():
     rng = rng_at(0)
     xs = rng.standard_normal((40, 3))
     ys = rng.standard_normal((40, 3))
     zs = rng.standard_normal((40, 3))
-    batch = reflect(xs, ys, zs)
+    batch = mirror(xs, ys, zs)
     for i in range(40):
-        assert np.allclose(batch[i], reflect(xs[i], ys[i], zs[i]), atol=1e-12)
+        assert np.allclose(batch[i], mirror(xs[i], ys[i], zs[i])[0], atol=1e-12)
 
 
 # ------------------------------ coupled jump ---------------------------------
@@ -124,14 +117,16 @@ def test_coupled_jump_synchronous_when_far_apart():
 
 
 def test_coupled_jump_merged_pair_synchronous():
-    # the same small jump reflects the unmerged row and not the merged one
-    x = np.array([[0.3, 0.0], [0.3, 0.0]])
-    y = np.zeros((2, 2))
-    z = np.array([[0.01, 0.0], [0.01, 0.0]])
+    # the same small jump reflects the unmerged row and not the merged one,
+    # nor an unmerged row at separation 0, where no jump fits in the band
+    x = np.array([[0.3, 0.0], [0.3, 0.0], [0.2, 0.1]])
+    y = np.array([[0.0, 0.0], [0.0, 0.0], [0.2, 0.1]])
+    z = np.array([[0.01, 0.0], [0.01, 0.0], [0.01, 0.0]])
     dx, dy = jump_round(x, y, z, a=0.25, l0=1.0, rng=rng_at(3),
-                        merged=np.array([True, False]))
+                        merged=np.array([True, False, False]))
     assert np.array_equal(dx[0], z[0]) and np.array_equal(dy[0], z[0])
     assert np.allclose(sorted([dx[1, 0], dy[1, 0]]), [-0.01, 0.01])
+    assert np.array_equal(dx[2], z[2]) and np.array_equal(dy[2], z[2])
 
 
 def test_coupled_jump_distance_algebra():
@@ -184,26 +179,20 @@ def test_coupled_jump_draws_coins_only_when_reflecting():
 
 def test_step_drift_linear_exact():
     field = linear_drift(1.0, 1)
-    x = step_drift(np.array([1.0]), field, 2.0)
+    x = _drift_flow(field, np.array([[1.0]]), np.array([2.0]))[0]
     assert x[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
 def test_step_drift_zero_field():
     field = DriftField(evaluate=lambda x: np.zeros_like(x), d=2, label="null")
-    x = step_drift(np.array([1.0, -2.0]), field, 0.7)
+    x = _drift_flow(field, np.array([[1.0, -2.0]]), np.array([0.7]))[0]
     assert np.allclose(x, [1.0, -2.0])
 
 
 def test_step_drift_riccati():
     field = power_potential_drift(1.5, 1)
-    x = step_drift(np.array([1.0]), field, 0.1)
+    x = _drift_flow(field, np.array([[1.0]]), np.array([0.1]))[0]
     assert x[0] == pytest.approx(1.0 / 1.3, rel=1e-8)
-
-
-def test_step_drift_rejects_bad_dt():
-    field = linear_drift(1.0, 1)
-    with pytest.raises(ValueError):
-        step_drift(np.array([1.0]), field, 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -251,7 +240,7 @@ def test_step_drift_stable_far_from_origin():
     # drift is stiff; the stability-capped steps must contract it back
     # (here onto the Riccati collapse 1/(3 t)) instead of overflowing
     field = power_potential_drift(1.5, 1)
-    x = step_drift(np.array([1e8]), field, 0.01)
+    x = _drift_flow(field, np.array([[1e8]]), np.array([0.01]))[0]
     assert np.isfinite(x).all()
     assert x[0] == pytest.approx(1.0 / (3.0 * 0.01), rel=1e-4)
 
@@ -273,27 +262,31 @@ def test_heavy_tail_simulation_stays_finite():
 
 
 def test_hitting_time_bound_hand_values():
+    # under dr = -K2 r^(theta-1) with theta = 3, K2 = 1 the separation falls
+    # from 2 to L0 = 1 at t = 0.5, within the cap t0 = 1; the odd monomial
+    # drift -|x| x integrates the same ODE in one dimension
     cond = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=3.0)
-    bound, t0 = hitting_time_bound(2.0, cond)
-    assert bound == pytest.approx(0.5, rel=1e-12)
-    assert t0 == pytest.approx(1.0, rel=1e-12)
+    assert cond.hitting_cap == pytest.approx(1.0, rel=1e-12)
+    field = monomial_drift(1.0, 1.0, 1)
+    r = _drift_flow(field, np.array([[2.0]]), np.array([0.5]))[0, 0]
+    assert r == pytest.approx(cond.l0, rel=1e-8)
 
 
 def test_hitting_time_bound_limits():
+    # the cap holds from any start: r(t0) = r0 / (1 + r0 t0) stays below
+    # L0 and tends to it as r0 grows; the engine's flow from r0 = 1e9 lands
+    # there within its stiff-start error
     cond = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=3.0)
-    near, _ = hitting_time_bound(1.0 + 1e-9, cond)
-    assert near == pytest.approx(0.0, abs=1e-8)
-    far, t0 = hitting_time_bound(1e9, cond)
-    assert far == pytest.approx(t0, rel=1e-8)
+    t0 = cond.hitting_cap
+    field = monomial_drift(1.0, 1.0, 1)
+    r = _drift_flow(field, np.array([[1e9]]), np.array([t0]))[0, 0]
+    assert r == pytest.approx(cond.l0, rel=1e-5)
 
 
 def test_hitting_time_bound_domain():
+    # no finite cap without superlinear contraction
     cond2 = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=2.0)
-    with pytest.raises(ValueError):
-        hitting_time_bound(2.0, cond2)
-    cond3 = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=3.0)
-    with pytest.raises(ValueError):
-        hitting_time_bound(0.5, cond3)
+    assert cond2.hitting_cap is None
 
 
 # ----------------------------- coupled simulation ----------------------------
@@ -398,8 +391,9 @@ def test_marginal_ensemble_matches_exact_increment_law():
     spec = isotropic_stable(1, 1.5)
     field = DriftField(evaluate=lambda x: np.zeros_like(x), d=1, label="null")
     grid = np.array([0.0, 1.0])
-    _, xs = simulate_marginal_ensemble(np.array([0.0]), field, spec,
-                                       SchemeConfig(), 1.0, grid, 4000, seed=21)
+    x0 = np.array([0.0])
+    xs = simulate_coupled_ensemble(x0, x0, field, spec, None, SchemeConfig(),
+                                   1.0, grid, 4000, seed=21).xs
     exact = sample_increment(spec, 1.0, rng_at(9), size=4000)[:, 0]
     got = xs[:, 1, 0]
     for q in (0.5, 1.0, 2.0):

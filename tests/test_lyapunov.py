@@ -23,7 +23,6 @@ from stablecouple.lyapunov import (
     contraction_certificate,
     default_radial_grid,
     distance_generator_bound,
-    jump_term,
     rate_sweep,
     small_distance_rate,
     tail_envelope_positivity,
@@ -159,22 +158,28 @@ def test_second_difference_taylor_bound(high_alpha_model, low_alpha_model):
 # ----------------------------- jump-term quadrature ---------------------------
 
 
+def jump_term_at(lyap, spec, r: float) -> float:
+    """J(r) at one radius from the batched quadrature the sweep runs."""
+    values, _ = _jump_term_batch(lyap, spec, [r])
+    return float(values[0])
+
+
 def test_jump_term_affine_stub_is_zero(high_alpha_model):
     spec, _, lyap = high_alpha_model
     stub = SimpleNamespace(a=lyap.a, second_difference=lambda r, h: np.zeros_like(h))
-    assert jump_term(stub, spec, 0.5) == 0.0
+    assert jump_term_at(stub, spec, 0.5) == 0.0
 
 
 def test_jump_term_nonpositive_for_concave(high_alpha_model, low_alpha_model):
     for spec, _, lyap in (high_alpha_model, low_alpha_model):
         for r in (0.05, 0.3, 1.0):
-            assert jump_term(lyap, spec, r) <= 0.0
+            assert jump_term_at(lyap, spec, r) <= 0.0
 
 
 @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 1.0])
 def test_jump_term_d1_adaptive_quad_oracle(high_alpha_model, r):
     spec, _, lyap = high_alpha_model
-    mine = jump_term(lyap, spec, r)
+    mine = jump_term_at(lyap, spec, r)
     direct, err = integrate.quad(
         lambda s: float(lyap.second_difference(r, 2.0 * s))
         * spec.c_dalpha * s ** (-1.0 - spec.alpha),
@@ -185,7 +190,7 @@ def test_jump_term_d1_adaptive_quad_oracle(high_alpha_model, r):
 def test_jump_term_d1_low_alpha_oracle(low_alpha_model):
     spec, _, lyap = low_alpha_model
     r = 0.8
-    mine = jump_term(lyap, spec, r)
+    mine = jump_term_at(lyap, spec, r)
     # alpha = 1, psi = r - r^2/8: second difference at displacement 2s is -s^2
     direct, _ = integrate.quad(
         lambda s: -(s ** 2) * spec.c_dalpha * s ** (-2.0), 0.0, lyap.a * r)
@@ -198,7 +203,7 @@ def test_jump_term_d2_brute_force_oracle():
     cond = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=2.0)
     lyap = build_lyapunov(spec, cond)
     r = 0.7
-    mine = jump_term(lyap, spec, r)
+    mine = jump_term_at(lyap, spec, r)
     z_d = 2.0  # int_{-1}^{1} (1-t^2)^{-1/2} dt = pi; rho_2(t) = 1/(pi sqrt(1-t^2))
     brute, _ = integrate.dblquad(
         lambda t, s: (spec.c_dalpha * spec.omega_d / 2.0 * s ** (-1.0 - spec.alpha)
@@ -218,7 +223,7 @@ def test_jump_term_refinement_budget_error(high_alpha_model, monkeypatch):
     spec, cond, lyap = high_alpha_model
     _set_quadrature(monkeypatch, tol=1e-10, n_radial=4, n_radial_max=4)
     with pytest.raises(CertificateError):
-        jump_term(lyap, spec, 0.5)
+        jump_term_at(lyap, spec, 0.5)
     # the batched sweep names the smallest radius left unconverged: every
     # radius when no refinement is allowed ...
     grid = default_radial_grid(cond.l0)
@@ -232,7 +237,7 @@ def test_jump_term_refinement_budget_error(high_alpha_model, monkeypatch):
     failing = []
     for r in grid[grid <= cond.l0]:
         try:
-            jump_term(lyap, spec, float(r))
+            jump_term_at(lyap, spec, float(r))
         except CertificateError:
             failing.append(float(r))
     assert failing and failing[0] > grid[0]
@@ -278,7 +283,7 @@ def test_jump_term_batch_refines_each_radius_alone(high_alpha_model,
     values, levels = _jump_term_batch(lyap, spec, rs)
     assert set(levels) == {8, 16}
     assert np.array_equal(values,
-                          [jump_term(lyap, spec, float(r)) for r in rs])
+                          [jump_term_at(lyap, spec, float(r)) for r in rs])
     # refining the early radii along with their neighbours would move them
     early = levels == 8
     at_16 = _jump_term_fixed(lyap, spec, rs[early], 16, lyapunov._N_ANGULAR)

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from stablecouple.stable_noise import (
+    _large_jumps,
     decompose,
     isotropic_stable,
     levy_constant,
     pareto_radius,
     sample_increment,
-    sample_large_jump,
     sample_truncated_jump,
     sphere_surface,
 )
@@ -158,12 +158,12 @@ def test_pareto_radius_boundary():
 
 def test_large_jump_tail_probability():
     spec = isotropic_stable(2, 1.5)
-    dec = decompose(spec, 1.0)
+    delta = 1.0
     rng = rng_at(1)
-    z = sample_large_jump(dec, rng, size=100_000)
+    _, z = _large_jumps(delta, spec.alpha, spec.d, 100_000, rng)
     radius = np.linalg.norm(z, axis=1)
-    assert radius.min() >= dec.delta
-    hits = radius > 2.0 * dec.delta
+    assert radius.min() >= delta
+    hits = radius > 2.0 * delta
     want = 2.0 ** -spec.alpha
     se = math.sqrt(want * (1 - want) / len(radius))
     assert abs(hits.mean() - want) < 3.0 * se
@@ -171,19 +171,19 @@ def test_large_jump_tail_probability():
 
 def test_large_jump_isotropy():
     spec = isotropic_stable(3, 1.2)
-    dec = decompose(spec, 0.5)
     rng = rng_at(4)
-    z = sample_large_jump(dec, rng, size=100_000)
+    _, z = _large_jumps(0.5, spec.alpha, spec.d, 100_000, rng)
     direc = z / np.linalg.norm(z, axis=1, keepdims=True)
     se = direc.std(axis=0) / math.sqrt(len(direc))
     assert np.all(np.abs(direc.mean(axis=0)) < 3.0 * se)
 
 
 def test_large_jump_single_shape():
+    # one jump comes back as a row, with its radius
     spec = isotropic_stable(2, 1.5)
-    dec = decompose(spec, 1.0)
-    z = sample_large_jump(dec, rng_at(3))
-    assert z.shape == (2,)
+    radius, z = _large_jumps(1.0, spec.alpha, spec.d, 1, rng_at(3))
+    assert radius.shape == (1,) and z.shape == (1, 2)
+    assert np.linalg.norm(z[0]) == pytest.approx(radius[0], rel=1e-15)
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 0.8), (1, 1.5), (2, 1.5), (3, 1.2)])
@@ -248,7 +248,7 @@ def test_decomposition_reproduces_increment_law():
 
     counts = rng.poisson(dec.rate_above * t, n)
     total = int(counts.sum())
-    jumps = sample_large_jump(dec, rng, size=total)
+    _, jumps = _large_jumps(delta, spec.alpha, spec.d, total, rng)
     approx = np.zeros((n, 1))
     np.add.at(approx, np.repeat(np.arange(n), counts), jumps)
     approx += (rng.standard_normal((n, 1))

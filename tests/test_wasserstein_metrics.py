@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from stablecouple import wasserstein_metrics
 from stablecouple.wasserstein_metrics import (
     DegenerateFitError,
-    EmpiricalMeasure,
     bootstrap_wp_stderr,
     contraction_rate_fit,
     coupling_wp_upper,
@@ -109,8 +108,8 @@ def test_exact_wp_errors():
         exact_empirical_wp(np.zeros((3, 1)), np.zeros((4, 1)), 1.0)
     with pytest.raises(ValueError):
         exact_empirical_wp(np.zeros((2000, 1)), np.zeros((2000, 1)), 1.0)
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="finite"):
+        exact_empirical_wp(np.array([[np.nan]]), np.zeros((1, 1)), 1.0)
     for p in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="p must lie in"):
             exact_empirical_wp(np.zeros((3, 1)), np.ones((3, 1)), p)
@@ -272,29 +271,3 @@ def test_energy_test_rejects_shifted_law():
     y = rng.standard_normal((800, 2)) + 0.4
     _, p = energy_distance_test(x, y, rng_at(12), n_perm=199)
     assert p <= 0.01
-
-
-def test_upper_series_from_paths_csv(tmp_path):
-    from stablecouple.coupling_engine import (SchemeConfig,
-                                              simulate_coupled_ensemble,
-                                              write_paths_csv)
-    from stablecouple.drift_models import power_potential_drift
-    from stablecouple.lyapunov import build_lyapunov
-    from stablecouple.stable_noise import isotropic_stable
-    from stablecouple.wasserstein_metrics import upper_series_from_paths_csv
-
-    spec = isotropic_stable(1, 1.5)
-    field = power_potential_drift(1.5, 1)
-    lyap = build_lyapunov(spec, field.claimed_condition)
-    grid = np.linspace(0.0, 0.5, 3)
-    ens = simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
-                                    spec, lyap, SchemeConfig(), 0.5, grid, 32,
-                                    seed=17)
-    f = tmp_path / "paths.csv"
-    write_paths_csv(f, ens, lyap)
-    times, values, stderrs = upper_series_from_paths_csv(f, 1.0)
-    assert np.allclose(times, grid)
-    for k in range(3):
-        want, want_se = coupling_wp_upper(ens.xs[:, k, :], ens.ys[:, k, :], 1.0)
-        assert values[k] == pytest.approx(want, rel=1e-12)
-        assert stderrs[k] == pytest.approx(want_se, rel=1e-9, abs=1e-15)
