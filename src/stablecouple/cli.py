@@ -181,13 +181,17 @@ def scheme_of(cfg: ExperimentConfig) -> SchemeConfig:
 
 def record_grid_of(cfg: ExperimentConfig) -> np.ndarray:
     """Multiples of grid_step up to the horizon, with the engine's 1e-12 slack
-    (horizon 0.3, grid_step 0.1 gives 2.9999999999999996 steps, kept as 3)."""
+    (horizon 0.3, grid_step 0.1 gives 2.9999999999999996 steps, kept as 3),
+    then the horizon itself when the last multiple falls short of it."""
     if not 0.0 <= cfg.horizon < math.inf:
         raise ValueError(f"horizon must lie in [0, inf), got {cfg.horizon}")
     if not 0.0 < cfg.grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {cfg.grid_step}")
     n_steps = math.floor((cfg.horizon + 1e-12) / cfg.grid_step)
-    return np.linspace(0.0, n_steps * cfg.grid_step, n_steps + 1)
+    grid = np.linspace(0.0, n_steps * cfg.grid_step, n_steps + 1)
+    if cfg.horizon - grid[-1] > 1e-12:
+        grid = np.append(grid, cfg.horizon)
+    return grid
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:

@@ -73,8 +73,7 @@ def linear_drift(kappa: float, d: int) -> DriftField:
                                                        l0=1.0, theta=2.0))
 
 
-def monomial_drift(c: float, q: float, d: int,
-                   claimed: DriftCondition | None = None) -> DriftField:
+def monomial_drift(c: float, q: float, d: int) -> DriftField:
     """b(x) = -c |x|^q x for c > 0, q >= 0."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
@@ -84,8 +83,7 @@ def monomial_drift(c: float, q: float, d: int,
     def b(x):
         return -c * _rownorm(x, keepdims=True) ** q * x
 
-    return DriftField(evaluate=b, d=int(d), label=f"monomial(c={c},q={q})",
-                      claimed_condition=claimed)
+    return DriftField(evaluate=b, d=int(d), label=f"monomial(c={c},q={q})")
 
 
 def power_potential_drift(beta: float, d: int, k1: float = 1.0,
@@ -102,8 +100,8 @@ def power_potential_drift(beta: float, d: int, k1: float = 1.0,
         raise ValueError(f"beta must exceed 1 and be finite, got {beta}")
     cond = DriftCondition(k1=k1, k2=beta * 2.0 ** (4.0 - 3.0 * beta),
                           l0=l0, theta=2.0 * beta)
-    field = monomial_drift(2.0 * beta, 2.0 * beta - 2.0, d, claimed=cond)
-    return DriftField(evaluate=field.evaluate, d=int(d),
+    field = monomial_drift(2.0 * beta, 2.0 * beta - 2.0, d)
+    return DriftField(evaluate=field.evaluate, d=field.d,
                       label=f"power_potential(beta={beta})",
                       claimed_condition=cond)
 

@@ -110,17 +110,7 @@ class RadialLyapunov:
     @property
     def tail_const(self) -> float:
         """Additive constant K of the outer piece (continuity at 2 L0)."""
-        return self._core_value_switch() - self.A
-
-    def _core_value_switch(self) -> float:
-        if self.regime is Regime.HIGH_ALPHA:
-            return -math.expm1(-self.c1 * self.switch_r)
-        s = self.switch_r
-        return s - self.c * s ** (1.0 + self.alpha)
-
-    @property
-    def prime_at_zero(self) -> float:
-        return self.c1 if self.regime is Regime.HIGH_ALPHA else 1.0
+        return float(self._core(self.switch_r, 0)) - self.A
 
     # ---- evaluation --------------------------------------------------------
 
@@ -375,22 +365,26 @@ def _jump_term_batch(lyap: RadialLyapunov, spec: StableSpec,
     return values, levels
 
 
-def _generator_bound_core(lyap: RadialLyapunov, spec: StableSpec,
-                          cond: DriftCondition, rs: np.ndarray) -> np.ndarray:
-    """L psi(r) = J(r) + psi'(r) K1 r at radii ``rs`` in (0, L0], batched."""
-    jump, _ = _jump_term_batch(lyap, spec, rs)
-    return jump + lyap.prime(rs) * (cond.k1 * rs)
+def _generator_and_ratio(lyap: RadialLyapunov, spec: StableSpec,
+                         cond: DriftCondition, rs: np.ndarray):
+    """(L psi, -L psi / psi, psi) at the radii ``rs``, the one L psi evaluator.
 
-
-def _large_separation_ratio(lyap: RadialLyapunov, cond: DriftCondition,
-                            r: float) -> float:
-    """-L psi(r) / psi(r) = K2 r^(theta-1) psi'(r)/psi(r) for r > L0.
-
-    Goes through the overflow-safe psi'/psi, so it stays finite where psi
-    itself overflows far out on the tail.
+    On (0, L0] L psi(r) = J(r) + psi'(r) K1 r with J from the batched
+    jump-term quadrature.  Above L0 J vanishes and the ratio is
+    K2 r^(theta-1) psi'(r)/psi(r), taken per radius through the
+    overflow-safe psi'/psi so it stays finite where psi overflows.
     """
-    r = float(r)
-    return cond.k2 * r ** (cond.theta - 1.0) * lyap.prime_over_value(r)
+    below = rs <= cond.l0
+    psi = lyap.value(rs)
+    gen = np.empty(len(rs))
+    ratios = np.empty(len(rs))
+    jump, _ = _jump_term_batch(lyap, spec, rs[below])
+    gen[below] = jump + lyap.prime(rs[below]) * (cond.k1 * rs[below])
+    ratios[below] = -gen[below] / psi[below]
+    ratios[~below] = [cond.k2 * r ** (cond.theta - 1.0) * lyap.prime_over_value(r)
+                      for r in map(float, rs[~below])]
+    gen[~below] = -ratios[~below] * psi[~below]
+    return gen, ratios, psi
 
 
 def distance_generator_bound(lyap: RadialLyapunov, spec: StableSpec,
@@ -403,9 +397,8 @@ def distance_generator_bound(lyap: RadialLyapunov, spec: StableSpec,
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if r > cond.l0:
-        return -_large_separation_ratio(lyap, cond, r) * float(lyap.value(r))
-    return float(_generator_bound_core(lyap, spec, cond, np.array([float(r)]))[0])
+    gen, _, _ = _generator_and_ratio(lyap, spec, cond, np.array([float(r)]))
+    return float(gen[0])
 
 
 def small_distance_rate(lyap: RadialLyapunov, spec: StableSpec,
@@ -478,19 +471,10 @@ def rate_sweep(lyap: RadialLyapunov, spec: StableSpec,
     """Sweep -L psi / psi over :func:`default_radial_grid`; the infimum is the
     numeric rate.
 
-    The radii in (0, L0] go through the jump-term quadrature in one batch.
-    Above L0 the ratio K2 r^(theta-1) psi'(r)/psi(r) is evaluated through the
-    overflow-safe ratio.
+    Every radius goes through :func:`_generator_and_ratio`.
     """
     grid = default_radial_grid(cond.l0)
-    below = grid <= cond.l0
-    psi = lyap.value(grid)
-    gen = np.empty(len(grid))
-    ratios = np.empty(len(grid))
-    gen[below] = _generator_bound_core(lyap, spec, cond, grid[below])
-    ratios[below] = -gen[below] / psi[below]
-    ratios[~below] = [_large_separation_ratio(lyap, cond, r) for r in grid[~below]]
-    gen[~below] = -ratios[~below] * psi[~below]
+    gen, ratios, psi = _generator_and_ratio(lyap, spec, cond, grid)
     idx = int(np.argmin(ratios))
     return RateSweep(rs=grid, ratios=ratios, lambda_star=float(ratios[idx]),
                      argmin_r=float(grid[idx]),
@@ -502,49 +486,37 @@ def rate_sweep(lyap: RadialLyapunov, spec: StableSpec,
 class TailEnvelopeReport:
     """Positivity of g(r) = A cexp e^{cexp(r-2L0)}/2 + 2B(r-2L0) on [2L0, inf).
 
-    g > 0 keeps psi' positive beyond the gluing point.  The unique stationary
-    point r1 and the value there have closed forms; the bracket is
-    1 - log(-4B/(A cexp^2)).
+    g > 0 keeps psi' positive beyond the gluing point.  g is convex (A > 0),
+    so its infimum on [2L0, inf) is its value at the stationary point
+    r1 = 2L0 + log(-4B/(A cexp^2))/cexp, or at 2L0 when r1 lies below it;
+    both have closed forms, and the bracket is 1 - log(-4B/(A cexp^2)).
     """
 
     stationary_r: float
     value_at_stationary: float
     log_bracket: float
-    grid_min: float
-    ok: bool
-    failure_r: float | None
+
+    @property
+    def ok(self) -> bool:
+        return self.value_at_stationary > 0.0
 
 
-def tail_envelope_positivity(lyap: RadialLyapunov,
-                             grid: np.ndarray | None = None) -> TailEnvelopeReport:
-    """Check the tail envelope g on [2 L0, 10 L0] and at its stationary point."""
+def tail_envelope_positivity(lyap: RadialLyapunov) -> TailEnvelopeReport:
+    """The infimum of the tail envelope g on [2 L0, inf), in closed form."""
     cexp = lyap.tail_exp
-    two_l0 = lyap.switch_r
-    if grid is None:
-        grid = np.linspace(two_l0, 10.0 * lyap.l0, 400)
-    grid = np.asarray(grid, float)
-    dd = np.maximum(grid - two_l0, 0.0)
-    with np.errstate(over="ignore"):
-        g = 0.5 * lyap.A * cexp * np.exp(cexp * dd) + 2.0 * lyap.B * dd
-
     ratio = -4.0 * lyap.B / (lyap.A * cexp ** 2)
     if ratio >= 1.0:
-        r1 = two_l0 + math.log(ratio) / cexp
+        r1 = lyap.switch_r + math.log(ratio) / cexp
         bracket = 1.0 - math.log(ratio)
         g_r1 = (-2.0 * lyap.B / cexp) * bracket
     else:
         # stationary point below the domain: g is increasing from g(2 L0)
-        r1 = two_l0
+        r1 = lyap.switch_r
         bracket = float("inf")
         g_r1 = 0.5 * lyap.A * cexp
-
-    min_idx = int(np.nanargmin(g))
-    ok = bool(g_r1 > 0.0) and bool(np.all(g > 0.0))
-    return TailEnvelopeReport(
-        stationary_r=float(r1), value_at_stationary=float(g_r1),
-        log_bracket=float(bracket), grid_min=float(g[min_idx]), ok=ok,
-        failure_r=None if ok else float(grid[min_idx]),
-    )
+    return TailEnvelopeReport(stationary_r=float(r1),
+                              value_at_stationary=float(g_r1),
+                              log_bracket=float(bracket))
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +524,14 @@ def tail_envelope_positivity(lyap: RadialLyapunov,
 # ---------------------------------------------------------------------------
 
 
-# (record key, certificate field) in record order
+# (record key, certificate field, provenance tag) in record order
 _RECORD_FIELDS = (
-    ("lambda", "lam"), ("lambda1", "lambda1"), ("lambda1_psi", "lambda1_psi"),
-    ("lambda2", "lambda2"), ("c_p", "c_p"), ("c2_chain", "c2_chain"),
-    ("p", "p"), ("prefactor", "prefactor"), ("theta", "theta"), ("t0", "t0"),
+    ("lambda", "lam", "assembled"), ("lambda1", "lambda1", "closed-form"),
+    ("lambda1_psi", "lambda1_psi", "closed-form"),
+    ("lambda2", "lambda2", "numeric-infimum"), ("c_p", "c_p", "numeric-infimum"),
+    ("c2_chain", "c2_chain", "assembled"), ("p", "p", "parameter"),
+    ("prefactor", "prefactor", "assembled"), ("theta", "theta", "parameter"),
+    ("t0", "t0", "closed-form"),
 )
 
 
@@ -576,8 +551,8 @@ class ContractionCertificate:
 
         W_p <= prefactor e^(-lam t / p) (r0^(1/p) v r0) / (1 + r0 1{t>1}),
 
-    the divisor applying only for theta > 2.  ``provenance`` tags every
-    constant as closed-form, numeric-infimum or assembled.
+    the divisor applying only for theta > 2.  The record tags every
+    constant as closed-form, numeric-infimum, assembled or parameter.
     """
 
     lam: float
@@ -590,7 +565,6 @@ class ContractionCertificate:
     prefactor: float
     theta: float
     t0: float | None = None
-    provenance: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
 
     def wp_bound(self, t, r0: float):
@@ -606,10 +580,9 @@ class ContractionCertificate:
         lines = ["# contraction certificate"]
         for key, val in self.inputs.items():
             lines.append(f"{key} = {val} # input")
-        for key, name in _RECORD_FIELDS:
+        for key, name, tag in _RECORD_FIELDS:
             val = getattr(self, name)
             if val is not None:
-                tag = self.provenance.get(key, "assembled")
                 lines.append(f"{key} = {val:.17g} # {tag}")
         return "\n".join(lines) + "\n"
 
@@ -617,7 +590,6 @@ class ContractionCertificate:
     def from_record(cls, text: str) -> "ContractionCertificate":
         """Parse a :meth:`to_record` text; ValueError names missing keys."""
         values: dict[str, float] = {}
-        prov: dict[str, str] = {}
         inputs: dict[str, float] = {}
         for line in text.splitlines():
             line = line.strip()
@@ -625,18 +597,14 @@ class ContractionCertificate:
                 continue
             body, _, tag = line.partition("#")
             key, _, val = body.partition("=")
-            key, tag = key.strip(), tag.strip()
-            if tag == "input":
-                inputs[key] = float(val)
-            else:
-                values[key] = float(val)
-                prov[key] = tag
-        missing = [key for key, name in _RECORD_FIELDS
+            target = inputs if tag.strip() == "input" else values
+            target[key.strip()] = float(val)
+        missing = [key for key, name, _ in _RECORD_FIELDS
                    if key not in values and name != "t0"]
         if missing:
             raise ValueError("certificate record lacks " + ", ".join(missing))
-        return cls(**{name: values[key] for key, name in _RECORD_FIELDS
-                      if key in values}, provenance=prov, inputs=inputs)
+        return cls(**{name: values[key] for key, name, _ in _RECORD_FIELDS
+                      if key in values}, inputs=inputs)
 
 
 def _sup_on_grid(fn, grid: np.ndarray) -> tuple[float, float]:
@@ -689,7 +657,8 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
     envelope = tail_envelope_positivity(lyap)
     if not envelope.ok:
         raise CertificateError(f"tail envelope nonpositive at "
-                               f"r = {envelope.failure_r:.6g}", r=envelope.failure_r)
+                               f"r = {envelope.stationary_r:.6g}",
+                               r=envelope.stationary_r)
     sweep = rate_sweep(lyap, spec, cond)
     sweep.require_certified()
 
@@ -707,17 +676,9 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
             return rs ** p / lyap.value(rs)
 
     sup_moment, _ = _sup_on_grid(moment_ratio, grid)
-    sup_near_zero = lyap.prime_at_zero  # psi concave on the core: psi(r) <= psi'(0) r
+    sup_near_zero = lyap.prime(0.0)  # psi concave on the core: psi(r) <= psi'(0) r
     c_p = sup_moment * sup_near_zero
     c2_chain = 2.0 * c_p ** (1.0 / p) * cond.l0 ** (1.0 / p - 1.0)
-
-    prov = {
-        "lambda1": "closed-form", "lambda1_psi": "closed-form",
-        "lambda2": "numeric-infimum",
-        "lambda": "assembled", "c_p": "numeric-infimum",
-        "c2_chain": "assembled", "p": "parameter", "theta": "parameter",
-        "prefactor": "assembled",
-    }
 
     def envelope_ratio(u):
         u = np.asarray(u, float)
@@ -726,7 +687,6 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
     pieces = [c_p ** (1.0 / p), c2_chain]
     t0 = cond.hitting_cap
     if t0 is not None:
-        prov["t0"] = "closed-form"
         pieces[0] = c_p ** (1.0 / p) * (1.0 + cond.l0)
         u_grid = np.geomspace(cond.l0, 1e6 * max(1.0, cond.l0), 4001)
         m_c = float(np.min(envelope_ratio(u_grid)))
@@ -750,5 +710,5 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
     return ContractionCertificate(
         lam=lam, lambda1=lambda1, lambda1_psi=lambda1_psi, lambda2=lambda2,
         c_p=c_p, c2_chain=c2_chain, t0=t0, p=p, prefactor=prefactor,
-        theta=cond.theta, provenance=prov, inputs=inputs,
+        theta=cond.theta, inputs=inputs,
     )

@@ -20,5 +20,7 @@ def derive_stream(seed: int, index: int = 0) -> np.random.Generator:
     statistically independent streams and the mapping (seed, index) -> stream
     is stable across runs and platforms.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))

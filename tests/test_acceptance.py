@@ -316,8 +316,17 @@ def test_criterion_06_tail_envelope(high_alpha_default):
           and abs(rep_l.log_bracket - bracket) <= 1e-12
           and rep_h.log_bracket >= bracket - 1e-12
           and rep_l.value_at_stationary > 0.0
-          and rep_h.value_at_stationary > 0.0
-          and rep_l.grid_min > 0.0 and rep_h.grid_min > 0.0)
+          and rep_h.value_at_stationary > 0.0)
+    # the closed-form infimum against g evaluated directly on [2 L0, 10 L0]
+    for lyap, rep in ((lyap_l, rep_l), (lyap_h, rep_h)):
+        cexp = lyap.tail_exp
+        dd = np.linspace(0.0, 8.0 * lyap.l0, 400)
+        with np.errstate(over="ignore"):
+            g = 0.5 * lyap.A * cexp * np.exp(cexp * dd) + 2.0 * lyap.B * dd
+        floor = rep.value_at_stationary
+        ok = (ok and bool(np.all(g >= floor - 1e-12 * abs(floor)))
+              and bool(np.all(g > 0.0))
+              and abs(g[0] - 0.5 * lyap.A * cexp) <= 1e-12 * g[0])
     assert report("6", "tail envelope positivity", ok,
                   f"brackets {rep_l.log_bracket:.6f} / {rep_h.log_bracket:.6f}"
                   f" vs 1 - log 2.1 = {bracket:.6f}")

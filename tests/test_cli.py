@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +403,7 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
     ["certify", "--drift", "monomial", "--drift-c", "nan"],
     ["certify", "--beta", "inf"],
     ["certify", "--drift", "linear", "--kappa", "nan"],
+    ["simulate", "--seed", "-1"],
 ])
 def test_invalid_model_flags_are_configuration_errors(tmp_path, capsys, argv):
     # the flags under test come last, so they override the defaults here
@@ -438,7 +443,9 @@ def test_record_grid_never_passes_horizon(tmp_path):
     def grid(horizon, step):
         return record_grid_of(ExperimentConfig(horizon=horizon, grid_step=step))
 
-    assert np.array_equal(grid(0.5, 0.3), [0.0, 0.3])
+    # the horizon closes a grid whose last multiple of the step falls short
+    assert np.array_equal(grid(0.5, 0.3), [0.0, 0.3, 0.5])
+    assert np.array_equal(grid(0.1, 0.25), [0.0, 0.1])
     # unchanged where the rounded grid fit the horizon
     assert np.array_equal(grid(1.0, 0.25), np.linspace(0.0, 1.0, 5))
     assert np.array_equal(grid(0.25, 0.125), np.linspace(0.0, 0.25, 3))
@@ -449,4 +456,25 @@ def test_record_grid_never_passes_horizon(tmp_path):
     assert code == EXIT_OK
     decay = np.loadtxt(tmp_path / "g" / "psi_decay.csv", delimiter=",",
                        skiprows=1)
-    assert np.array_equal(decay[:, 0], [0.0, 0.3])
+    assert np.array_equal(decay[:, 0], [0.0, 0.3, 0.5])
+    # a horizon below the default grid step of 0.25 is still simulated
+    code = run(["simulate", "--alpha", "1.5", "--beta", "1.5", "--paths", "4",
+                "--horizon", "0.1", "--out", str(tmp_path / "h")])
+    assert code == EXIT_OK
+    decay = np.loadtxt(tmp_path / "h" / "psi_decay.csv", delimiter=",",
+                       skiprows=1)
+    assert np.array_equal(decay[:, 0], [0.0, 0.1])
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m stablecouple` goes through __main__.py to the same main
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "stablecouple", "certify",
+                           "--out", str(tmp_path / "sub")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert run(["certify", "--out", str(tmp_path / "inproc")]) == EXIT_OK
+    assert ((tmp_path / "sub" / "cert.txt").read_bytes()
+            == (tmp_path / "inproc" / "cert.txt").read_bytes())

@@ -404,13 +404,6 @@ def test_tail_envelope_high_alpha_bracket(high_alpha_model):
     assert rep.log_bracket == pytest.approx(1.0 - math.log(2.1), abs=1e-12)
 
 
-def test_tail_envelope_value_at_switch(high_alpha_model):
-    _, _, lyap = high_alpha_model
-    rep = tail_envelope_positivity(lyap, grid=np.array([lyap.switch_r]))
-    assert rep.grid_min == pytest.approx(0.5 * lyap.A * lyap.c2, rel=1e-12)
-    assert rep.grid_min > 0.0
-
-
 # ------------------------------- certificates ---------------------------------
 
 
@@ -469,9 +462,19 @@ def test_certificate_record_roundtrip():
                  "t0", "p", "prefactor", "theta"):
         assert getattr(back, name) == pytest.approx(getattr(cert, name),
                                                     rel=1e-15)
-    assert back.provenance["lambda1"] == "closed-form"
-    assert back.provenance["lambda1_psi"] == "closed-form"
-    assert back.provenance["lambda2"] == "numeric-infimum"
+    # every line carries its tag, before and after the round trip
+    tags = {"lambda": "assembled", "lambda1": "closed-form",
+            "lambda1_psi": "closed-form", "lambda2": "numeric-infimum",
+            "c_p": "numeric-infimum", "c2_chain": "assembled", "p": "parameter",
+            "prefactor": "assembled", "theta": "parameter", "t0": "closed-form",
+            "d": "input", "alpha": "input", "k1": "input", "k2": "input",
+            "l0": "input", "theta_in": "input", "p_in": "input"}
+    for record in (cert.to_record(), back.to_record()):
+        lines = record.splitlines()[1:]
+        assert len(lines) == len(tags)
+        for line in lines:
+            key = line.partition("=")[0].strip()
+            assert line.partition("#")[2].strip() == tags[key]
 
 
 def test_certificate_bound_divisor():
