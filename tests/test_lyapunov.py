@@ -1,5 +1,6 @@
 """Lyapunov construction, generator quadrature, rates, certificates."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -402,6 +403,23 @@ def test_tail_envelope_high_alpha_bracket(high_alpha_model):
     # c2 = 20 c1 makes the bracket exactly 1 - log(2(c1+c2)/c2) = 1 - log 2.1
     assert rep.log_bracket >= 1.0 - math.log(2.1) - 1e-12
     assert rep.log_bracket == pytest.approx(1.0 - math.log(2.1), abs=1e-12)
+
+
+def test_tail_envelope_value_at_switch(high_alpha_model):
+    _, _, lyap = high_alpha_model
+    # g(2 L0) = A c2 / 2 > 0 bounds the convex infimum from above
+    g_switch = 0.5 * lyap.A * lyap.c2
+    assert g_switch > 0.0
+    rep = tail_envelope_positivity(lyap)
+    assert rep.stationary_r >= lyap.switch_r
+    assert 0.0 < rep.value_at_stationary <= g_switch * (1.0 + 1e-12)
+    # a weak quadratic pulls the stationary point below 2 L0: g is increasing
+    # on [2 L0, inf) and its infimum is exactly g(2 L0)
+    flat = dataclasses.replace(lyap, B=-0.01 * lyap.A * lyap.c2 ** 2)
+    rep = tail_envelope_positivity(flat)
+    assert rep.stationary_r == lyap.switch_r
+    assert rep.value_at_stationary == pytest.approx(g_switch, rel=1e-12)
+    assert rep.ok
 
 
 # ------------------------------- certificates ---------------------------------
