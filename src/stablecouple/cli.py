@@ -6,7 +6,7 @@ certify    gates, Lyapunov construction, rate sweep, certificate record
 lyapunov   radial sweep CSV of the generator bound and contraction ratio
 simulate   coupled ensemble; per-path CSV, positions CSV, decay series CSV
 wp         empirical Wasserstein columns against the certified bound
-example    full pipeline for the super-convex potential drift
+example    full pipeline: certify, simulate, wp and a rate fit
 
 The command is one positional argument; every flag applies to all five
 commands and may come before or after it.
@@ -40,7 +40,7 @@ from .coupling_engine import (
     write_positions_csv,
     write_table,
 )
-from .drift_models import DriftCondition, check_small_alpha_gate, drift_from_label
+from .drift_models import check_small_alpha_gate, drift_from_label
 from .lyapunov import (
     CertificateError,
     ContractionCertificate,
@@ -73,14 +73,14 @@ class ExperimentConfig:
     """Flat run configuration; every field is a config-file key and a flag.
 
     A key parses to its default's type; ``n_paths`` is the flag ``--paths``.
+    The drift claims its own (K2, theta); ``k1`` and ``l0`` are free choices
+    of the profile, because every registry drift is monotone.
     """
 
     d: int = 1
     alpha: float = 1.5
     k1: float = 1.0
-    k2: float = 1.0
     l0: float = 1.0
-    theta: float = 2.0
     drift: str = "power_potential"
     beta: float = 1.5
     kappa: float = 1.0
@@ -156,15 +156,14 @@ def _vector(name: str, text: str, d: int, fallback: np.ndarray) -> np.ndarray:
 
 
 def resolve_model(cfg: ExperimentConfig):
-    """Build (spec, cond, field, x0, y0) from a configuration."""
+    """Build (spec, cond, field, x0, y0) from a configuration.
+
+    cond is the drift's claimed condition with the configured K1 and L0.
+    """
     spec = isotropic_stable(cfg.d, cfg.alpha)
-    field = drift_from_label(cfg.drift, cfg.d, beta=cfg.beta, k1=cfg.k1,
-                             l0=cfg.l0, kappa=cfg.kappa, c=cfg.drift_c,
-                             q=cfg.drift_q)
-    configured = DriftCondition(k1=cfg.k1, k2=cfg.k2, l0=cfg.l0, theta=cfg.theta)
-    # a drift that claims its own (K2, theta) overrides the configured pair
-    outer = field.claimed_condition or configured
-    cond = dataclasses.replace(configured, k2=outer.k2, theta=outer.theta)
+    field = drift_from_label(cfg.drift, cfg.d, beta=cfg.beta, kappa=cfg.kappa,
+                             c=cfg.drift_c, q=cfg.drift_q)
+    cond = dataclasses.replace(field.claimed_condition, k1=cfg.k1, l0=cfg.l0)
     if not math.isfinite(cfg.r0):
         raise ValueError(f"r0 must be finite, got {cfg.r0}")
     e1 = np.zeros(cfg.d)
@@ -296,7 +295,7 @@ def cmd_wp(cfg: ExperimentConfig) -> int:
 
 
 def cmd_example(cfg: ExperimentConfig) -> int:
-    """Full pipeline for the super-convex potential drift.
+    """Full pipeline for the configured drift: certify, simulate, wp, rate fit.
 
     For alpha <= 1 the admissibility gate is monotone in K1 L0^alpha, so K1
     and L0 are halved until it passes (each shrink is logged).  The rate fit
@@ -309,7 +308,6 @@ def cmd_example(cfg: ExperimentConfig) -> int:
     scheme_of(cfg)
     record_grid_of(cfg)
     require_positive_paths(cfg.n_paths)
-    cfg.drift = "power_potential"
     spec, cond, _, _, _ = resolve_model(cfg)
     shrinks = 0
     gate = check_small_alpha_gate(spec, cond)

@@ -74,7 +74,18 @@ def linear_drift(kappa: float, d: int) -> DriftField:
 
 
 def monomial_drift(c: float, q: float, d: int) -> DriftField:
-    """b(x) = -c |x|^q x for c > 0, q >= 0."""
+    """b(x) = -c |x|^q x for c > 0, q >= 0.
+
+    Claims K2 = c 2^(3 - 3 beta) and theta = q + 2 with beta = (q + 2)/2,
+    power_potential_drift's constant beta 2^(4 - 3 beta) scaled by
+    c/(2 beta), since b is c/(2 beta) times that drift.  Proof: the
+    p-Laplacian inequality <|x|^(p-2) x - |y|^(p-2) y, x - y> >=
+    2^(2-p) |x - y|^p (p >= 2), at p = q + 2, gives
+    <b(x)-b(y), x-y> <= -c 2^(-q) |x-y|^(q+2), and c 2^(-q) >= c 2^(-3q/2)
+    = K2 for every q >= 0.  The bound holds at every separation and b is
+    monotone, so the two-regime condition holds for any K1, L0 > 0 (the
+    claim carries the placeholders 1).
+    """
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
     if not 0.0 <= q < math.inf:
@@ -83,7 +94,11 @@ def monomial_drift(c: float, q: float, d: int) -> DriftField:
     def b(x):
         return -c * _rownorm(x, keepdims=True) ** q * x
 
-    return DriftField(evaluate=b, d=int(d), label=f"monomial(c={c},q={q})")
+    beta = (q + 2.0) / 2.0
+    cond = DriftCondition(k1=1.0, k2=c * 2.0 ** (3.0 - 3.0 * beta), l0=1.0,
+                          theta=q + 2.0)
+    return DriftField(evaluate=b, d=int(d), label=f"monomial(c={c},q={q})",
+                      claimed_condition=cond)
 
 
 def power_potential_drift(beta: float, d: int, k1: float = 1.0,
@@ -109,15 +124,14 @@ def power_potential_drift(beta: float, d: int, k1: float = 1.0,
 def drift_from_label(label: str, d: int, **params) -> DriftField:
     """Resolve a drift by registry label.
 
-    Labels: ``linear`` (kappa), ``power_potential`` (beta, optional k1/l0),
-    ``monomial`` (c, q).
+    Labels: ``linear`` (kappa), ``power_potential`` (beta), ``monomial``
+    (c, q).  Each claims its own (K2, theta); its claimed K1 and L0 are
+    placeholders that the caller replaces with its own choice.
     """
     if label == "linear":
         return linear_drift(params.get("kappa", 1.0), d)
     if label == "power_potential":
-        return power_potential_drift(params.get("beta", 1.5), d,
-                                     k1=params.get("k1", 1.0),
-                                     l0=params.get("l0", 1.0))
+        return power_potential_drift(params.get("beta", 1.5), d)
     if label == "monomial":
         return monomial_drift(params.get("c", 1.0), params.get("q", 1.0), d)
     raise ValueError(f"unknown drift label {label!r}")

@@ -107,7 +107,7 @@ class RadialLyapunov:
         """Exponential rate of the outer piece (c2 or c0 by regime)."""
         return self.c2 if self.regime is Regime.HIGH_ALPHA else self.c0
 
-    @property
+    @functools.cached_property
     def tail_const(self) -> float:
         """Additive constant K of the outer piece (continuity at 2 L0)."""
         return float(self._core(self.switch_r, 0)) - self.A
@@ -647,10 +647,14 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
       theta > 2;
     - above L0 via chaining: c2_chain = 2 c_p^(1/p) L0^(1/p - 1);
     - theta > 2, t beyond the hitting bound t0: (c_p L0)^(1/p) e^(lam t0 / p)
-      against the numeric infimum of (u^(1/p) v u)/(1+u) over u > L0;
+      against m_c, the infimum of f(u) = (u^(1/p) v u)/(1+u) over u >= L0.
+      f rises on [1, inf) and has at most one interior maximum on [L0, 1],
+      so m_c = min(f(L0), f(max(L0, 1)));
     - theta > 2, t in (1, t0]: the synchronous phase contracts pathwise like
-      the power-law envelope R(t) = (K2 (theta-2) t)^(-1/(theta-2)), handled
-      with a numeric supremum.
+      the power-law envelope R(t) = (K2 (theta-2) t)^(-1/(theta-2)), capped
+      at cap = max(L0, R(1)).  h(u) = min(u, cap)(1+u)/(u^(1/p) v u) rises
+      up to cap, falls after max(cap, 1) and has at most an interior minimum
+      between, so its supremum over u >= L0 is max(h(cap), h(max(cap, 1))).
     """
     require_order(p)
     lyap = build_lyapunov(spec, cond)
@@ -681,27 +685,23 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
     c2_chain = 2.0 * c_p ** (1.0 / p) * cond.l0 ** (1.0 / p - 1.0)
 
     def envelope_ratio(u):
-        u = np.asarray(u, float)
-        return np.maximum(u ** (1.0 / p), u) / (1.0 + u)
+        return max(u ** (1.0 / p), u) / (1.0 + u)
 
     pieces = [c_p ** (1.0 / p), c2_chain]
     t0 = cond.hitting_cap
     if t0 is not None:
         pieces[0] = c_p ** (1.0 / p) * (1.0 + cond.l0)
-        u_grid = np.geomspace(cond.l0, 1e6 * max(1.0, cond.l0), 4001)
-        m_c = float(np.min(envelope_ratio(u_grid)))
+        m_c = min(envelope_ratio(cond.l0), envelope_ratio(max(cond.l0, 1.0)))
         pieces.append((c_p * cond.l0) ** (1.0 / p) * math.exp(lam * t0 / p) / m_c)
         if t0 > 1.0:
             # synchronous-phase envelope for t in (1, t0]
             r_env = (cond.k2 * (cond.theta - 2.0)) ** (-1.0 / (cond.theta - 2.0))
             cap = max(cond.l0, r_env)
 
-            def phase_sup(u):
-                u = np.asarray(u, float)
-                return (np.minimum(u, cap) * (1.0 + u)
-                        / np.maximum(u ** (1.0 / p), u))
+            def phase_ratio(u):
+                return min(u, cap) * (1.0 + u) / max(u ** (1.0 / p), u)
 
-            sup_phase = float(np.max(phase_sup(u_grid)))
+            sup_phase = max(phase_ratio(cap), phase_ratio(max(cap, 1.0)))
             pieces[-1] += math.exp(lam * t0 / p) * sup_phase
     prefactor = max(pieces)
 

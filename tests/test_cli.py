@@ -24,6 +24,7 @@ from stablecouple.cli import (
     parse_config_file,
     record_grid_of,
 )
+from stablecouple.lyapunov import ContractionCertificate
 
 
 def run(argv):
@@ -109,10 +110,38 @@ def test_certify_theta_gt2_has_t0(tmp_path):
     assert "t0 = " in (out / "cert.txt").read_text()
 
 
+def test_certify_takes_k2_theta_from_the_drift(tmp_path):
+    out = tmp_path / "mono"
+    code = run(["certify", "--drift", "monomial", "--drift-c", "2",
+                "--drift-q", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    inputs = ContractionCertificate.from_record(
+        (out / "cert.txt").read_text()).inputs
+    assert inputs["k2"] == 2.0 * 2.0 ** -1.5
+    assert inputs["theta_in"] == 3.0
+
+
+@pytest.mark.parametrize("key", ["k2", "theta"])
+def test_k2_theta_are_not_options(tmp_path, capsys, key):
+    # (K2, theta) come from the drift's claim: no flag or config key sets them
+    with pytest.raises(SystemExit) as info:
+        run(["certify", f"--{key}", "2", "--out", str(tmp_path / "f")])
+    assert info.value.code == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = 2\n")
+    capsys.readouterr()
+    code = run(["certify", "--config", str(cfg_file),
+                "--out", str(tmp_path / "c")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"configuration error: unknown config key: {key}\n")
+    assert not (tmp_path / "f").exists() and not (tmp_path / "c").exists()
+
+
 def test_lyapunov_sweep_csv(tmp_path):
     out = tmp_path / "ly"
     code = run(["lyapunov", "--alpha", "1.5", "--drift", "monomial",
-                "--k1", "1", "--k2", "1", "--theta", "2", "--out", str(out)])
+                "--k1", "1", "--out", str(out)])
     assert code == EXIT_OK
     rows = np.loadtxt(out / "lyapunov.csv", delimiter=",", skiprows=1)
     assert rows.shape[1] == 4
@@ -125,9 +154,9 @@ def test_lyapunov_sweep_csv(tmp_path):
     (["--d", "2", "--p", "2"],
      "a475acc05e4fb16db39c537c4c8b18e61f3a5a6dc076807847d70402c51637ac",
      "99011ff48da0183e8fe8ec0b4a68821a7ee89aad5653e4bcf48cbc8961a62ce6"),
-    (["--alpha", "1", "--k1", "0.05", "--drift", "monomial", "--theta", "2"],
-     "07f90369daf53a6832177f640eedf67bef16dab997f7ad85eea8d15050f1264b",
-     "13297ab61b750898e50b90d1914a599c204ea1d76c57b29ba2362b0c5ea9075c"),
+    (["--alpha", "1", "--k1", "0.05", "--drift", "monomial"],
+     "e3872a9fbfb2fbeee7941b332d8cc54d68c031b1f30de7153c15dd7d28608328",
+     "964d5aa3acc45ea1a275799bae764928cc067f0edb349ab97120dfc3d1aa1960"),
 ], ids=["headline_d1", "ot_d2", "alpha1_monomial"])
 def test_certificate_outputs_golden_digests(tmp_path, flags, cert_sha256,
                                             sweep_sha256):
@@ -382,14 +411,12 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["certify", "--p", "0.5"],
     ["certify", "--alpha", "2.5"],
-    ["certify", "--drift", "monomial", "--theta", "1.5"],
     ["certify", "--beta", "0.5"],
     ["certify", "--d", "0"],
     ["simulate", "--dt-max", "0"],
     ["simulate", "--x0", "1,2"],
     ["certify", "--l0", "inf"],
     ["certify", "--k1", "nan"],
-    ["certify", "--k2", "inf"],
     ["certify", "--p", "nan"],
     ["certify", "--p", "inf"],
     ["simulate", "--eps-couple", "nan"],

@@ -1,5 +1,6 @@
 """Drift fields, dissipativity probing, small-alpha gate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,18 @@ def test_power_potential_global_inequality(d):
     lhs = np.einsum("ij,ij->i", field(xs[keep]) - field(ys[keep]), diff[keep])
     rhs = -beta * 2.0 ** (4 - 3 * beta) * r[keep] ** (2 * beta)
     assert np.all(lhs <= rhs + 1e-10 * (1 + np.abs(rhs)))
+    # every registry drift's claimed (K2, theta) holds with any (K1, L0):
+    # the CLI certifies the claim with the configured K1 and L0 unprobed
+    fields = ([linear_drift(1.3, d)]
+              + [power_potential_drift(b, d) for b in (1.2, 1.5, 2.5)]
+              + [monomial_drift(c, q, d)
+                 for c, q in ((1, 1), (2, 1), (1, 0.5), (3, 2), (1, 0))])
+    for field in fields:
+        for k1, l0 in ((0.05, 0.5), (1.0, 1.0), (1.0, 2.0)):
+            cond = dataclasses.replace(field.claimed_condition, k1=k1, l0=l0)
+            rep = verify_dissipativity(field, cond, n_probes=5000, radius=10.0,
+                                       rng=rng)
+            assert rep.violations == 0, (field.label, k1, l0, rep.worst_margin)
 
 
 def test_verify_dissipativity_linear_zero_violations():

@@ -432,6 +432,22 @@ def test_certificate_t0_hand_value():
     assert cert.t0 == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("l0, p", [(1.0, 1.0), (0.5, 4.0)])
+def test_certificate_prefactor_covers_closed_form_envelope(l0, p):
+    # monomial(1, 1)'s claim: theta = 3, K2 = 2^-1.5, so t0 = 2^1.5 / L0 > 1
+    # and the envelope cap = max(L0, 1/K2) = 2^1.5.  Exactly, m_c =
+    # inf_{u >= L0} (u^(1/p) v u)/(1+u) = 1/2 (at u = 1) and the phase
+    # supremum sup_{u >= L0} min(u, cap)(1+u)/(u^(1/p) v u) = 1 + cap (at
+    # u = cap); a grid over u misses both on the unsafe side
+    spec = isotropic_stable(1, 1.5)
+    cond = DriftCondition(k1=1.0, k2=2.0 ** -1.5, l0=l0, theta=3.0)
+    cert = contraction_certificate(spec, cond, p)
+    grow = math.exp(cert.lam * cert.t0 / p)
+    third = ((cert.c_p * l0) ** (1.0 / p) * grow / 0.5
+             + grow * (1.0 + 2.0 ** 1.5))
+    assert cert.prefactor >= third * (1.0 - 1e-12)
+
+
 def test_certificate_theta2_omits_t0(high_alpha_model):
     spec, cond, _ = high_alpha_model
     cert = contraction_certificate(spec, cond, 1.0)
