@@ -411,12 +411,14 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["certify", "--p", "0.5"],
     ["certify", "--alpha", "2.5"],
+    ["certify", "--drift", "monomial", "--drift-q", "-0.5"],
     ["certify", "--beta", "0.5"],
     ["certify", "--d", "0"],
     ["simulate", "--dt-max", "0"],
     ["simulate", "--x0", "1,2"],
     ["certify", "--l0", "inf"],
     ["certify", "--k1", "nan"],
+    ["certify", "--k1", "inf"],
     ["certify", "--p", "nan"],
     ["certify", "--p", "inf"],
     ["simulate", "--eps-couple", "nan"],
