@@ -101,20 +101,18 @@ def monomial_drift(c: float, q: float, d: int) -> DriftField:
                       claimed_condition=cond)
 
 
-def power_potential_drift(beta: float, d: int, k1: float = 1.0,
-                          l0: float = 1.0) -> DriftField:
+def power_potential_drift(beta: float, d: int) -> DriftField:
     """Gradient drift of the super-convex potential -|x|^(2 beta), beta > 1.
 
     b(x) = -2 beta |x|^(2 beta - 2) x.  Satisfies
     <b(x)-b(y), x-y> <= -beta 2^(4 - 3 beta) |x-y|^(2 beta) everywhere, so the
     two-regime condition holds with K2 = beta 2^(4-3beta), theta = 2 beta and
-    any positive K1, L0 (defaults 1; shrink them to satisfy the small-alpha
-    gate when needed).
+    any positive K1, L0 (the claim carries the placeholders 1).
     """
     if not 1.0 < beta < math.inf:
         raise ValueError(f"beta must exceed 1 and be finite, got {beta}")
-    cond = DriftCondition(k1=k1, k2=beta * 2.0 ** (4.0 - 3.0 * beta),
-                          l0=l0, theta=2.0 * beta)
+    cond = DriftCondition(k1=1.0, k2=beta * 2.0 ** (4.0 - 3.0 * beta),
+                          l0=1.0, theta=2.0 * beta)
     field = monomial_drift(2.0 * beta, 2.0 * beta - 2.0, d)
     return DriftField(evaluate=field.evaluate, d=field.d,
                       label=f"power_potential(beta={beta})",

@@ -265,6 +265,19 @@ def test_example_auto_shrink_low_alpha(tmp_path, capsys):
     assert "gate_shrinks" in (out / "summary.txt").read_text()
 
 
+def test_example_runs_the_configured_drift(tmp_path):
+    # example certifies the drift it is given, not power_potential
+    out = tmp_path / "exlin"
+    code = run(["example", "--drift", "linear", "--kappa", "0.7",
+                "--paths", "4", "--horizon", "0.25", "--grid-step", "0.25",
+                "--out", str(out)])
+    assert code == EXIT_OK
+    inputs = ContractionCertificate.from_record(
+        (out / "cert.txt").read_text()).inputs
+    assert inputs["k2"] == 0.7
+    assert inputs["theta_in"] == 2.0
+
+
 def test_example_invalid_beta(tmp_path, capsys):
     # reported like every other model flag, as a configuration error
     code = run(["example", "--beta", "1", "--out", str(tmp_path / "bad")])

@@ -1,5 +1,6 @@
 """Reflection algebra, coupled jumps, drift steps, coupled simulation."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -249,8 +250,9 @@ def test_heavy_tail_simulation_stays_finite():
     # regression: alpha = 0.9 routinely throws paths far out; the run must
     # finish without tripping the non-finite guard
     spec = isotropic_stable(1, 0.9)
-    field = power_potential_drift(1.5, 1, k1=0.125, l0=0.125)
-    lyap = build_lyapunov(spec, field.claimed_condition)
+    field = power_potential_drift(1.5, 1)
+    cond = dataclasses.replace(field.claimed_condition, k1=0.125, l0=0.125)
+    lyap = build_lyapunov(spec, cond)
     grid = np.linspace(0.0, 1.0, 5)
     ens = simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
                                     spec, lyap, SchemeConfig(), 1.0, grid, 64,
