@@ -8,7 +8,8 @@ The package has six parts:
 - ``drift_models``: drift fields and an empirical verifier of the two-regime
   dissipativity condition.
 - ``lyapunov``: radial Lyapunov functions for the coupled distance process,
-  quadrature of the coupled generator, and certified contraction rates.
+  the coupled generator's jump term from its exact series, and certified
+  contraction rates.
 - ``coupling_engine``: event-driven simulation of the reflection/synchronous
   coupling.
 - ``wasserstein_metrics``: empirical Wasserstein distances and rate fitting.

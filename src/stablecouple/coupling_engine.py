@@ -229,16 +229,42 @@ def _settle(x: np.ndarray, y: np.ndarray, merged: np.ndarray,
     y[merged] = x[merged]
 
 
-def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
-                    spec: StableSpec, lyap, cfg: SchemeConfig,
-                    record_grid: np.ndarray, rng: np.random.Generator,
-                    excess: ExcessComponent | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, d = x0.shape
+def require_positive_paths(n_paths: int) -> None:
+    """Raise ValueError unless the ensemble size is positive."""
+    if n_paths <= 0:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
+
+
+def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
+                              spec: StableSpec, lyap, cfg: SchemeConfig,
+                              horizon: float, record_grid: np.ndarray,
+                              n_paths: int, seed: int,
+                              excess: ExcessComponent | None = None) -> PathEnsemble:
+    """Simulate ``n_paths`` independent coupled pairs from (x0, y0).
+
+    The ensemble draws from one derived stream, ``derive_stream(seed, 0)``,
+    so the output depends only on (inputs, seed).  ``lyap`` supplies the
+    reflection band (a, L0); ``lyap=None`` is the synchronous switch, the
+    empty band (0, 0): every jump is then applied to both components and no
+    pair reflects.
+    """
+    require_positive_paths(n_paths)
+    record_grid = np.asarray(record_grid, dtype=float)
+    if record_grid.ndim != 1 or len(record_grid) == 0:
+        raise ValueError("record_grid must be a nonempty 1-d array")
+    if record_grid.min() < 0.0 or record_grid.max() > horizon + 1e-12:
+        raise ValueError("record_grid must lie within [0, horizon]")
+    if np.any(np.diff(record_grid) <= 0.0):
+        raise ValueError("record_grid must be strictly increasing")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    rng = derive_stream(seed, 0)
     # synchronous coupling is the empty band: no pair reflects, so
     # coupled_jump returns (z, z) and draws no coins
     a, l0 = (0.0, 0.0) if lyap is None else (float(lyap.a), float(lyap.l0))
-    X = x0.copy()
-    Y = y0.copy()
+    X = np.tile(x0, (n_paths, 1))
+    Y = np.tile(y0, (n_paths, 1))
+    n, d = X.shape
     merged = np.zeros(n, dtype=bool)
     _settle(X, Y, merged, cfg.eps_couple)
 
@@ -330,41 +356,6 @@ def _simulate_chunk(x0: np.ndarray, y0: np.ndarray, field: DriftField,
 
         xs[:, rec], ys[:, rec], mg[:, rec] = X, Y, merged
         rec += 1
-    return xs, ys, mg
-
-
-def require_positive_paths(n_paths: int) -> None:
-    """Raise ValueError unless the ensemble size is positive."""
-    if n_paths <= 0:
-        raise ValueError(f"n_paths must be positive, got {n_paths}")
-
-
-def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
-                              spec: StableSpec, lyap, cfg: SchemeConfig,
-                              horizon: float, record_grid: np.ndarray,
-                              n_paths: int, seed: int,
-                              excess: ExcessComponent | None = None) -> PathEnsemble:
-    """Simulate ``n_paths`` independent coupled pairs from (x0, y0).
-
-    The ensemble draws from one derived stream, ``derive_stream(seed, 0)``,
-    so the output depends only on (inputs, seed).  ``lyap`` supplies the
-    reflection band (a, L0); ``lyap=None`` is the synchronous switch, the
-    empty band (0, 0): every jump is then applied to both components and no
-    pair reflects.
-    """
-    require_positive_paths(n_paths)
-    record_grid = np.asarray(record_grid, dtype=float)
-    if record_grid.ndim != 1 or len(record_grid) == 0:
-        raise ValueError("record_grid must be a nonempty 1-d array")
-    if record_grid.min() < 0.0 or record_grid.max() > horizon + 1e-12:
-        raise ValueError("record_grid must lie within [0, horizon]")
-    if np.any(np.diff(record_grid) <= 0.0):
-        raise ValueError("record_grid must be strictly increasing")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    xs, ys, mg = _simulate_chunk(
-        np.tile(x0, (n_paths, 1)), np.tile(y0, (n_paths, 1)), field, spec,
-        lyap, cfg, record_grid, derive_stream(seed, 0), excess)
     return PathEnsemble(times=record_grid.copy(), xs=xs, ys=ys, merged=mg)
 
 

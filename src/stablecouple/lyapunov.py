@@ -11,7 +11,8 @@ where D(r) is the worst drift allowed by the two-regime condition
 (K1 r below L0, -K2 r^(theta-1) above) and J(r) integrates the reflected
 second difference psi(r + 2 z_1) + psi(r - 2 z_1) - 2 psi(r) against the
 stable jump measure restricted to |z| <= a r (zero above L0, where the
-coupling is synchronous).
+coupling is synchronous).  For both profile shapes J has an exact power
+series with positive terms, summed in :func:`_jump_term`.
 
 Two concave-then-convex piecewise shapes of psi are used, one for
 alpha in (1, 2) and one for alpha in (0, 1]; both are C^2 glued at 2 L0 and
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .drift_models import DriftCondition, check_small_alpha_gate
 from .stable_noise import StableSpec
@@ -163,18 +163,6 @@ class RadialLyapunov:
         """psi''(r)."""
         return self._piecewise(r, 2)
 
-    def second_difference(self, r, h):
-        """psi(r+h) + psi(r-h) - 2 psi(r), cancellation-free on the core piece.
-
-        Requires 0 <= h <= r and r + h <= 2 L0 (always true inside the
-        reflected-jump integral, where h <= 2 a r with a <= 1/2 and r <= L0).
-        """
-        r = np.asarray(r, dtype=float)
-        h = np.asarray(h, dtype=float)
-        if self.regime is Regime.HIGH_ALPHA:
-            return -4.0 * np.exp(-self.c1 * r) * np.sinh(self.c1 * h / 2.0) ** 2
-        return -self.c * _power_second_difference(r, h, 1.0 + self.alpha)
-
     def prime_over_value(self, r: float) -> float:
         """psi'(r)/psi(r), stable against tail overflow.
 
@@ -201,32 +189,6 @@ class RadialLyapunov:
         num = self.A * cexp * e + 2.0 * self.B * dd
         den = self.A * e + self.B * dd ** 2 + self.tail_const
         return num / den
-
-
-def _power_second_difference(r, h, p):
-    """(r+h)^p + (r-h)^p - 2 r^p for 0 <= h < r, avoiding cancellation.
-
-    Direct evaluation loses all precision for small h/r because the O(1)
-    terms cancel to O((h/r)^2); the even part of the binomial series in
-    x = h/r converges geometrically for x < 1:
-
-        second difference = 2 r^p sum_{k>=1} C(p, 2k) x^(2k).
-    """
-    r = np.asarray(r, dtype=float)
-    h = np.asarray(h, dtype=float)
-    x2 = np.broadcast_arrays((h / r) ** 2, r)[0].astype(float)
-    tk = p * (p - 1.0) / 2.0 * x2  # C(p, 2) x^2
-    total = tk.copy()
-    k = 1
-    while True:
-        # C(p, 2k+2) / C(p, 2k) = (p-2k)(p-2k-1) / ((2k+1)(2k+2))
-        ratio = ((p - 2 * k) * (p - 2 * k - 1.0)) / ((2 * k + 1.0) * (2 * k + 2.0))
-        tk = tk * ratio * x2
-        total += tk
-        k += 1
-        if np.all(np.abs(tk) <= 1e-18 * (1.0 + np.abs(total))) or k > 60:
-            break
-    return r ** p * 2.0 * total
 
 
 def build_lyapunov(spec: StableSpec, cond: DriftCondition) -> RadialLyapunov:
@@ -269,108 +231,65 @@ def build_lyapunov(spec: StableSpec, cond: DriftCondition) -> RadialLyapunov:
 
 
 # ---------------------------------------------------------------------------
-# Generator quadrature
+# Generator jump term
 # ---------------------------------------------------------------------------
 
 
-# Refinement policy for the reflected-jump integral J(r).  The radial
-# singularity s^(1-alpha) is removed by the substitution s = (a r) u^(1/(2-alpha));
-# a tensor rule of _N_ANGULAR angular and _N_RADIAL radial Gauss nodes is then
-# refined, doubling the radial nodes up to _N_RADIAL_MAX, until the value is
-# stable to _QUAD_TOL in combined absolute/relative terms.
-_QUAD_TOL = 1e-10
-_N_RADIAL = 32
-_N_RADIAL_MAX = 1024
-_N_ANGULAR = 48
+def _jump_term(lyap: RadialLyapunov, spec: StableSpec, rs) -> np.ndarray:
+    """J(r) at every radius in ``rs`` in (0, L0], summed from its exact series.
 
+    J(r) = (c_dalpha omega_d / 2) int_0^{a r} s^(-1-alpha) E[D(2 s t)] ds,
+    where D(h) = psi(r+h) + psi(r-h) - 2 psi(r) and t = z_1/|z| is the first
+    coordinate of a uniform point on the sphere, with E t^(2k) =
+    m_2k = prod_{j<k} (2j+1)/(2j+d).  Expanding D in powers of 2 s t and
+    integrating term by term gives, with b = a r and x = 2 c1 b,
 
-@functools.lru_cache(maxsize=None)
-def _radial_rule(n: int):
-    """Gauss-Legendre rule on [0, 1]; built on first use, then shared."""
-    un, uw = np.polynomial.legendre.leggauss(n)
-    un = 0.5 * (un + 1.0)
-    uw = 0.5 * uw
-    un.flags.writeable = uw.flags.writeable = False
-    return un, uw
+        high alpha:  J = -c_dalpha omega_d e^(-c1 r) b^(-alpha)
+                         sum_{k>=1} m_2k x^(2k) / ((2k)! (2k-alpha)),
+        low alpha:   J = -c_dalpha omega_d c a^(-alpha) r
+                         sum_{k>=1} C(1+alpha, 2k) m_2k (2a)^(2k) / (2k-alpha).
 
-
-@functools.lru_cache(maxsize=None)
-def _angular_rule(d: int, n: int):
-    """Average over t = z_1/|z| on [0, 1] (the integrand is even in t).
-
-    The sphere marginal of the first coordinate has density proportional to
-    (1 - t^2)^((d-3)/2); for d = 1 it degenerates to atoms at +-1.
-    """
-    if d == 1:
-        nodes, weights = np.array([1.0]), np.array([1.0])
-    else:
-        nodes, weights = special.roots_jacobi(n, (d - 3) / 2.0, (d - 3) / 2.0)
-        nodes, weights = np.abs(nodes), weights / weights.sum()
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _jump_term_fixed(lyap: RadialLyapunov, spec: StableSpec, rs: np.ndarray,
-                     n_radial: int, n_angular: int) -> np.ndarray:
-    """J at every radius of ``rs`` with one fixed tensor rule.
-
-    Works on a (radii x radial nodes) array and loops over the angular nodes,
-    so temporaries stay at len(rs) x n_radial.
-    """
-    ar = lyap.a * rs
-    tn, tw = _angular_rule(spec.d, n_angular)
-    un, uw = _radial_rule(n_radial)
-    expo = 1.0 / (2.0 - spec.alpha)
-    s = ar[:, None] * un ** expo
-    # s^(-1-alpha) ds = (a r)^(-alpha) expo u^(-2 expo) du under s = a r u^expo;
-    # (a r)^(-alpha) is a float power per radius: numpy's array power can
-    # differ in the last bit, and the sweep outputs are compared bitwise
-    scale = np.array([float(x) ** (-spec.alpha) * expo for x in ar])
-    jac = scale[:, None] * un ** (-2.0 * expo)
-    r_col = rs[:, None]
-    f_avg = np.zeros_like(s)
-    for t, w in zip(tn, tw):
-        f_avg += w * lyap.second_difference(r_col, 2.0 * s * t)
-    return spec.c_dalpha * spec.omega_d / 2.0 * np.sum(uw * jac * f_avg, axis=1)
-
-
-def _jump_term_batch(lyap: RadialLyapunov, spec: StableSpec,
-                     rs) -> tuple[np.ndarray, np.ndarray]:
-    """J(r) at every radius in ``rs`` in (0, L0], refined radius by radius.
-
-    n_radial doubles only for the radii whose last two values differ by
-    more than _QUAD_TOL (1 + |value|); a converged radius keeps its value.
-    Returns the values and the n_radial each radius converged at.  Raises
-    :class:`CertificateError` carrying the smallest radius still unconverged
-    at _N_RADIAL_MAX.
+    Every term is positive (C(1+alpha, 2k) >= 0 for alpha in (0, 1]), so
+    nothing cancels, and past its peak the series shrinks geometrically.
+    The coefficients share the recurrence
+    q_(k+1) = q_k g_k x^2 / ((2k+2)(2k+d)) from q_0 = 1, with g_k = 1 (high
+    alpha) or (p-2k)(p-2k-1), p = 1+alpha, and x = 2a (low alpha).  A radius
+    stops once its term is below 2^-54 of its partial sum, where adding it
+    cannot change the sum, so its value does not depend on the other radii.
     """
     rs = np.asarray(rs, dtype=float)
-    values = np.empty(len(rs))
-    levels = np.zeros(len(rs), dtype=int)
-    todo = np.arange(len(rs))
-    n = _N_RADIAL
-    prev = _jump_term_fixed(lyap, spec, rs, n, _N_ANGULAR)
-    while len(todo) and n < _N_RADIAL_MAX:
-        n *= 2
-        cur = _jump_term_fixed(lyap, spec, rs[todo], n, _N_ANGULAR)
-        done = np.abs(cur - prev) <= _QUAD_TOL * (1.0 + np.abs(cur))
-        values[todo[done]] = cur[done]
-        levels[todo[done]] = n
-        todo, prev = todo[~done], cur[~done]
-    if len(todo):
-        r = float(rs[todo].min())
-        raise CertificateError(
-            f"jump-term quadrature did not stabilize to {_QUAD_TOL:g} at r={r:g}",
-            r=r)
-    return values, levels
+    al, d = spec.alpha, spec.d
+    high = lyap.regime is Regime.HIGH_ALPHA
+    if high:
+        b = lyap.a * rs
+        x2 = (2.0 * lyap.c1 * b) ** 2
+        # b^(-alpha) is a float power per radius: numpy's array power can
+        # differ in the last bit, and the sweep outputs are compared bitwise
+        b_pow = np.array([float(v) ** (-al) for v in b])
+        lead = -spec.c_dalpha * spec.omega_d * np.exp(-lyap.c1 * rs) * b_pow
+    else:
+        x2 = (2.0 * lyap.a) ** 2
+        lead = -spec.c_dalpha * spec.omega_d * lyap.c * lyap.a ** (-al) * rs
+    q = np.ones(len(rs))
+    total = np.zeros(len(rs))
+    live = np.ones(len(rs), dtype=bool)
+    k = 0
+    while live.any():
+        g = 1.0 if high else (1.0 + al - 2 * k) * (al - 2 * k)
+        q = q * (g / ((2 * k + 2.0) * (2 * k + d))) * x2
+        term = q / (2 * k + 2.0 - al)
+        total = np.where(live, total + term, total)
+        live &= term >= 2.0 ** -54 * total
+        k += 1
+    return lead * total
 
 
 def _generator_and_ratio(lyap: RadialLyapunov, spec: StableSpec,
                          cond: DriftCondition, rs: np.ndarray):
     """(L psi, -L psi / psi, psi) at the radii ``rs``, the one L psi evaluator.
 
-    On (0, L0] L psi(r) = J(r) + psi'(r) K1 r with J from the batched
-    jump-term quadrature.  Above L0 J vanishes and the ratio is
+    On (0, L0] L psi(r) = J(r) + psi'(r) K1 r with J from its series
+    (:func:`_jump_term`).  Above L0 J vanishes and the ratio is
     K2 r^(theta-1) psi'(r)/psi(r), taken per radius through the
     overflow-safe psi'/psi so it stays finite where psi overflows.
     """
@@ -378,7 +297,7 @@ def _generator_and_ratio(lyap: RadialLyapunov, spec: StableSpec,
     psi = lyap.value(rs)
     gen = np.empty(len(rs))
     ratios = np.empty(len(rs))
-    jump, _ = _jump_term_batch(lyap, spec, rs[below])
+    jump = _jump_term(lyap, spec, rs[below])
     gen[below] = jump + lyap.prime(rs[below]) * (cond.k1 * rs[below])
     ratios[below] = -gen[below] / psi[below]
     ratios[~below] = [cond.k2 * r ** (cond.theta - 1.0) * lyap.prime_over_value(r)
@@ -632,14 +551,16 @@ def contraction_certificate(spec: StableSpec, cond: DriftCondition,
     lambda1 is the closed-form small-separation rate and lambda1_psi the rate
     it gives for -L psi / psi on (0, L0]: for alpha in (1, 2) the construction
     proves only -L psi(r) >= lambda1 r psi'(r) there, and r psi'/psi
-    decreases in r, so lambda1_psi = lambda1 L0 psi'(L0) / psi(L0); for
-    alpha in (0, 1] lambda1 is taken as a bound on the ratio itself,
-    lambda1_psi = lambda1 (checked on a grid, not proved: the ratio is
-    smallest as r -> 0+, where it tends to lambda1 for alpha = 1).  lambda2 is the sweep's
-    infimum over (L0, 10 L0] (the sweep verdict checks that the ratio
-    increases at the grid end, where the exponential tail dominates), and
-    lam = min(lambda1_psi, lambda2).  The moment constant
-    c_p multiplies the suprema of r^p / psi(r) (numeric, finite by the
+    decreases in r, so lambda1_psi = lambda1 L0 psi'(L0) / psi(L0).  For
+    alpha in (0, 1] lambda1_psi = lambda1, by proof: the jump term is
+    exactly linear there, J(r) = -C r (see :func:`_jump_term`), and the
+    k = 1 term of C alone is (lambda1 + K1) (2/3)^(alpha-1) >= lambda1 + K1.
+    Since psi <= r and psi' <= 1 on (0, L0],
+    -L psi(r) = C r - psi'(r) K1 r >= (C - K1) r >= lambda1 psi(r).
+    lambda2 is the sweep's infimum over (L0, 10 L0] (the sweep verdict
+    checks that the ratio increases at the grid end, where the exponential
+    tail dominates), and lam = min(lambda1_psi, lambda2).  The moment
+    constant c_p multiplies the suprema of r^p / psi(r) (numeric, finite by the
     exponential tail) and psi(r)/r on (0, L0] (attained at 0+, equal to
     psi'(0)).  The distance-bound prefactor is assembled case by case:
 

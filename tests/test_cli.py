@@ -150,13 +150,13 @@ def test_lyapunov_sweep_csv(tmp_path):
 
 @pytest.mark.parametrize("flags, cert_sha256, sweep_sha256", [
     ([], "6d66d580c2fe507f4dc2e53c243e0b517df9af9f0a7f472aa5aeb634a79808f4",
-     "f399a32a2a40859de18f3003fdbd8f0301d08adb55862b037b14691fd844568d"),
+     "57f4d59f8526e10dd83f8c33912c3144afc60c31d037e43b7b6f80d57de2be71"),
     (["--d", "2", "--p", "2"],
      "a475acc05e4fb16db39c537c4c8b18e61f3a5a6dc076807847d70402c51637ac",
-     "99011ff48da0183e8fe8ec0b4a68821a7ee89aad5653e4bcf48cbc8961a62ce6"),
+     "f9c1972bbf635b32fcb03d0b3674017c60c296fa25ac3b47ad48b36e7882bf3e"),
     (["--alpha", "1", "--k1", "0.05", "--drift", "monomial"],
      "e3872a9fbfb2fbeee7941b332d8cc54d68c031b1f30de7153c15dd7d28608328",
-     "964d5aa3acc45ea1a275799bae764928cc067f0edb349ab97120dfc3d1aa1960"),
+     "5bbe6b30f3359bbce6365bf76650aa3399da05300e49dd21ce31b593a0fa3c87"),
 ], ids=["headline_d1", "ot_d2", "alpha1_monomial"])
 def test_certificate_outputs_golden_digests(tmp_path, flags, cert_sha256,
                                             sweep_sha256):
@@ -169,6 +169,18 @@ def test_certificate_outputs_golden_digests(tmp_path, flags, cert_sha256,
     for name, want in (("cert.txt", cert_sha256), ("lyapunov.csv", sweep_sha256)):
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == want, name
+
+
+def test_certify_and_lyapunov_near_alpha_two(tmp_path):
+    # alpha -> 2 puts a 1/(2 - alpha) = 100 factor on the first term of the
+    # jump-term series; RuntimeWarnings are errors under the test settings
+    out = tmp_path / "a199"
+    for stage in ("certify", "lyapunov"):
+        argv = [stage, "--alpha", "1.99", "--k1", "1", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+    cert = ContractionCertificate.from_record((out / "cert.txt").read_text())
+    assert math.isfinite(cert.lam) and cert.lam > 0.0
+    assert (out / "lyapunov.csv").exists()
 
 
 def test_certify_underflowing_tail_is_certificate_failure(tmp_path, capsys):

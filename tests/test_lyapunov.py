@@ -1,15 +1,12 @@
-"""Lyapunov construction, generator quadrature, rates, certificates."""
+"""Lyapunov construction, generator jump term, rates, certificates."""
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from stablecouple import lyapunov
 from stablecouple.drift_models import DriftCondition
 from stablecouple.lyapunov import (
     CertificateError,
@@ -17,9 +14,7 @@ from stablecouple.lyapunov import (
     GateError,
     RateSweep,
     Regime,
-    _jump_term_batch,
-    _jump_term_fixed,
-    _power_second_difference,
+    _jump_term,
     build_lyapunov,
     contraction_certificate,
     default_radial_grid,
@@ -130,20 +125,18 @@ def test_monotone_concave_profile(high_alpha_model, low_alpha_model):
         assert np.all(lyap.second(inner) < 0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(r=st.floats(0.05, 3.0), frac=st.floats(1e-6, 0.5), p=st.floats(1.1, 2.0))
-def test_power_second_difference_matches_mpmath(r, frac, p):
-    # frac above 1e-6 keeps the 50-digit oracle itself resolvable
+def _second_difference(lyap, r, h):
+    """psi(r+h) + psi(r-h) - 2 psi(r) on the core, independent of the package.
+
+    High alpha: -4 e^(-c1 r) sinh^2(c1 h / 2) in closed form; low alpha:
+    -c ((r+h)^p + (r-h)^p - 2 r^p), p = 1 + alpha, at 50 digits.
+    """
+    if lyap.regime is Regime.HIGH_ALPHA:
+        return -4.0 * math.exp(-lyap.c1 * r) * math.sinh(lyap.c1 * h / 2.0) ** 2
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    h = frac * r
-    want = float(mp.mpf(r + h) ** p + mp.mpf(r - h) ** p - 2 * mp.mpf(r) ** p)
-    got = float(_power_second_difference(r, h, p))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_power_second_difference_zero_displacement():
-    assert float(_power_second_difference(1.3, 0.0, 1.7)) == 0.0
+    with mp.workdps(50):
+        r, h, p = mp.mpf(r), mp.mpf(h), 1 + mp.mpf(lyap.alpha)
+        return float(-lyap.c * ((r + h) ** p + (r - h) ** p - 2 * r ** p))
 
 
 def test_second_difference_taylor_bound(high_alpha_model, low_alpha_model):
@@ -151,24 +144,17 @@ def test_second_difference_taylor_bound(high_alpha_model, low_alpha_model):
     for _, _, lyap in (high_alpha_model, low_alpha_model):
         for r in np.linspace(0.05, lyap.l0, 9):
             for u in np.linspace(1e-4 * r, lyap.a * r, 7):
-                lhs = float(lyap.second_difference(r, 2.0 * u))
+                lhs = _second_difference(lyap, r, 2.0 * u)
                 rhs = 4.0 * float(lyap.second((1.0 + 2.0 * lyap.a) * r)) * u ** 2
                 assert lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
 
 
-# ----------------------------- jump-term quadrature ---------------------------
+# ------------------------------- jump-term series -----------------------------
 
 
 def jump_term_at(lyap, spec, r: float) -> float:
-    """J(r) at one radius from the batched quadrature the sweep runs."""
-    values, _ = _jump_term_batch(lyap, spec, [r])
-    return float(values[0])
-
-
-def test_jump_term_affine_stub_is_zero(high_alpha_model):
-    spec, _, lyap = high_alpha_model
-    stub = SimpleNamespace(a=lyap.a, second_difference=lambda r, h: np.zeros_like(h))
-    assert jump_term_at(stub, spec, 0.5) == 0.0
+    """J(r) at one radius from the series the sweep runs."""
+    return float(_jump_term(lyap, spec, [r])[0])
 
 
 def test_jump_term_nonpositive_for_concave(high_alpha_model, low_alpha_model):
@@ -182,7 +168,7 @@ def test_jump_term_d1_adaptive_quad_oracle(high_alpha_model, r):
     spec, _, lyap = high_alpha_model
     mine = jump_term_at(lyap, spec, r)
     direct, err = integrate.quad(
-        lambda s: float(lyap.second_difference(r, 2.0 * s))
+        lambda s: _second_difference(lyap, r, 2.0 * s)
         * spec.c_dalpha * s ** (-1.0 - spec.alpha),
         0.0, lyap.a * r, limit=400, epsabs=1e-16, epsrel=1e-12)
     assert mine == pytest.approx(direct, rel=1e-8)
@@ -208,87 +194,38 @@ def test_jump_term_d2_brute_force_oracle():
     z_d = 2.0  # int_{-1}^{1} (1-t^2)^{-1/2} dt = pi; rho_2(t) = 1/(pi sqrt(1-t^2))
     brute, _ = integrate.dblquad(
         lambda t, s: (spec.c_dalpha * spec.omega_d / 2.0 * s ** (-1.0 - spec.alpha)
-                      * float(lyap.second_difference(r, 2.0 * s * abs(t)))
+                      * _second_difference(lyap, r, 2.0 * s * abs(t))
                       * (1.0 - t * t) ** -0.5 / math.pi),
         0.0, lyap.a * r, -1.0, 1.0, epsabs=1e-14, epsrel=1e-10)
     assert mine == pytest.approx(brute, rel=1e-7)
 
 
-def _set_quadrature(monkeypatch, tol, n_radial, n_radial_max=1024):
-    monkeypatch.setattr(lyapunov, "_QUAD_TOL", tol)
-    monkeypatch.setattr(lyapunov, "_N_RADIAL", n_radial)
-    monkeypatch.setattr(lyapunov, "_N_RADIAL_MAX", n_radial_max)
-
-
-def test_jump_term_refinement_budget_error(high_alpha_model, monkeypatch):
-    spec, cond, lyap = high_alpha_model
-    _set_quadrature(monkeypatch, tol=1e-10, n_radial=4, n_radial_max=4)
-    with pytest.raises(CertificateError):
-        jump_term_at(lyap, spec, 0.5)
-    # the batched sweep names the smallest radius left unconverged: every
-    # radius when no refinement is allowed ...
-    grid = default_radial_grid(cond.l0)
-    with pytest.raises(CertificateError) as info:
-        rate_sweep(lyap, spec, cond)
-    assert info.value.r == grid[0]
-    # ... and, with one doubling allowed, the first radius that a
-    # one-radius call cannot converge either (small radii pass on the
-    # absolute part of the tolerance)
-    _set_quadrature(monkeypatch, tol=1e-12, n_radial=4, n_radial_max=8)
-    failing = []
-    for r in grid[grid <= cond.l0]:
-        try:
-            jump_term_at(lyap, spec, float(r))
-        except CertificateError:
-            failing.append(float(r))
-    assert failing and failing[0] > grid[0]
-    with pytest.raises(CertificateError) as info:
-        rate_sweep(lyap, spec, cond)
-    assert info.value.r == failing[0]
+def test_jump_term_d2_low_alpha_reference():
+    # d = 2, alpha = 0.7, K1 = 0.01, L0 = 0.5 at r = 0.3: a 40-digit mpmath
+    # double quadrature of the defining integral gives this value
+    spec = isotropic_stable(2, 0.7)
+    cond = DriftCondition(k1=0.01, k2=1.0, l0=0.5, theta=2.0)
+    lyap = build_lyapunov(spec, cond)
+    assert jump_term_at(lyap, spec, 0.3) == pytest.approx(-0.009773066557339368,
+                                                         rel=1e-14)
 
 
 def test_rate_sweep_matches_scalar_generator_bound(high_alpha_model,
                                                    low_alpha_model):
     spec2 = isotropic_stable(2, 1.5)
     cond2 = DriftCondition(k1=1.0, k2=1.0, l0=1.0, theta=2.0)
-    cases = [(high_alpha_model, 0.0),
-             ((spec2, cond2, build_lyapunov(spec2, cond2)), 0.0),
-             # the low-alpha series stops once every radius in the batch has
-             # converged, which may add terms below the last bit
-             (low_alpha_model, 1e-15)]
-    for (spec, cond, lyap), rel in cases:
+    for spec, cond, lyap in (high_alpha_model,
+                             (spec2, cond2, build_lyapunov(spec2, cond2)),
+                             low_alpha_model):
         sweep = rate_sweep(lyap, spec, cond)
         below = sweep.rs <= cond.l0
         # one distance_generator_bound call per radius, on the whole grid
         gen = np.array([distance_generator_bound(lyap, spec, cond, float(r))
                         for r in sweep.rs])
         ratios = -gen[below] / lyap.value(sweep.rs[below])
-        if rel == 0.0:
-            assert np.array_equal(sweep.ratios[below], ratios)
-            assert np.array_equal(sweep.generator_bound[below], gen[below])
-        else:
-            np.testing.assert_allclose(sweep.ratios[below], ratios, rtol=rel,
-                                       atol=0.0)
-        # above L0 both take the same closed form, so they agree exactly
-        assert np.array_equal(sweep.generator_bound[~below], gen[~below])
+        assert np.array_equal(sweep.ratios[below], ratios)
+        assert np.array_equal(sweep.generator_bound, gen)
         assert np.array_equal(sweep.psi, lyap.value(sweep.rs))
-
-
-def test_jump_term_batch_refines_each_radius_alone(high_alpha_model,
-                                                   monkeypatch):
-    # with tol=1e-12 from n=4 the small radii converge at n=8 and the larger
-    # ones need n=16: the batch must stop each radius at its own level
-    spec, _, lyap = high_alpha_model
-    _set_quadrature(monkeypatch, tol=1e-12, n_radial=4)
-    rs = np.geomspace(1e-3, 1.0, 12)
-    values, levels = _jump_term_batch(lyap, spec, rs)
-    assert set(levels) == {8, 16}
-    assert np.array_equal(values,
-                          [jump_term_at(lyap, spec, float(r)) for r in rs])
-    # refining the early radii along with their neighbours would move them
-    early = levels == 8
-    at_16 = _jump_term_fixed(lyap, spec, rs[early], 16, lyapunov._N_ANGULAR)
-    assert np.any(values[early] != at_16)
 
 
 # ------------------------------- rates and sweeps -----------------------------
@@ -323,6 +260,22 @@ def test_low_alpha_ratio_dominates_lambda1(low_alpha_model):
         gen = distance_generator_bound(lyap, spec, cond, float(r))
         ratio = -gen / float(lyap.value(r))
         assert ratio >= lam1 * (1.0 - 1e-9)
+
+
+def test_low_alpha_jump_slope_dominates_lambda1():
+    # alpha in (0, 1]: J(r) = -C r, and C >= lambda1 + K1 proves
+    # lambda1_psi = lambda1 (contraction_certificate); C does not depend on K1
+    for d in (1, 2, 3, 5, 8):
+        for alpha in np.linspace(0.05, 1.0, 40):
+            spec = isotropic_stable(d, float(alpha))
+            for l0 in (0.1, 0.5, 1.0, 2.0):
+                cond = DriftCondition(k1=1e-12, k2=1.0, l0=l0, theta=2.0)
+                lyap = build_lyapunov(spec, cond)
+                rs = np.geomspace(1e-4 * l0, l0, 5)
+                slope = -_jump_term(lyap, spec, rs) / rs
+                np.testing.assert_allclose(slope, slope[0], rtol=1e-15)
+                floor = small_distance_rate(lyap, spec, cond) + cond.k1
+                assert np.all(slope >= floor * (1.0 - 1e-14))
 
 
 def test_rate_sweep_positive_both_regimes(high_alpha_model, low_alpha_model):
