@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .stable_noise import _rownorm
 
@@ -98,6 +97,9 @@ def _exact_wps(x: np.ndarray, y: np.ndarray, p: float,
         matched = [np.abs(np.sort(x[ix, 0]) - np.sort(y[iy, 0])) ** p
                    for ix, iy in pairs]
     else:
+        # imported here so that a d = 1 run never loads scipy
+        from scipy.optimize import linear_sum_assignment
+
         cost = _pairwise_norms(x, y) ** p
 
         def match(pair):

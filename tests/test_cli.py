@@ -532,3 +532,18 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert run(["certify", "--out", str(tmp_path / "inproc")]) == EXIT_OK
     assert ((tmp_path / "sub" / "cert.txt").read_bytes()
             == (tmp_path / "inproc" / "cert.txt").read_bytes())
+
+
+def test_d1_certify_imports_no_scipy(tmp_path):
+    # a fresh interpreter, so modules loaded by other tests do not count
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from stablecouple import cli\n"
+            f"rc = cli.main(['certify', '--out', {str(tmp_path)!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
