@@ -98,7 +98,7 @@ class ExperimentConfig:
     dt_max: float = 1e-2
     eps_delta: float = 1e-2
     eps_couple: float = 1e-6
-    delta_floor: float = 2e-3
+    delta_floor: float = 2e-2
     force_synchronous: bool = False
 
 

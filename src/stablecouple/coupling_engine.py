@@ -19,18 +19,25 @@ Time stepping is jump-adapted: within frozen windows of length at most
 ``dt_max`` the jump clock runs at the compound-Poisson rate of jumps above a
 truncation radius delta = max(delta_floor, eps_delta a r); drift is
 integrated between events with classical fourth-order steps.  Jump activity
-below delta is applied to both components as a common Gaussian kick with the
-matched per-coordinate variance: it cancels in the separation (those jumps
-would overwhelmingly be synchronous), and each component's marginal keeps
-the first two moments of the omitted jumps, not their full law, so the
-marginal error shrinks with delta.  The omitted reflected band
-|z| <= min(delta, a r) slows contraction slightly and never fakes it.
+below delta enters at the window end as a Gaussian kick of the matched
+per-coordinate variance var(delta) h on each component, so each marginal
+keeps the first two moments of the omitted jumps (not their full law) and
+the marginal error shrinks with delta.  The kick is split in two:
 
-Pairs merge (and stick, with Y a bitwise copy of X) once the separation
-falls below ``eps_couple``; exact meeting has probability zero under
-discretized reflection, and the jump intensity grows like r^(-alpha) as
-r -> 0, so a positive threshold bounds the event budget at a quantifiable
-Lyapunov cost psi(eps_couple).
+- on pairs within L0 at the window start and still unmerged, the reflected
+  band |z| <= min(delta, a r) goes in as a mirrored Gaussian (the
+  reflection coupling of Brownian motion): X gets g, Y its mirror across
+  x - y, so the separation moves along x - y as a Brownian motion of
+  variance 4 var_band h.  The pair merges if that motion hits 0 within the
+  window, decided by the Brownian-bridge crossing probability (exact for
+  Brownian motion);
+- the rest of the sub-delta activity, and all of it on the other pairs, is
+  common to both components and cancels in the separation.
+
+Pairs merge (and stick, with Y a bitwise copy of X) at a bridge crossing or
+once the separation falls below ``eps_couple``; the jump intensity grows
+like r^(-alpha) as r -> 0, so a positive threshold bounds the event budget
+at a quantifiable Lyapunov cost psi(eps_couple).
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ class SchemeConfig:
     dt_max: float = 1e-2
     eps_delta: float = 1e-2
     eps_couple: float = 1e-6
-    delta_floor: float = 2e-3
+    delta_floor: float = 2e-2
     max_events: int = 2_000_000_000
 
     def __post_init__(self):
@@ -229,6 +236,31 @@ def _settle(x: np.ndarray, y: np.ndarray, merged: np.ndarray,
     y[merged] = x[merged]
 
 
+def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                   var: np.ndarray, merged: np.ndarray,
+                   rng: np.random.Generator) -> None:
+    """Reflection-coupled Gaussian kick, in place, on the given rows.
+
+    Row i of ``rows`` draws g ~ N(0, var[i] I); x gets g and y its mirror
+    across x - y.  The separation then moves only along e = (x - y)/|x - y|,
+    from r_a to r_b = r_a + 2 g.e: a one-dimensional Brownian motion of
+    variance 4 var.  The pair is marked merged if that motion hits 0 within
+    the kick: always when r_b <= 0, else with the Brownian-bridge crossing
+    probability exp(-2 r_a r_b / (4 var)).  After meeting both components
+    follow x, so the caller's settle step sets y := x on them.
+    """
+    diff = x[rows] - y[rows]
+    ra = _rownorm(diff)
+    safe = np.where(ra > 0.0, ra, 1.0)
+    g = rng.standard_normal(diff.shape) * np.sqrt(var)[:, None]
+    rb = ra + 2.0 * np.einsum("ij,ij->i", g, diff) / safe
+    u = rng.random(len(rows))
+    hit = (rb <= 0.0) | (u < np.exp(-2.0 * ra * np.maximum(rb, 0.0) / (4.0 * var)))
+    x[rows] += g
+    y[rows] += _mirror(g, diff, safe)
+    merged[rows[hit]] = True
+
+
 def require_positive_paths(n_paths: int) -> None:
     """Raise ValueError unless the ensemble size is positive."""
     if n_paths <= 0:
@@ -328,10 +360,19 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             live = ~merged
             X, Y = _flow_pair(field, X, Y[live], h - t_path, live)
 
-            # common Gaussian kick standing in for sub-delta jump activity;
-            # identical on both components, so the separation is untouched
-            g = (rng.standard_normal((n, d))
-                 * np.sqrt(split.small_var_per_coord * h)[:, None])
+            # Gaussian kick standing in for sub-delta jump activity, of
+            # per-coordinate variance var(delta) h on each component: the
+            # band |z| <= min(delta, a r) of the pairs still reflecting goes
+            # in mirrored, the rest is common and cancels in the separation
+            band = np.nonzero(reflecting & ~merged)[0]
+            var = split.small_var_per_coord * h
+            g = rng.standard_normal((n, d))
+            if band.size:
+                var_band = h * decompose(spec, np.minimum(
+                    delta[band], a * r[band])).small_var_per_coord
+                var[band] -= var_band
+                _mirrored_kick(X, Y, band, var_band, merged, rng)
+            g *= np.sqrt(var)[:, None]
             X += g
             Y += g
 

@@ -337,6 +337,19 @@ def test_criterion_06_tail_envelope(high_alpha_default):
 # ---------------------------------------------------------------------------
 
 
+def _worst_cf_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max over q of |CF_a(q) - CF_b(q)| / (3 se) for two 1-d samples."""
+    worst = 0.0
+    for q in (0.5, 1.0, 1.5, 2.0, 3.0):
+        ca = np.cos(q * a) + 1j * np.sin(q * a)
+        cb = np.cos(q * b) + 1j * np.sin(q * b)
+        diff = abs(ca.mean() - cb.mean())
+        se = math.sqrt((ca.real.var(ddof=1) + ca.imag.var(ddof=1)) / len(a)
+                       + (cb.real.var(ddof=1) + cb.imag.var(ddof=1)) / len(b))
+        worst = max(worst, diff / (3.0 * se))
+    return worst
+
+
 def test_criterion_07_marginal_fidelity():
     t0 = time.time()
     spec = isotropic_stable(1, 1.5)
@@ -346,27 +359,22 @@ def test_criterion_07_marginal_fidelity():
     grid = np.array([0.0, 1.0])
     n = 10_000
 
-    coupled = simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]),
-                                        field, spec, lyap, cfg, 1.0, grid, n,
-                                        seed=SEED + 70)
-    # the uncoupled law: pairs merged from the start, so Y tracks X exactly
-    x0 = np.array([0.25])
-    single = simulate_coupled_ensemble(x0, x0, field, spec, None, cfg, 1.0,
-                                       grid, n, seed=SEED + 71)
-    xc = coupled.xs[:, 1, 0]
-    xs = single.xs[:, 1, 0]
-    worst = 0.0
-    for q in (0.5, 1.0, 1.5, 2.0, 3.0):
-        ca = np.cos(q * xc) + 1j * np.sin(q * xc)
-        cb = np.cos(q * xs) + 1j * np.sin(q * xs)
-        diff = abs(ca.mean() - cb.mean())
-        se = math.sqrt((ca.real.var(ddof=1) + ca.imag.var(ddof=1)) / n
-                       + (cb.real.var(ddof=1) + cb.imag.var(ddof=1)) / n)
-        worst = max(worst, diff / (3.0 * se))
+    x0, y0 = np.array([0.25]), np.array([-0.25])
+    coupled = simulate_coupled_ensemble(x0, y0, field, spec, lyap, cfg, 1.0,
+                                        grid, n, seed=SEED + 70)
+    # the uncoupled laws: pairs merged from the start, so Y tracks X exactly;
+    # Y's law is checked too, since Y takes the mirrored part of the kick
+    single_x = simulate_coupled_ensemble(x0, x0, field, spec, None, cfg, 1.0,
+                                         grid, n, seed=SEED + 71)
+    single_y = simulate_coupled_ensemble(y0, y0, field, spec, None, cfg, 1.0,
+                                         grid, n, seed=SEED + 72)
+    worst_x = _worst_cf_gap(coupled.xs[:, 1, 0], single_x.xs[:, 1, 0])
+    worst_y = _worst_cf_gap(coupled.ys[:, 1, 0], single_y.xs[:, 1, 0])
     elapsed = time.time() - t0
-    ok = worst <= 1.0 and elapsed < 300.0
-    assert report("7", "coupled X-marginal matches uncoupled law", ok,
-                  f"max |dCF|/3se = {worst:.2f}, {elapsed:.0f}s")
+    ok = max(worst_x, worst_y) <= 1.0 and elapsed < 300.0
+    assert report("7", "coupled X- and Y-marginals match the uncoupled laws", ok,
+                  f"max |dCF|/3se = {worst_x:.2f} (X), {worst_y:.2f} (Y), "
+                  f"{elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +415,23 @@ def test_criterion_08_synchronous_phase():
     ens = simulate_coupled_ensemble(np.array([1.0]), np.array([-1.0]), field,
                                     spec, lyap, SchemeConfig(), 0.6, grid, 64,
                                     seed=SEED + 80)
-    envelope = 1.0 / (grid + 0.5)
     engine_ok = True
     for i in range(64):
+        r = ens.r[i]
         by_half = grid <= 0.5 + 0.03
-        engine_ok &= bool(ens.r[i][by_half].min() <= 1.0 + 2.5 * float(lyap.a))
-        strict = ens.r[i] > 1.1
+        engine_ok &= bool(r[by_half].min() <= 1.0 + 2.5 * float(lyap.a))
+        # each run of grid points above 1.1 is a synchronous phase: below the
+        # Riccati curve from the run's first point (for the first run, from
+        # r = 2 at t = 0, the envelope 1/(t + 1/2)).  A later run exists when
+        # the mirrored kick of a window that started within L0 carried r
+        # back above 1.1
+        strict = r > 1.1
+        s = np.maximum.accumulate(np.where(strict & ~np.r_[False, strict[:-1]],
+                                           np.arange(len(r)), 0))
+        riccati = 1.0 / (grid - grid[s] + 1.0 / r[s])
         band = strict[:-1] & strict[1:]
-        engine_ok &= bool(np.all(ens.r[i][strict] <= envelope[strict] * (1 + 1e-7)))
-        engine_ok &= bool(np.all(np.diff(ens.r[i])[band] <= 1e-12))
+        engine_ok &= bool(np.all(r[strict] <= riccati[strict] * (1 + 1e-7)))
+        engine_ok &= bool(np.all(np.diff(r)[band] <= 1e-12))
 
     ok = ode_ok and engine_ok and t0_cap == pytest.approx(1.0, rel=1e-12) \
         and r_hit < t0_cap
@@ -429,13 +445,13 @@ def test_criterion_08_synchronous_phase():
 # ---------------------------------------------------------------------------
 
 
-def _headline_run(eps_delta: float, eps_couple: float, seed: int):
+def _headline_run(delta_floor: float, eps_couple: float, seed: int):
     spec = isotropic_stable(1, 1.5)
     field = power_potential_drift(1.5, 1)
     cond = field.claimed_condition
     lyap = build_lyapunov(spec, cond)
     cert = contraction_certificate(spec, cond, 1.0)
-    cfg = SchemeConfig(eps_delta=eps_delta, eps_couple=eps_couple)
+    cfg = SchemeConfig(delta_floor=delta_floor, eps_couple=eps_couple)
     grid = np.arange(0.0, 5.0 + 1e-9, 0.25)
     ens = simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
                                     spec, lyap, cfg, 5.0, grid, 10_000, seed)
@@ -458,8 +474,11 @@ def _headline_run(eps_delta: float, eps_couple: float, seed: int):
 
 def test_criterion_09_contraction_headline():
     t0 = time.time()
-    base_ok, cert, fit = _headline_run(1e-2, 1e-6, SEED + 90)
-    halved_ok, _, _ = _headline_run(5e-3, 5e-7, SEED + 91)
+    # the robustness run halves delta_floor (delta = delta_floor on every
+    # row: eps_delta a r <= 2.5e-4 never reaches it) and eps_couple
+    floor = SchemeConfig().delta_floor
+    base_ok, cert, fit = _headline_run(floor, 1e-6, SEED + 90)
+    halved_ok, _, _ = _headline_run(floor / 2.0, 5e-7, SEED + 91)
     elapsed = time.time() - t0
     ok = base_ok and (halved_ok == base_ok) and elapsed < 600.0
     assert report("9", "contraction headline", ok,

@@ -33,7 +33,7 @@ from stablecouple.drift_models import (
     power_potential_drift,
 )
 from stablecouple.lyapunov import build_lyapunov
-from stablecouple.stable_noise import _rownorm, isotropic_stable
+from stablecouple.stable_noise import _rownorm, decompose, isotropic_stable
 from stablecouple.streams import derive_stream
 
 
@@ -367,7 +367,6 @@ def test_synchronous_phase_riccati_envelope():
     ens = simulate_coupled_ensemble(np.array([1.0]), np.array([-1.0]), field,
                                     spec, lyap, SchemeConfig(), 0.6, grid, 16,
                                     seed=31)
-    envelope = 1.0 / (grid + 0.5)
     r = ens.r
     crossings = 0
     for i in range(16):
@@ -378,10 +377,16 @@ def test_synchronous_phase_riccati_envelope():
         assert r[i][by_half].min() <= 1.0 + 2.5 * 0.025
         crossings += bool((r[i] <= 1.0).any())
         # strictly above the interface the phase is purely synchronous:
-        # continuous, nonincreasing, below the Riccati envelope
+        # continuous, nonincreasing, below the Riccati curve from the first
+        # point of its run above 1.1 (for the first run, 1/(t + 1/2)); a
+        # later run exists when the mirrored kick of a window that started
+        # within L0 carried r back above 1.1
         strict = r[i] > 1.1
+        s = np.maximum.accumulate(np.where(strict & ~np.r_[False, strict[:-1]],
+                                           np.arange(len(grid)), 0))
+        riccati = 1.0 / (grid - grid[s] + 1.0 / r[i][s])
         band = strict[:-1] & strict[1:]
-        assert np.all(r[i][strict] <= envelope[strict] * (1 + 1e-7))
+        assert np.all(r[i][strict] <= riccati[strict] * (1 + 1e-7))
         assert np.all(np.diff(r[i])[band] <= 1e-12)
     assert crossings >= 13
 
@@ -418,6 +423,69 @@ def test_excess_component_cancels_in_difference():
         assert np.allclose(ens.r[i], want, rtol=1e-7, atol=1e-10)
 
 
+_NULL_FIELD = DriftField(evaluate=lambda x: np.zeros_like(x), d=1, label="null")
+
+
+def _one_window(monkeypatch, r0: float, lyap, n: int = 20_000):
+    """One window of length dt_max from (r0/2, -r0/2) under zero drift: the
+    ensemble, and the next draws of the engine's stream after the run."""
+    import stablecouple.coupling_engine as engine
+
+    streams = []
+
+    def spy(seed, index):
+        streams.append(derive_stream(seed, index))
+        return streams[-1]
+
+    monkeypatch.setattr(engine, "derive_stream", spy)
+    h = SchemeConfig().dt_max
+    ens = simulate_coupled_ensemble(np.array([0.5 * r0]), np.array([-0.5 * r0]),
+                                    _NULL_FIELD, isotropic_stable(1, 1.5), lyap,
+                                    SchemeConfig(), h, np.array([0.0, h]), n,
+                                    seed=29)
+    return ens, streams[0].random(4).tolist()
+
+
+def test_mirrored_band_merges_at_the_bridge_crossing_rate(monkeypatch):
+    # zero drift and a r0 < delta_floor: no explicit jump reflects and r
+    # stays r0 until the window end, where the mirrored band moves it as a
+    # Brownian motion of variance 4 var_band h, which hits 0 within the
+    # window with probability 2 Phi(-r0 / (2 sqrt(var_band h)))
+    spec, _, _, lyap = _example_model()
+    cfg = SchemeConfig()
+    r0 = 0.05
+    assert r0 <= lyap.l0 and lyap.a * r0 < cfg.delta_floor
+    ens, _ = _one_window(monkeypatch, r0, lyap)
+    sd = math.sqrt(decompose(spec, lyap.a * r0).small_var_per_coord * cfg.dt_max)
+    want = math.erfc(r0 / (2.0 * sd) / math.sqrt(2.0))
+    n = ens.n_paths
+    got = ens.merged[:, -1].mean()
+    assert 0.1 < want < 0.5
+    assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n)
+    assert np.array_equal(ens.xs[ens.merged[:, -1], -1], ens.ys[ens.merged[:, -1], -1])
+
+
+def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):
+    # no pair has the band beyond L0 (zero drift keeps r = r0) or with
+    # lyap=None, so those runs end the stream at the same place and the
+    # ensemble beyond L0 equals the synchronous one
+    _, _, _, lyap = _example_model()
+    far = 2.0 * lyap.l0
+    ens_far, next_far = _one_window(monkeypatch, far, lyap, n=256)
+    sync_far, next_sync_far = _one_window(monkeypatch, far, None, n=256)
+    _, next_sync_near = _one_window(monkeypatch, 0.05, None, n=256)
+    _, next_band = _one_window(monkeypatch, 0.05, lyap, n=256)
+    assert next_far == next_sync_far == next_sync_near
+    assert _ensemble_digest(ens_far) == _ensemble_digest(sync_far)
+    assert next_band != next_far  # the band rows draw their variates
+    # and lyap=None draws what the engine drew before the band existed: at
+    # the former default floor 2e-3 the synchronous golden keeps the digest
+    # it had then
+    old_floor = _golden_synchronous_d1(SchemeConfig(delta_floor=2e-3))
+    assert _ensemble_digest(old_floor) == (
+        "417c125797f465c56a9596ff20be08a54753449b4635ed0ea2eb3df045396064")
+
+
 def _ensemble_digest(ens) -> str:
     h = hashlib.sha256()
     for arr in (ens.times, ens.xs, ens.ys, ens.merged):
@@ -426,25 +494,25 @@ def _ensemble_digest(ens) -> str:
 
 
 def _golden_reflecting_d1():
-    # reflection with a wide merge threshold: 48 of 64 pairs merge by t = 1
+    # reflection with a wide merge threshold: 60 of 64 pairs merge by t = 1
     spec, field, _, lyap = _example_model()
     return simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
                                      spec, lyap, SchemeConfig(eps_couple=5e-2),
                                      1.0, np.linspace(0.0, 1.0, 5), 64, seed=17)
 
 
-def _golden_synchronous_d1():
+def _golden_synchronous_d1(cfg=SchemeConfig()):
     spec, field, _, _ = _example_model()
     excess = ExcessComponent(rate=3.0,
                              sampler=lambda rng, n: rng.uniform(-1, 1, (n, 1)))
     return simulate_coupled_ensemble(np.array([0.5]), np.array([-0.5]), field,
-                                     spec, None, SchemeConfig(), 1.0,
+                                     spec, None, cfg, 1.0,
                                      np.linspace(0.0, 1.0, 5), 64, seed=5,
                                      excess=excess)
 
 
 def _golden_merging_d2():
-    # 243 of 300 pairs merge by t = 0.5, so the merge step and the rows of
+    # 235 of 300 pairs merge by t = 0.5, so the merge step and the rows of
     # merged pairs inside an event round are exercised
     spec = isotropic_stable(2, 1.7)
     field = linear_drift(1.0, 2)
@@ -456,12 +524,12 @@ def _golden_merging_d2():
 
 
 @pytest.mark.parametrize("make, merged_at_end, sha256", [
-    (_golden_reflecting_d1, 48,
-     "445a68748ffac9cc5e5e4a3610692be5ca763b795af6e16dd95c9c307c9b9983"),
+    (_golden_reflecting_d1, 60,
+     "d6ef05e486f726be5be6e984eb90d1091bba490da9df18110626ecd2f9f1f0d6"),
     (_golden_synchronous_d1, 0,
-     "417c125797f465c56a9596ff20be08a54753449b4635ed0ea2eb3df045396064"),
-    (_golden_merging_d2, 243,
-     "6cc463be47ca1a6174e55a0bcc661b817c9a268f4546f05e67976549cb7f954e"),
+     "b782f1d1da387eb6c79d0e5768f3a28ccd08a21ec35ff9820ca1145778838e49"),
+    (_golden_merging_d2, 235,
+     "213ddec29733f464facbf2cbce6198e7fc2e0b1595e0cb45cd1abf4aa226bad0"),
 ], ids=["reflecting_d1", "synchronous_d1", "merging_d2"])
 def test_ensemble_golden_digests(make, merged_at_end, sha256):
     # times, xs, ys and merged pinned bitwise (recorded with Python 3.11,
