@@ -24,13 +24,14 @@ per-coordinate variance var(delta) h on each component, so each marginal
 keeps the first two moments of the omitted jumps (not their full law) and
 the marginal error shrinks with delta.  The kick is split in two:
 
-- on pairs within L0 at the window start and still unmerged, the reflected
-  band |z| <= min(delta, a r) goes in as a mirrored Gaussian (the
-  reflection coupling of Brownian motion): X gets g, Y its mirror across
-  x - y, so the separation moves along x - y as a Brownian motion of
-  variance 4 var_band h.  The pair merges if that motion hits 0 within the
-  window, decided by the Brownian-bridge crossing probability (exact for
-  Brownian motion);
+- on unmerged pairs within L0 at the kick, the reflected band
+  |z| <= min(delta, a r) goes in as a mirrored Gaussian (the reflection
+  coupling of Brownian motion): X gets g, Y its mirror across x - y, so the
+  separation moves along x - y as a Brownian motion of variance
+  4 var_band h.  The Brownian bridge decides where that motion first leaves
+  (0, L0): at 0 the pair merges, at L0 the coupling turns synchronous and
+  the pair ends the window at separation L0 (both exact for Brownian
+  motion);
 - the rest of the sub-delta activity, and all of it on the other pairs, is
   common to both components and cancels in the separation.
 
@@ -236,29 +237,75 @@ def _settle(x: np.ndarray, y: np.ndarray, merged: np.ndarray,
     y[merged] = x[merged]
 
 
+def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,
+                  var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities that a Brownian bridge from ra to rb, of variance var
+    over the bridge, leaves (0, l0) first at 0 and first at l0 (0 < ra <= l0).
+
+    By the reflection principle, the paths that visit the barriers in a
+    given alternating order have the density of a straight path as long as
+    the unfolded route ra -> barrier -> ... -> rb.  Inclusion-exclusion over
+    the visit orders gives alternating series with decreasing terms, summed
+    until the first omitted term is below 1e-17.  The leading terms are the
+    one-barrier crossing probabilities exp(-2 ra rb / var) and
+    exp(-2 (l0 - ra)(l0 - rb) / var).
+    """
+    c = rb - ra
+
+    def ratio(length):
+        # density of the unfolded route over that of the direct one
+        return np.exp(-(length - c) * (length + c) / (2.0 * var))
+
+    # routes ending at 0 or at l0 first, straight or by the other barrier
+    to0 = ra + np.abs(rb)
+    tol = (l0 - ra) + np.abs(l0 - rb)
+    via_l0 = (l0 - ra) + l0 + np.abs(rb)
+    via_0 = ra + l0 + np.abs(l0 - rb)
+    p0 = np.zeros_like(ra)
+    pl = np.zeros_like(ra)
+    k = 0
+    while True:
+        # each further pair of visits adds 2 l0 to the route
+        back0, backl = ratio(via_l0 + 2 * k * l0), ratio(via_0 + 2 * k * l0)
+        p0 += ratio(to0 + 2 * k * l0) - back0
+        pl += ratio(tol + 2 * k * l0) - backl
+        if max(back0.max(), backl.max()) < 1e-17:
+            return p0, pl
+        k += 1
+
+
 def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                   var: np.ndarray, merged: np.ndarray,
+                   var: np.ndarray, l0: float, merged: np.ndarray,
                    rng: np.random.Generator) -> None:
     """Reflection-coupled Gaussian kick, in place, on the given rows.
 
-    Row i of ``rows`` draws g ~ N(0, var[i] I); x gets g and y its mirror
-    across x - y.  The separation then moves only along e = (x - y)/|x - y|,
-    from r_a to r_b = r_a + 2 g.e: a one-dimensional Brownian motion of
-    variance 4 var.  The pair is marked merged if that motion hits 0 within
-    the kick: always when r_b <= 0, else with the Brownian-bridge crossing
-    probability exp(-2 r_a r_b / (4 var)).  After meeting both components
-    follow x, so the caller's settle step sets y := x on them.
+    Row i of ``rows`` (0 < r_a <= l0) draws g ~ N(0, var[i] I); x gets g.
+    Until the separation leaves (0, l0), y gets the mirror of x's motion
+    across x - y, so the separation moves only along e = (x - y)/|x - y|, a
+    one-dimensional Brownian motion of variance 4 var from r_a towards
+    r_b = r_a + 2 g.e.  Where it leaves is decided by the bridge
+    (:func:`_bridge_exits`, one uniform per row):
+
+    - first at 0: the pair has met and both components follow x, so it is
+      marked merged and the caller's settle step sets y := x;
+    - first at l0: the coupling turns synchronous there, so y follows x
+      from then on and the pair ends at separation exactly l0;
+    - neither: y gets the mirror image of g.
+
+    Each rule takes y's increment from x's Brownian motion up to a stopping
+    time, so y's kick is N(0, var I) as well.
     """
     diff = x[rows] - y[rows]
     ra = _rownorm(diff)
-    safe = np.where(ra > 0.0, ra, 1.0)
+    e = diff / ra[:, None]
     g = rng.standard_normal(diff.shape) * np.sqrt(var)[:, None]
-    rb = ra + 2.0 * np.einsum("ij,ij->i", g, diff) / safe
+    ge = np.einsum("ij,ij->i", g, e)
+    p0, pl = _bridge_exits(ra, ra + 2.0 * ge, l0, 4.0 * var)
     u = rng.random(len(rows))
-    hit = (rb <= 0.0) | (u < np.exp(-2.0 * ra * np.maximum(rb, 0.0) / (4.0 * var)))
+    at_l0 = (u >= p0) & (u < p0 + pl)
     x[rows] += g
-    y[rows] += _mirror(g, diff, safe)
-    merged[rows[hit]] = True
+    y[rows] += g - np.where(at_l0, l0 - ra, 2.0 * ge)[:, None] * e
+    merged[rows[u < p0]] = True
 
 
 def require_positive_paths(n_paths: int) -> None:
@@ -361,17 +408,19 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             X, Y = _flow_pair(field, X, Y[live], h - t_path, live)
 
             # Gaussian kick standing in for sub-delta jump activity, of
-            # per-coordinate variance var(delta) h on each component: the
-            # band |z| <= min(delta, a r) of the pairs still reflecting goes
-            # in mirrored, the rest is common and cancels in the separation
-            band = np.nonzero(reflecting & ~merged)[0]
+            # per-coordinate variance var(delta) h on each component: on the
+            # unmerged pairs within L0 at the kick, the band
+            # |z| <= min(delta, a r) goes in mirrored, the rest is common and
+            # cancels in the separation
+            r = _rownorm(X - Y)
+            band = np.nonzero(~merged & (r > 0.0) & (r <= l0))[0]
             var = split.small_var_per_coord * h
             g = rng.standard_normal((n, d))
             if band.size:
                 var_band = h * decompose(spec, np.minimum(
                     delta[band], a * r[band])).small_var_per_coord
                 var[band] -= var_band
-                _mirrored_kick(X, Y, band, var_band, merged, rng)
+                _mirrored_kick(X, Y, band, var_band, l0, merged, rng)
             g *= np.sqrt(var)[:, None]
             X += g
             Y += g

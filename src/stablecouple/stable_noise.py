@@ -18,96 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cephes log-gamma and gamma (the routines behind scipy.special's gammaln and
-# gamma) for x > 0, with Cephes' coefficients and operation order, so their
-# values are bitwise scipy's without importing it.
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
-           7.93650340457716943945E-4, -2.77777777730099687205E-3,
-           8.33333333333331927722E-2)
-_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4,
-           -3.31612992738871184744E5, -1.16237097492762307383E6,
-           -1.72173700820839662146E6, -8.53555664245765465627E5)
-_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
-           -2.20528590553854454839E5, -1.13933444367982507207E6,
-           -2.53252307177582951285E6, -2.01889141433532773231E6)
-_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3,
-            1.04213797561761569935E-2, 4.76367800457137231464E-2,
-            2.07448227648435975150E-1, 4.94214826801497100753E-1,
-            9.99999999999999996796E-1)
-_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4,
-            -4.45641913851797240494E-3, 1.18139785222060435552E-2,
-            3.58236398605498653373E-2, -2.34591795718243348568E-1,
-            7.14304917030273074085E-2, 1.00000000000000000320E0)
-_STIR = (7.87311395793093628397E-4, -2.29549961613378126380E-4,
-         -2.68132617805781232825E-3, 3.47222221605458667310E-3,
-         8.33333333333482257126E-2)
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _lgam(x: float) -> float:
-    """log Gamma(x) for finite x > 0 (Cephes ``lgam``)."""
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        p -= 2.0
-        x = x + p
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
-    if x > 2.556348e305:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p
-                     - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
-def _gamma(x: float) -> float:
-    """Gamma(x) for finite x > 0 (Cephes ``Gamma``, Stirling above 33)."""
-    if x > 33.0:
-        if x >= 171.624376956302725:
-            return math.inf
-        w = 1.0 / x
-        w = 1.0 + w * _polevl(w, _STIR)
-        y = math.exp(x)
-        if x > 143.01608:  # split the power to avoid its overflow
-            v = x ** (0.5 * x - 0.25)
-            y = v * (v / y)
-        else:
-            y = x ** (x - 0.5) / y
-        return 2.50662827463100050242E0 * y * w
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
 
 def levy_constant(d: int, alpha: float) -> float:
     """Normalization c_dalpha = 2^a Gamma((d+a)/2) pi^(-d/2) / |Gamma(-a/2)|.
@@ -124,11 +34,11 @@ def levy_constant(d: int, alpha: float) -> float:
     log_abs_gamma_neg_half = (
         math.log(math.pi)
         - math.log(math.sin(math.pi * alpha / 2.0))
-        - _lgam(1.0 + alpha / 2.0)
+        - math.lgamma(1.0 + alpha / 2.0)
     )
     log_c = (
         alpha * math.log(2.0)
-        + _lgam((d + alpha) / 2.0)
+        + math.lgamma((d + alpha) / 2.0)
         - 0.5 * d * math.log(math.pi)
         - log_abs_gamma_neg_half
     )
@@ -139,7 +49,7 @@ def sphere_surface(d: int) -> float:
     """Surface measure of the unit sphere in R^d: 2 pi^(d/2) / Gamma(d/2)."""
     if d < 1 or int(d) != d:
         raise ValueError(f"d must be a positive integer, got {d}")
-    return float(2.0 * math.pi ** (d / 2.0) / _gamma(d / 2.0))
+    return float(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0))
 
 
 @dataclass(frozen=True)

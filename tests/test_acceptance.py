@@ -415,23 +415,15 @@ def test_criterion_08_synchronous_phase():
     ens = simulate_coupled_ensemble(np.array([1.0]), np.array([-1.0]), field,
                                     spec, lyap, SchemeConfig(), 0.6, grid, 64,
                                     seed=SEED + 80)
+    envelope = 1.0 / (grid + 0.5)
     engine_ok = True
     for i in range(64):
-        r = ens.r[i]
         by_half = grid <= 0.5 + 0.03
-        engine_ok &= bool(r[by_half].min() <= 1.0 + 2.5 * float(lyap.a))
-        # each run of grid points above 1.1 is a synchronous phase: below the
-        # Riccati curve from the run's first point (for the first run, from
-        # r = 2 at t = 0, the envelope 1/(t + 1/2)).  A later run exists when
-        # the mirrored kick of a window that started within L0 carried r
-        # back above 1.1
-        strict = r > 1.1
-        s = np.maximum.accumulate(np.where(strict & ~np.r_[False, strict[:-1]],
-                                           np.arange(len(r)), 0))
-        riccati = 1.0 / (grid - grid[s] + 1.0 / r[s])
+        engine_ok &= bool(ens.r[i][by_half].min() <= 1.0 + 2.5 * float(lyap.a))
+        strict = ens.r[i] > 1.1
         band = strict[:-1] & strict[1:]
-        engine_ok &= bool(np.all(r[strict] <= riccati[strict] * (1 + 1e-7)))
-        engine_ok &= bool(np.all(np.diff(r)[band] <= 1e-12))
+        engine_ok &= bool(np.all(ens.r[i][strict] <= envelope[strict] * (1 + 1e-7)))
+        engine_ok &= bool(np.all(np.diff(ens.r[i])[band] <= 1e-12))
 
     ok = ode_ok and engine_ok and t0_cap == pytest.approx(1.0, rel=1e-12) \
         and r_hit < t0_cap

@@ -149,14 +149,14 @@ def test_lyapunov_sweep_csv(tmp_path):
 
 
 @pytest.mark.parametrize("flags, cert_sha256, sweep_sha256", [
-    ([], "6d66d580c2fe507f4dc2e53c243e0b517df9af9f0a7f472aa5aeb634a79808f4",
-     "57f4d59f8526e10dd83f8c33912c3144afc60c31d037e43b7b6f80d57de2be71"),
+    ([], "695db61c23b116b58cef4daa9ba5888fbbc536d7f42499ff9227dc344aae35c5",
+     "15e8999f6fd646828ea60aa8ab5f82928957330b261a184d6a42825130856b4f"),
     (["--d", "2", "--p", "2"],
      "a475acc05e4fb16db39c537c4c8b18e61f3a5a6dc076807847d70402c51637ac",
      "f9c1972bbf635b32fcb03d0b3674017c60c296fa25ac3b47ad48b36e7882bf3e"),
     (["--alpha", "1", "--k1", "0.05", "--drift", "monomial"],
-     "e3872a9fbfb2fbeee7941b332d8cc54d68c031b1f30de7153c15dd7d28608328",
-     "5bbe6b30f3359bbce6365bf76650aa3399da05300e49dd21ce31b593a0fa3c87"),
+     "d22bc9e9ed6bbfe5a0485a6160e3b44a3a4c8734b49fffb5ca2f8dd7ca96431c",
+     "73ffa1e35c95e791836dab76c6dd7058e5f0426d1e6c22e3222dfaa7952ee6fe"),
 ], ids=["headline_d1", "ot_d2", "alpha1_monomial"])
 def test_certificate_outputs_golden_digests(tmp_path, flags, cert_sha256,
                                             sweep_sha256):
@@ -373,8 +373,8 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p, sha256", [
-    (1, "1", "0b034b9157dfcf90c8af7e75348c0b0fbed76e5cad7885adda99fee7e4034624"),
-    (2, "2", "cb2d5fd81c2ed78ed90d89ca7d14661596ce9d6aa86e2d088946f0983091de6e"),
+    (1, "1", "03d25ecfb33eb6838bf4a571a74661b356aed35feecfe0dec7b50f6e870485a7"),
+    (2, "2", "53b32eabfae9aa13e0e79f3400280177c130d5e6487cd2c86e40199c83342da1"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
     # the exact solve and its bootstrap pinned bitwise, on the d = 1 sort

@@ -12,11 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from stablecouple.coupling_engine import (
     DriftBlowupError,
+    _bridge_exits,
     _drift_flow,
     EventBudgetError,
     ExcessComponent,
     SchemeConfig,
     _mirror,
+    _mirrored_kick,
     coupled_jump,
     lyapunov_decay_series,
     read_positions_csv,
@@ -367,6 +369,7 @@ def test_synchronous_phase_riccati_envelope():
     ens = simulate_coupled_ensemble(np.array([1.0]), np.array([-1.0]), field,
                                     spec, lyap, SchemeConfig(), 0.6, grid, 16,
                                     seed=31)
+    envelope = 1.0 / (grid + 0.5)
     r = ens.r
     crossings = 0
     for i in range(16):
@@ -377,16 +380,10 @@ def test_synchronous_phase_riccati_envelope():
         assert r[i][by_half].min() <= 1.0 + 2.5 * 0.025
         crossings += bool((r[i] <= 1.0).any())
         # strictly above the interface the phase is purely synchronous:
-        # continuous, nonincreasing, below the Riccati curve from the first
-        # point of its run above 1.1 (for the first run, 1/(t + 1/2)); a
-        # later run exists when the mirrored kick of a window that started
-        # within L0 carried r back above 1.1
+        # continuous, nonincreasing, below the Riccati envelope
         strict = r[i] > 1.1
-        s = np.maximum.accumulate(np.where(strict & ~np.r_[False, strict[:-1]],
-                                           np.arange(len(grid)), 0))
-        riccati = 1.0 / (grid - grid[s] + 1.0 / r[i][s])
         band = strict[:-1] & strict[1:]
-        assert np.all(r[i][strict] <= riccati[strict] * (1 + 1e-7))
+        assert np.all(r[i][strict] <= envelope[strict] * (1 + 1e-7))
         assert np.all(np.diff(r[i])[band] <= 1e-12)
     assert crossings >= 13
 
@@ -465,6 +462,58 @@ def test_mirrored_band_merges_at_the_bridge_crossing_rate(monkeypatch):
     assert np.array_equal(ens.xs[ens.merged[:, -1], -1], ens.ys[ens.merged[:, -1], -1])
 
 
+def test_bridge_exits_complete_the_double_barrier_law():
+    # P(first exit at 0) + P(first exit at l0) + P(no exit) = 1, with the
+    # no-exit probability from the classical image sum over k in Z of
+    # phi(c + 2 k l0) - phi(ra + rb + 2 k l0), c = rb - ra; the two exits
+    # swap under r -> l0 - r; a far barrier leaves the one-barrier law
+    l0 = 1.0
+    ra, rb = np.meshgrid([0.05, 0.3, 0.5, 0.9, 1.0], [-0.5, 0.0, 0.1, 0.5, 0.95, 1.0, 1.7])
+    ra, rb = ra.ravel(), rb.ravel()
+    for var in (0.01, 0.3, 1.0, 4.0):
+        v = np.full(ra.shape, var)
+        p0, pl = _bridge_exits(ra, rb, l0, v)
+        k = np.arange(-40, 41)[:, None]
+        phi = lambda z: np.exp(-z * z / (2.0 * var))
+        stay = ((phi(rb - ra + 2 * k * l0) - phi(ra + rb + 2 * k * l0)).sum(axis=0)
+                / phi(rb - ra))
+        stay = np.where((rb > 0.0) & (rb < l0), stay, 0.0)
+        assert np.allclose(p0 + pl + stay, 1.0, rtol=0.0, atol=1e-13)
+        inner = ra < l0
+        q0, ql = _bridge_exits(l0 - ra[inner], l0 - rb[inner], l0, v[inner])
+        assert np.allclose(q0, pl[inner], atol=1e-15)
+        assert np.allclose(ql, p0[inner], atol=1e-15)
+    p0, pl = _bridge_exits(np.array([0.05]), np.array([0.1]), 50.0, np.array([0.01]))
+    assert p0[0] == pytest.approx(math.exp(-2.0 * 0.05 * 0.1 / 0.01), rel=1e-14)
+    assert pl[0] == 0.0
+
+
+def test_mirrored_kick_stops_at_l0_and_keeps_y_gaussian():
+    # the band's separation leaves (0, L0) through L0 with probability about
+    # 2 Phi(-(L0 - r_a) / (2 sd)); such a pair ends exactly at L0, never above,
+    # and y's kick is still N(0, var I) along and across x - y
+    n, l0, ra, var = 20_000, 1.0, 0.9, 0.01
+    rng = np.random.default_rng(41)
+    x = np.zeros((n, 2))
+    y = np.tile([-ra * 0.6, -ra * 0.8], (n, 1))
+    y0 = y.copy()
+    merged = np.zeros(n, dtype=bool)
+    _mirrored_kick(x, y, np.arange(n), np.full(n, var), l0, merged, rng)
+    r = _rownorm(x - y)
+    assert not merged.any()
+    assert r.max() <= l0 * (1.0 + 1e-12)
+    at_l0 = np.abs(r - l0) <= 1e-12
+    want = math.erfc((l0 - ra) / (2.0 * math.sqrt(var)) / math.sqrt(2.0))
+    assert abs(at_l0.mean() - want) <= 4.0 * math.sqrt(want * (1.0 - want) / n)
+    e = np.array([0.6, 0.8])
+    dy = y - y0
+    for comp in (dy @ e, dy @ np.array([-0.8, 0.6])):
+        z = comp / math.sqrt(var)
+        for q in (-1.5, -0.5, 0.0, 0.5, 1.5):
+            p = 0.5 * math.erfc(-q / math.sqrt(2.0))
+            assert abs((z <= q).mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+
+
 def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):
     # no pair has the band beyond L0 (zero drift keeps r = r0) or with
     # lyap=None, so those runs end the stream at the same place and the
@@ -479,11 +528,11 @@ def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):
     assert _ensemble_digest(ens_far) == _ensemble_digest(sync_far)
     assert next_band != next_far  # the band rows draw their variates
     # and lyap=None draws what the engine drew before the band existed: at
-    # the former default floor 2e-3 the synchronous golden keeps the digest
-    # it had then
+    # the former default floor 2e-3 the synchronous golden has the digest of
+    # the engine without the band (with the Lévy constant from math.lgamma)
     old_floor = _golden_synchronous_d1(SchemeConfig(delta_floor=2e-3))
     assert _ensemble_digest(old_floor) == (
-        "417c125797f465c56a9596ff20be08a54753449b4635ed0ea2eb3df045396064")
+        "19a04c797b45a2179fdd05ee1a69ff73b8cd246e2dc93719e0deefccb2add985")
 
 
 def _ensemble_digest(ens) -> str:
@@ -494,7 +543,7 @@ def _ensemble_digest(ens) -> str:
 
 
 def _golden_reflecting_d1():
-    # reflection with a wide merge threshold: 60 of 64 pairs merge by t = 1
+    # reflection with a wide merge threshold: 61 of 64 pairs merge by t = 1
     spec, field, _, lyap = _example_model()
     return simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
                                      spec, lyap, SchemeConfig(eps_couple=5e-2),
@@ -512,7 +561,7 @@ def _golden_synchronous_d1(cfg=SchemeConfig()):
 
 
 def _golden_merging_d2():
-    # 235 of 300 pairs merge by t = 0.5, so the merge step and the rows of
+    # 232 of 300 pairs merge by t = 0.5, so the merge step and the rows of
     # merged pairs inside an event round are exercised
     spec = isotropic_stable(2, 1.7)
     field = linear_drift(1.0, 2)
@@ -524,12 +573,12 @@ def _golden_merging_d2():
 
 
 @pytest.mark.parametrize("make, merged_at_end, sha256", [
-    (_golden_reflecting_d1, 60,
-     "d6ef05e486f726be5be6e984eb90d1091bba490da9df18110626ecd2f9f1f0d6"),
+    (_golden_reflecting_d1, 61,
+     "48fc40a7cfaca739c28fe59d0498f3928f11aa682145d5badeb6ee00ec382714"),
     (_golden_synchronous_d1, 0,
-     "b782f1d1da387eb6c79d0e5768f3a28ccd08a21ec35ff9820ca1145778838e49"),
-    (_golden_merging_d2, 235,
-     "213ddec29733f464facbf2cbce6198e7fc2e0b1595e0cb45cd1abf4aa226bad0"),
+     "0d9590ec156aedba880fb0378a4d33227ee7f4d243896f968a0c1c8b0e945709"),
+    (_golden_merging_d2, 232,
+     "eb646de1b2a1d55faf416e133499cab28623d919df27c2f9d483e869be9b4932"),
 ], ids=["reflecting_d1", "synchronous_d1", "merging_d2"])
 def test_ensemble_golden_digests(make, merged_at_end, sha256):
     # times, xs, ys and merged pinned bitwise (recorded with Python 3.11,
