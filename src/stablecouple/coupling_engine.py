@@ -16,13 +16,13 @@ Without a profile (``lyap=None``) the band is empty, (a, L0) = (0, 0), so
 the same loop runs the purely synchronous coupling.
 
 Time stepping is jump-adapted: within frozen windows of length at most
-``dt_max`` the jump clock runs at the compound-Poisson rate of jumps above a
-truncation radius delta = max(delta_floor, eps_delta a r); drift is
-integrated between events with classical fourth-order steps.  Jump activity
-below delta enters at the window end as a Gaussian kick of the matched
-per-coordinate variance var(delta) h on each component, so each marginal
-keeps the first two moments of the omitted jumps (not their full law) and
-the marginal error shrinks with delta.  The kick is split in two:
+``dt_max`` the jump clock runs at the compound-Poisson rate of jumps above
+the truncation radius delta = ``delta_floor``; drift is integrated between
+events with classical fourth-order steps.  Jump activity below delta enters
+at the window end as a Gaussian kick of the matched per-coordinate variance
+var(delta) h on each component, so each marginal keeps the first two
+moments of the omitted jumps (not their full law) and the marginal error
+shrinks with delta.  The kick is split in two:
 
 - on unmerged pairs within L0 at the kick, the reflected band
   |z| <= min(delta, a r) goes in as a mirrored Gaussian (the reflection
@@ -68,21 +68,18 @@ class DriftBlowupError(RuntimeError):
 class SchemeConfig:
     """Numerical parameters of the coupled simulation scheme.
 
-    ``eps_delta`` truncates explicit jumps at the fraction eps_delta * a * r
-    of the reflection band (never below the absolute floor ``delta_floor``);
+    ``delta_floor`` is the truncation radius: jumps above it are simulated
+    one by one, the activity below it enters as a Gaussian kick.
     ``eps_couple`` is the merge threshold on the separation.  The
     synchronous switch is ``lyap=None`` in :func:`simulate_coupled_ensemble`.
     """
 
     dt_max: float = 1e-2
-    eps_delta: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-2
     max_events: int = 2_000_000_000
 
     def __post_init__(self):
-        if not 0.0 < self.eps_delta < 1.0:
-            raise ValueError("eps_delta must lie in (0, 1)")
         for name in ("eps_couple", "dt_max", "delta_floor"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -358,18 +355,13 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         rec = 1
 
     events = 0
+    split = decompose(spec, cfg.delta_floor)
+    lam = split.rate_above
 
     while rec < T:
         target = float(record_grid[rec])
         while t < target - 1e-12:
             h = min(cfg.dt_max, target - t)
-            r = _rownorm(X - Y)
-            reflecting = (~merged) & (r <= l0)
-            delta = np.where(reflecting,
-                             np.maximum(cfg.delta_floor, cfg.eps_delta * a * r),
-                             cfg.delta_floor)
-            split = decompose(spec, delta)
-            lam = split.rate_above
 
             # one event round: gather the active rows once, drift them to
             # their jump time, jump, settle, scatter once
@@ -393,7 +385,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                                     tj - t_path[idx], live)
                 t_path[idx] = tj
 
-                radius, z = _large_jumps(delta[idx], spec.alpha, d, m, rng)
+                radius, z = _large_jumps(cfg.delta_floor, spec.alpha, d, m, rng)
                 dx, dy = coupled_jump(xi, yi, z, radius, mi, a, l0, rng)
                 xi += dx
                 yi += dy
@@ -401,7 +393,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 X[idx] = xi
                 Y[idx] = yi
                 merged[idx] = mi
-                next_jump[idx] = tj + rng.standard_exponential(m) / lam[idx]
+                next_jump[idx] = tj + rng.standard_exponential(m) / lam
 
             # drift to the window end
             live = ~merged
@@ -414,11 +406,11 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             # cancels in the separation
             r = _rownorm(X - Y)
             band = np.nonzero(~merged & (r > 0.0) & (r <= l0))[0]
-            var = split.small_var_per_coord * h
+            var = np.full(n, split.small_var_per_coord * h)
             g = rng.standard_normal((n, d))
             if band.size:
                 var_band = h * decompose(spec, np.minimum(
-                    delta[band], a * r[band])).small_var_per_coord
+                    cfg.delta_floor, a * r[band])).small_var_per_coord
                 var[band] -= var_band
                 _mirrored_kick(X, Y, band, var_band, l0, merged, rng)
             g *= np.sqrt(var)[:, None]

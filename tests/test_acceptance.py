@@ -466,8 +466,8 @@ def _headline_run(delta_floor: float, eps_couple: float, seed: int):
 
 def test_criterion_09_contraction_headline():
     t0 = time.time()
-    # the robustness run halves delta_floor (delta = delta_floor on every
-    # row: eps_delta a r <= 2.5e-4 never reaches it) and eps_couple
+    # the robustness run halves delta_floor, the truncation radius, and
+    # eps_couple
     floor = SchemeConfig().delta_floor
     base_ok, cert, fit = _headline_run(floor, 1e-6, SEED + 90)
     halved_ok, _, _ = _headline_run(floor / 2.0, 5e-7, SEED + 91)
