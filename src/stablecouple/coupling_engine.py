@@ -4,10 +4,9 @@ A coupled pair (X, Y) driven by the same stable noise evolves, before
 merging, with jumps handled in three channels:
 
 - reflection: when |x - y| <= L0 and the jump satisfies |z| <= a |x - y|,
-  one component receives z and the other its mirror image across the
-  hyperplane orthogonal to x - y (with the two assignments mixed half/half;
-  they are equal in law because the restricted jump measure is mirror
-  invariant);
+  X receives z and Y its mirror image across the hyperplane orthogonal to
+  x - y (Y's jump has the law of X's, because the restricted jump measure
+  is mirror invariant);
 - synchronous: every other jump is applied identically to both components,
   so it cancels in the separation;
 - an optional finite-activity extra jump component, always synchronous.
@@ -132,16 +131,14 @@ def _mirror(z: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                 radius: np.ndarray, merged: np.ndarray, a: float, l0: float,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                 radius: np.ndarray, merged: np.ndarray, a: float,
+                 l0: float) -> tuple[np.ndarray, np.ndarray]:
     """Increments (dx, dy) of one event round: jump z[i] hits pair i.
 
-    Row i reflects when the pair is unmerged, within L0 and hit by a jump of
-    size radius[i] = |z[i]| <= a |x[i] - y[i]|; it then takes one of the
-    mirror assignments (z, phi(z)) and (phi(z), z), chosen by a fair coin.
-    Every other row is synchronous, (z, z).  The coins are drawn, one per
-    row, only when some row reflects, so a round without reflection leaves
-    ``rng`` untouched.  The returned arrays may be ``z`` itself.
+    X always takes z.  Row i reflects when the pair is unmerged, within L0
+    and hit by a jump of size radius[i] = |z[i]| <= a |x[i] - y[i]|; Y then
+    takes the mirror phi(z), else z itself.  The returned arrays may be
+    ``z`` itself.
     """
     diff = x - y
     r = _rownorm(diff)
@@ -149,10 +146,7 @@ def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     if not do_refl.any():
         return z, z
     phi = _mirror(z, diff, np.where(r > 0.0, r, 1.0))
-    swap = rng.random(len(z)) < 0.5
-    dx = np.where((do_refl & swap)[:, None], phi, z)
-    dy = np.where((do_refl & ~swap)[:, None], phi, z)
-    return dx, dy
+    return z, np.where(do_refl[:, None], phi, z)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     rng = derive_stream(seed, 0)
     # synchronous coupling is the empty band: no pair reflects, so
-    # coupled_jump returns (z, z) and draws no coins
+    # coupled_jump returns (z, z)
     a, l0 = (0.0, 0.0) if lyap is None else (float(lyap.a), float(lyap.l0))
     X = np.tile(x0, (n_paths, 1))
     Y = np.tile(y0, (n_paths, 1))
@@ -386,7 +380,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 t_path[idx] = tj
 
                 radius, z = _large_jumps(cfg.delta_floor, spec.alpha, d, m, rng)
-                dx, dy = coupled_jump(xi, yi, z, radius, mi, a, l0, rng)
+                dx, dy = coupled_jump(xi, yi, z, radius, mi, a, l0)
                 xi += dx
                 yi += dy
                 _settle(xi, yi, mi, cfg.eps_couple)

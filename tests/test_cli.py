@@ -373,7 +373,7 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p, sha256", [
-    (1, "1", "03d25ecfb33eb6838bf4a571a74661b356aed35feecfe0dec7b50f6e870485a7"),
+    (1, "1", "2b6ea625a9cb25fd92edf71830379783f85f6fb8bef304a7260baddd05905d60"),
     (2, "2", "53b32eabfae9aa13e0e79f3400280177c130d5e6487cd2c86e40199c83342da1"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
