@@ -34,6 +34,7 @@ from .coupling_engine import (
     lyapunov_decay_series,
     read_positions_csv,
     read_table,
+    require_event_budget,
     require_positive_paths,
     simulate_coupled_ensemble,
     write_paths_csv,
@@ -231,6 +232,11 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
                                  sweep.ratios]))
     print(f"lambda_star = {sweep.lambda_star:.12g}; sweep written to "
           f"{out / 'lyapunov.csv'}")
+    overflow = np.isposinf(sweep.psi)
+    if overflow.any():
+        print(f"warning: psi overflows to inf on {int(overflow.sum())} of "
+              f"{len(overflow)} rows of lyapunov.csv, from r = "
+              f"{sweep.rs[overflow][0]:.6g}", file=sys.stderr)
     sweep.require_certified()
     return EXIT_OK
 
@@ -304,10 +310,10 @@ def cmd_example(cfg: ExperimentConfig) -> int:
     if cfg.force_synchronous:
         raise ValueError("example needs the Lyapunov profile; "
                          "force_synchronous is not supported")
-    scheme_of(cfg)
     record_grid_of(cfg)
     require_positive_paths(cfg.n_paths)
     spec, cond, _, _, _ = resolve_model(cfg)
+    require_event_budget(spec, scheme_of(cfg), cfg.horizon, cfg.n_paths)
     shrinks = 0
     gate = check_small_alpha_gate(spec, cond)
     while not gate.passed:

@@ -35,9 +35,9 @@ shrinks with delta.  The kick is split in two:
   common to both components and cancels in the separation.
 
 Pairs merge (and stick, with Y a bitwise copy of X) at a bridge crossing or
-once the separation falls below ``eps_couple``; the jump intensity grows
-like r^(-alpha) as r -> 0, so a positive threshold bounds the event budget
-at a quantifiable Lyapunov cost psi(eps_couple).
+once the separation falls below ``eps_couple``.  The jump clock runs at one
+constant rate, so the count of explicit jumps has a known mean; it is held
+to a budget before the first window (:func:`require_event_budget`).
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ from .stable_noise import StableSpec, _large_jumps, _rownorm, decompose
 from .streams import derive_stream
 
 _DRIFT_SUBSTEP = 5e-3
+_EVENT_BUDGET = 2e9  # expected explicit jumps one ensemble may draw
 
 
 class EventBudgetError(RuntimeError):
-    """Total jump-event budget exceeded (diverging intensity guard)."""
+    """The expected count of explicit jumps exceeds ``_EVENT_BUDGET``."""
 
 
 class DriftBlowupError(RuntimeError):
@@ -76,7 +77,6 @@ class SchemeConfig:
     dt_max: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-2
-    max_events: int = 2_000_000_000
 
     def __post_init__(self):
         for name in ("eps_couple", "dt_max", "delta_floor"):
@@ -305,6 +305,21 @@ def require_positive_paths(n_paths: int) -> None:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
 
 
+def require_event_budget(spec: StableSpec, cfg: SchemeConfig, horizon: float,
+                         n_paths: int) -> None:
+    """Raise EventBudgetError when the expected count of explicit jumps,
+    rate_above(delta_floor) * horizon * n_paths, exceeds ``_EVENT_BUDGET``.
+
+    The count is Poisson with that mean, since every jump above the constant
+    truncation radius ``delta_floor`` is simulated one by one.
+    """
+    expected = decompose(spec, cfg.delta_floor).rate_above * horizon * n_paths
+    if expected > _EVENT_BUDGET:
+        raise EventBudgetError(
+            f"{expected:.3g} explicit jumps expected, above the budget "
+            f"{_EVENT_BUDGET:g}; raise delta_floor or lower n_paths or horizon")
+
+
 def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               spec: StableSpec, lyap, cfg: SchemeConfig,
                               horizon: float, record_grid: np.ndarray,
@@ -316,9 +331,11 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     so the output depends only on (inputs, seed).  ``lyap`` supplies the
     reflection band (a, L0); ``lyap=None`` is the synchronous switch, the
     empty band (0, 0): every jump is then applied to both components and no
-    pair reflects.
+    pair reflects.  An ensemble over the event budget is refused before the
+    first window.
     """
     require_positive_paths(n_paths)
+    require_event_budget(spec, cfg, horizon, n_paths)
     record_grid = np.asarray(record_grid, dtype=float)
     if record_grid.ndim != 1 or len(record_grid) == 0:
         raise ValueError("record_grid must be a nonempty 1-d array")
@@ -348,7 +365,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         xs[:, 0], ys[:, 0], mg[:, 0] = X, Y, merged
         rec = 1
 
-    events = 0
     split = decompose(spec, cfg.delta_floor)
     lam = split.rate_above
 
@@ -366,12 +382,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 m = idx.size
                 if not m:
                     break
-                events += m
-                if events > cfg.max_events:
-                    raise EventBudgetError(
-                        f"event budget {cfg.max_events} exceeded at t={t:g} "
-                        f"({m} active paths)"
-                    )
                 tj = next_jump[idx]
                 mi = merged[idx]
                 live = ~mi

@@ -88,7 +88,8 @@ def decompose(spec: StableSpec, delta) -> JumpDecomposition:
 
     rate_above = (c_dalpha omega_d / alpha) delta^(-alpha) and
     small_var_per_coord = (c_dalpha omega_d / (d (2-alpha))) delta^(2-alpha);
-    the coupled simulator takes both per path from one array call.
+    the coupled simulator splits at ``delta_floor`` once and takes the
+    reflected band's variance per path from one array call.
     """
     arr = np.asarray(delta, dtype=float)
     if np.any(arr <= 0.0):
@@ -129,9 +130,9 @@ def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
-def _large_jumps(delta, alpha: float, d: int, n: int,
+def _large_jumps(delta: float, alpha: float, d: int, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n jumps above ``delta`` (scalar or per jump): (radii, jumps (n, d)).
+    """n jumps above the radius ``delta``: (radii, jumps (n, d)).
 
     Radius by Pareto inverse CDF, then direction uniform on the sphere.
     """

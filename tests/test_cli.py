@@ -121,11 +121,13 @@ def test_certify_takes_k2_theta_from_the_drift(tmp_path):
     assert inputs["theta_in"] == 3.0
 
 
-@pytest.mark.parametrize("key", ["k2", "theta"])
+@pytest.mark.parametrize("key", ["k2", "theta", "eps_delta"])
 def test_k2_theta_are_not_options(tmp_path, capsys, key):
-    # (K2, theta) come from the drift's claim: no flag or config key sets them
+    # (K2, theta) come from the drift's claim, and delta_floor is the only
+    # truncation radius: no flag or config key sets any of them
     with pytest.raises(SystemExit) as info:
-        run(["certify", f"--{key}", "2", "--out", str(tmp_path / "f")])
+        run(["certify", "--" + key.replace("_", "-"), "2",
+             "--out", str(tmp_path / "f")])
     assert info.value.code == 2
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{key} = 2\n")
@@ -308,6 +310,29 @@ def test_example_checks_simulate_inputs_first(tmp_path, capsys, flags):
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (out / "cert.txt").exists()
+
+
+def test_event_budget_is_checked_before_any_write(tmp_path, capsys):
+    # delta_floor = 1e-7 expects about 6e13 explicit jumps on the default
+    # ensemble: simulate and example both stop at once and write nothing
+    out = tmp_path / "budget"
+    for command in ("simulate", "example"):
+        code = run([command, "--delta-floor", "1e-7", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime guard: ") and "budget" in err
+        assert not out.exists()
+
+
+def test_lyapunov_warns_when_psi_overflows(tmp_path, capsys):
+    # the headline profile saturates: psi is +inf on the sweep's last rows
+    out = tmp_path / "overflow"
+    assert run(["lyapunov", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: psi overflows to inf on 44 of 400 rows of lyapunov.csv, "
+        "from r = 2.8917\n")
+    psi = np.loadtxt(out / "lyapunov.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.isposinf(psi).sum() == 44
 
 
 def test_example_rejects_force_synchronous(tmp_path, capsys):

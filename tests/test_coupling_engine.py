@@ -574,12 +574,22 @@ def test_nonpositive_n_paths_rejected(n_paths):
 
 
 def test_event_budget_guard():
+    # delta_floor = 1e-7 puts about 8e11 expected explicit jumps on 64 paths
+    # over t = 1: the run is refused before the drift is evaluated once
     spec, field, _, lyap = _example_model()
-    cfg = SchemeConfig(max_events=50)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return field.evaluate(x)
+
+    watched = dataclasses.replace(field, evaluate=counted)
     grid = np.array([0.0, 1.0])
-    with pytest.raises(EventBudgetError):
-        simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
-                                  spec, lyap, cfg, 1.0, grid, 64, seed=1)
+    with pytest.raises(EventBudgetError, match="budget"):
+        simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), watched,
+                                  spec, lyap, SchemeConfig(delta_floor=1e-7),
+                                  1.0, grid, 64, seed=1)
+    assert calls == []
 
 
 def test_nan_guard():
