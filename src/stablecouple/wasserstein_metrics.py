@@ -83,45 +83,46 @@ def _pool_size(n_tasks: int) -> int:
 
 
 def _exact_wps(x: np.ndarray, y: np.ndarray, p: float,
-               pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """Exact W_p of ``x[ix]`` against ``y[iy]`` for each (ix, iy) in ``pairs``.
+               samples: list[np.ndarray]) -> list[float]:
+    """Exact W_p of ``x[i]`` against ``y[i]`` for each index array i in
+    ``samples``.
 
     One dimension: sort both samples and pair order statistics (optimal for
-    every convex cost).  Otherwise: one |x_i - y_j|^p matrix for all pairs,
-    each pair's assignment solved on its rows ix and columns iy, the entries
-    a fresh build would give.  scipy's solver releases the GIL, so the solves
-    run on a thread pool; results come back in the order of ``pairs``, so the
-    values do not depend on the worker count.
+    every convex cost).  Otherwise: one |x_i - y_j|^p matrix for all samples,
+    each sample's assignment solved on its rows and columns i, the entries a
+    fresh build would give.  scipy's solver releases the GIL, so the solves
+    run on a thread pool; results come back in the order of ``samples``, so
+    the values do not depend on the worker count.
     """
     if x.shape[1] == 1:
-        matched = [np.abs(np.sort(x[ix, 0]) - np.sort(y[iy, 0])) ** p
-                   for ix, iy in pairs]
+        matched = [np.abs(np.sort(x[i, 0]) - np.sort(y[i, 0])) ** p
+                   for i in samples]
     else:
         # imported here so that a d = 1 run never loads scipy
         from scipy.optimize import linear_sum_assignment
 
         cost = _pairwise_norms(x, y) ** p
 
-        def match(pair):
-            sub = cost[np.ix_(*pair)]
+        def match(i):
+            sub = cost[np.ix_(i, i)]
             return sub[linear_sum_assignment(sub)]
 
-        with ThreadPoolExecutor(max_workers=_pool_size(len(pairs))) as pool:
-            matched = list(pool.map(match, pairs))
+        with ThreadPoolExecutor(max_workers=_pool_size(len(samples))) as pool:
+            matched = list(pool.map(match, samples))
     return [float(c.mean() ** (1.0 / p)) for c in matched]
 
 
 def _resample_pairs(n: int, rng: np.random.Generator,
-                    n_boot: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column indices of ``n_boot`` paired resamples, x before y."""
-    return [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(n_boot)]
+                    n_boot: int) -> list[np.ndarray]:
+    """Indices of ``n_boot`` resamples of the pairs (x_i, y_i): one index
+    array for both sides, so a resample keeps each coupled pair together."""
+    return [rng.integers(0, n, n) for _ in range(n_boot)]
 
 
 def exact_empirical_wp(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
     """Exact W_p between the uniform empirical measures of two equal-size samples."""
     x, y = _wp_inputs(xs, ys, p)
-    identity = np.arange(x.shape[0])
-    return _exact_wps(x, y, p, [(identity, identity)])[0]
+    return _exact_wps(x, y, p, [np.arange(x.shape[0])])[0]
 
 
 def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
@@ -141,8 +142,7 @@ def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
     one pool; the bits equal the two separate calls.
     """
     x, y = _wp_inputs(xs, ys, p)
-    identity = np.arange(x.shape[0])
-    vals = _exact_wps(x, y, p, [(identity, identity)]
+    vals = _exact_wps(x, y, p, [np.arange(x.shape[0])]
                       + _resample_pairs(x.shape[0], rng, n_boot))
     return vals[0], float(np.std(vals[1:], ddof=1))
 

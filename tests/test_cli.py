@@ -398,8 +398,8 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p, sha256", [
-    (1, "1", "2b6ea625a9cb25fd92edf71830379783f85f6fb8bef304a7260baddd05905d60"),
-    (2, "2", "53b32eabfae9aa13e0e79f3400280177c130d5e6487cd2c86e40199c83342da1"),
+    (1, "1", "e469fb39fabde37f9f1d84a128106170090ac26de08711cdfff02ae742cdced9"),
+    (2, "2", "d46d0266adbb3d8633ae36f6f73ab24ef7f237c7638fb51d3fb8f5faf36672ff"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
     # the exact solve and its bootstrap pinned bitwise, on the d = 1 sort

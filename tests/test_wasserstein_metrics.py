@@ -19,6 +19,7 @@ from stablecouple.wasserstein_metrics import (
     exact_empirical_wp,
     exact_wp_with_stderr,
 )
+from stablecouple.stable_noise import isotropic_stable, sample_increment
 from stablecouple.streams import derive_stream
 
 
@@ -159,9 +160,8 @@ def test_bootstrap_reuses_cost_bitwise(d, p):
     rng = rng_at(9)
     vals = []
     for _ in range(15):
-        ix = rng.integers(0, 24, 24)
-        iy = rng.integers(0, 24, 24)
-        vals.append(exact_empirical_wp(xs[ix], ys[iy], p))
+        i = rng.integers(0, 24, 24)
+        vals.append(exact_empirical_wp(xs[i], ys[i], p))
     want = float(np.std(vals, ddof=1))
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
@@ -173,9 +173,8 @@ def serial_exact_and_stderr(xs, ys, p, seed, n_boot):
     n = len(xs)
     vals = []
     for _ in range(n_boot):
-        ix = rng.integers(0, n, n)
-        iy = rng.integers(0, n, n)
-        vals.append(exact_empirical_wp(xs[ix], ys[iy], p))
+        i = rng.integers(0, n, n)
+        vals.append(exact_empirical_wp(xs[i], ys[i], p))
     return exact_empirical_wp(xs, ys, p), float(np.std(vals, ddof=1))
 
 
@@ -201,6 +200,25 @@ def test_exact_wp_with_stderr_one_worker(monkeypatch):
     got = exact_wp_with_stderr(xs, ys, 2.0, derive_stream(15, 0), n_boot=15)
     assert np.array_equal(got, want)
     assert np.array_equal(got, serial_exact_and_stderr(xs, ys, 2.0, 15, 15))
+
+
+def test_bootstrap_stderr_matches_spread_across_seeds():
+    # coupled pairs, as the wp stage gets them: X heavy-tailed, Y = X plus a
+    # small independent shift.  Resampling keeps each pair, so the median
+    # bootstrap se must match the spread of the exact W_p over independent
+    # samples; a resample that splits the pairs overstates it about 25 times.
+    # 48 samples, since the spread of a heavy-tailed W_p is itself noisy
+    spec = isotropic_stable(2, 1.5)
+    exact, se = [], []
+    for seed in range(48):
+        rng = derive_stream(2718, seed)
+        xs = sample_increment(spec, 0.25, rng, size=64)
+        ys = xs + 0.1 * rng.standard_normal(xs.shape)
+        value, stderr = exact_wp_with_stderr(xs, ys, 2.0, rng, n_boot=60)
+        exact.append(value)
+        se.append(stderr)
+    ratio = float(np.median(se)) / float(np.std(exact, ddof=1))
+    assert abs(ratio - 1.0) <= 0.25, ratio
 
 
 def test_pooled_solve_error_reaches_caller():
