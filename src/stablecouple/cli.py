@@ -232,11 +232,10 @@ def cmd_lyapunov(cfg: ExperimentConfig) -> int:
                                  sweep.ratios]))
     print(f"lambda_star = {sweep.lambda_star:.12g}; sweep written to "
           f"{out / 'lyapunov.csv'}")
-    overflow = np.isposinf(sweep.psi)
-    if overflow.any():
-        print(f"warning: psi overflows to inf on {int(overflow.sum())} of "
-              f"{len(overflow)} rows of lyapunov.csv, from r = "
-              f"{sweep.rs[overflow][0]:.6g}", file=sys.stderr)
+    inf_rs = sweep.rs[np.isposinf(sweep.psi)]
+    if inf_rs.size:
+        print(f"warning: psi overflows to inf on {inf_rs.size} of {len(sweep.rs)} "
+              f"rows of lyapunov.csv, from r = {inf_rs[0]:.6g}", file=sys.stderr)
     sweep.require_certified()
     return EXIT_OK
 

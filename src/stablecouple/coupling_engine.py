@@ -307,12 +307,8 @@ def require_positive_paths(n_paths: int) -> None:
 
 def require_event_budget(spec: StableSpec, cfg: SchemeConfig, horizon: float,
                          n_paths: int) -> None:
-    """Raise EventBudgetError when the expected count of explicit jumps,
-    rate_above(delta_floor) * horizon * n_paths, exceeds ``_EVENT_BUDGET``.
-
-    The count is Poisson with that mean, since every jump above the constant
-    truncation radius ``delta_floor`` is simulated one by one.
-    """
+    """Raise EventBudgetError when the explicit jumps, a Poisson count of
+    mean rate_above(delta_floor) * horizon * n_paths, exceed the budget."""
     expected = decompose(spec, cfg.delta_floor).rate_above * horizon * n_paths
     if expected > _EVENT_BUDGET:
         raise EventBudgetError(
@@ -366,7 +362,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         rec = 1
 
     split = decompose(spec, cfg.delta_floor)
-    lam = split.rate_above
 
     while rec < T:
         target = float(record_grid[rec])
@@ -376,7 +371,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             # one event round: gather the active rows once, drift them to
             # their jump time, jump, settle, scatter once
             t_path = np.zeros(n)
-            next_jump = rng.standard_exponential(n) / lam
+            next_jump = rng.standard_exponential(n) / split.rate_above
             while True:
                 idx = np.nonzero(next_jump < h)[0]
                 m = idx.size
@@ -397,7 +392,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 X[idx] = xi
                 Y[idx] = yi
                 merged[idx] = mi
-                next_jump[idx] = tj + rng.standard_exponential(m) / lam
+                next_jump[idx] = tj + rng.standard_exponential(m) / split.rate_above
 
             # drift to the window end
             live = ~merged
