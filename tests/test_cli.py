@@ -399,12 +399,12 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("d, p, sha256", [
     (1, "1", "e469fb39fabde37f9f1d84a128106170090ac26de08711cdfff02ae742cdced9"),
-    (2, "2", "d46d0266adbb3d8633ae36f6f73ab24ef7f237c7638fb51d3fb8f5faf36672ff"),
+    (2, "2", "a85ada93def43c6e5c0273caa508fb7b6f8822f23b2ea9b7e0679975a1a61dc4"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
-    # the exact solve and its bootstrap pinned bitwise, on the d = 1 sort
-    # path and the d >= 2 assignment path (recorded with Python 3.11,
-    # numpy 2.4 and scipy 1.17 on x86-64)
+    # the exact solve and its se pinned bitwise: the d = 1 sort path with its
+    # paired bootstrap, the d >= 2 assignment with its dual plug-in (recorded
+    # with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64)
     out = tmp_path / f"wp{d}"
     base = ["--d", str(d), "--alpha", "1.5", "--beta", "1.5", "--p", p,
             "--seed", "7", "--out", str(out)]
@@ -425,6 +425,27 @@ def test_wp_leaves_no_thread_running(tmp_path):
     before = threading.active_count()
     assert run(["wp"] + base) == EXIT_OK
     assert threading.active_count() == before
+
+
+def test_wp_solves_one_assignment_per_grid_time(tmp_path, monkeypatch):
+    import scipy.optimize
+
+    solve = scipy.optimize.linear_sum_assignment
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    out = tmp_path / "solves"
+    base = ["--d", "2", "--alpha", "1.5", "--beta", "1.5", "--p", "2",
+            "--seed", "5", "--out", str(out)]
+    assert run(["certify"] + base) == EXIT_OK
+    assert run(["simulate", "--paths", "16", "--horizon", "0.25",
+                "--grid-step", "0.125"] + base) == EXIT_OK
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    assert run(["wp"] + base) == EXIT_OK
+    assert calls == [(16, 16)] * 3
 
 
 def test_certify_warns_vacuous_rate(tmp_path, capsys):

@@ -153,16 +153,21 @@ def test_bootstrap_stderr_positive():
 
 @pytest.mark.parametrize("d, p", [(1, 1.0), (2, 2.0), (3, 1.5)])
 def test_bootstrap_reuses_cost_bitwise(d, p):
-    # one cost matrix per call must give the bits of a fresh exact solve per
-    # resample, drawn in the same order
     xs = rng_at(7).standard_normal((24, d))
     ys = rng_at(8).standard_normal((24, d)) + 0.5
-    rng = rng_at(9)
-    vals = []
-    for _ in range(15):
-        i = rng.integers(0, 24, 24)
-        vals.append(exact_empirical_wp(xs[i], ys[i], p))
-    want = float(np.std(vals, ddof=1))
+    if d == 1:
+        # the paired bootstrap: the bits of a fresh exact solve per
+        # resample, drawn in the same order
+        rng = rng_at(9)
+        vals = []
+        for _ in range(15):
+            i = rng.integers(0, 24, 24)
+            vals.append(exact_empirical_wp(xs[i], ys[i], p))
+        want = float(np.std(vals, ddof=1))
+    else:
+        # the dual plug-in on one fresh assignment
+        value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
+        want = wasserstein_metrics._dual_wp_stderr(cost, sigma, value, p)
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
 
@@ -178,51 +183,88 @@ def serial_exact_and_stderr(xs, ys, p, seed, n_boot):
     return exact_empirical_wp(xs, ys, p), float(np.std(vals, ddof=1))
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_exact_wp_with_stderr_is_bitwise_serial(d, p):
-    # 16 solves on one matrix and a pool of at most a few workers
+    # one core call gives the bits of the separate calls; in one dimension
+    # also those of the serial bootstrap loop
     xs = rng_at(10).standard_normal((24, d))
     ys = rng_at(11).standard_normal((24, d)) + 0.5
     got = exact_wp_with_stderr(xs, ys, p, derive_stream(12, 0), n_boot=15)
-    assert np.array_equal(got, serial_exact_and_stderr(xs, ys, p, 12, 15))
+    assert np.array_equal(got[0], exact_empirical_wp(xs, ys, p))
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, derive_stream(12, 0), 15),
                           got[1])
+    if d == 1:
+        assert np.array_equal(got, serial_exact_and_stderr(xs, ys, p, 12, 15))
 
 
-def test_exact_wp_with_stderr_one_worker(monkeypatch):
-    xs = rng_at(13).standard_normal((24, 2))
-    ys = rng_at(14).standard_normal((24, 2))
-    want = exact_wp_with_stderr(xs, ys, 2.0, derive_stream(15, 0), n_boot=15)
-    monkeypatch.setattr(wasserstein_metrics.os, "sched_getaffinity",
-                        lambda pid: {0}, raising=False)
-    assert wasserstein_metrics._pool_size(16) == 1
-    got = exact_wp_with_stderr(xs, ys, 2.0, derive_stream(15, 0), n_boot=15)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got, serial_exact_and_stderr(xs, ys, 2.0, 15, 15))
-
-
-def test_bootstrap_stderr_matches_spread_across_seeds():
+@pytest.mark.parametrize("d, p", [(2, 2.0), (2, 1.0), (3, 2.0)])
+def test_bootstrap_stderr_matches_spread_across_seeds(d, p):
     # coupled pairs, as the wp stage gets them: X heavy-tailed, Y = X plus a
-    # small independent shift.  Resampling keeps each pair, so the median
-    # bootstrap se must match the spread of the exact W_p over independent
+    # small independent shift.  The se must keep each pair together, so its
+    # median must match the spread of the exact W_p over independent
     # samples; a resample that splits the pairs overstates it about 25 times.
     # 48 samples, since the spread of a heavy-tailed W_p is itself noisy
-    spec = isotropic_stable(2, 1.5)
+    spec = isotropic_stable(d, 1.5)
     exact, se = [], []
     for seed in range(48):
         rng = derive_stream(2718, seed)
         xs = sample_increment(spec, 0.25, rng, size=64)
         ys = xs + 0.1 * rng.standard_normal(xs.shape)
-        value, stderr = exact_wp_with_stderr(xs, ys, 2.0, rng, n_boot=60)
+        value, stderr = exact_wp_with_stderr(xs, ys, p, rng, n_boot=60)
         exact.append(value)
         se.append(stderr)
     ratio = float(np.median(se)) / float(np.std(exact, ddof=1))
     assert abs(ratio - 1.0) <= 0.25, ratio
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_dual_potentials_certify_the_assignment(d, p):
+    rng = derive_stream(31, 10 * d + int(2 * p))
+    for n in (2, 7, 40):
+        xs = rng.standard_normal((n, d))
+        ys = 0.5 * xs + rng.standard_normal((n, d))
+        value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
+        u, v = wasserstein_metrics._dual_potentials(cost, sigma)
+        tol = 1e-12 * cost.max()
+        assert (u[:, None] + v[None, :] <= cost + tol).all()
+        assert np.allclose(u + v[sigma], cost[np.arange(n), sigma],
+                           rtol=0.0, atol=tol)
+        assert u.sum() + v.sum() == pytest.approx(n * value ** p, rel=1e-12)
+
+
+def test_dual_rejects_a_non_optimal_assignment(monkeypatch):
+    import scipy.optimize
+
+    solve = scipy.optimize.linear_sum_assignment
+
+    def worse(cost):
+        rows, cols = solve(cost)
+        return rows, np.roll(cols, 1)
+
+    xs = rng_at(17).standard_normal((16, 2))
+    ys = rng_at(18).standard_normal((16, 2))
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", worse)
+    with pytest.raises(ValueError, match="not optimal"):
+        exact_wp_with_stderr(xs, ys, 2.0, rng_at(19))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dual_stderr_is_zero_without_spread(d):
+    # one pair, and the t = 0 point masses, where every pair is (x0, y0);
+    # a RuntimeWarning from a 1-sample sd would fail the test
+    x0 = rng_at(20).standard_normal(d)
+    y0 = x0 + 0.7
+    assert exact_wp_with_stderr(x0[None], y0[None], 1.5, rng_at(21))[1] == 0.0
+    for p in (1.0, 1.5, 2.0):
+        value, se = exact_wp_with_stderr(np.tile(x0, (256, 1)),
+                                         np.tile(y0, (256, 1)), p, rng_at(21))
+        assert value > 0.0 and se == 0.0
+
+
 def test_pooled_solve_error_reaches_caller():
-    # |x - y|^3 overflows to inf everywhere, which the solver rejects
+    # |x - y|^3 overflows to inf everywhere, which the exact solve rejects
     xs = np.full((8, 2), 1e150)
     before = threading.active_count()
     with np.errstate(over="ignore"):
