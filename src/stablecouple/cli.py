@@ -51,7 +51,6 @@ from .lyapunov import (
     rate_sweep,
 )
 from .stable_noise import _rownorm, isotropic_stable
-from .streams import derive_stream
 from .wasserstein_metrics import _ASSIGNMENT_CAP as _EXACT_WP_CAP
 from .wasserstein_metrics import (
     DegenerateFitError,
@@ -277,7 +276,6 @@ def cmd_wp(cfg: ExperimentConfig) -> int:
     cert = ContractionCertificate.from_record(cert_file.read_text())
     p = cert.p
     r0 = float(_rownorm(ens.xs[:, 0, :] - ens.ys[:, 0, :]).mean())
-    rng = derive_stream(cfg.seed, 997)
 
     flags = 0
     rows = []
@@ -285,7 +283,7 @@ def cmd_wp(cfg: ExperimentConfig) -> int:
         xs, ys = ens.xs[:, k, :], ens.ys[:, k, :]
         upper, upper_se = coupling_wp_upper(xs, ys, p)
         if ens.n_paths <= _EXACT_WP_CAP:
-            exact, exact_se = exact_wp_with_stderr(xs, ys, p, rng, n_boot=60)
+            exact, exact_se = exact_wp_with_stderr(xs, ys, p)
         else:
             exact, exact_se = float("nan"), float("nan")
         bound = cert.wp_bound(float(t), r0)

@@ -3,8 +3,8 @@
 Every stochastic routine in the package takes an explicit
 ``numpy.random.Generator``.  Streams are derived from a master seed by
 counter-based derivation: each ensemble draws from one stream (index 0),
-and other consumers, such as the W_p bootstrap, take their own index, so a
-run is reproducible from (configuration, seed) alone.
+so a run is reproducible from (configuration, seed) alone.  The W_p columns
+draw no random numbers; they are a function of the recorded positions.
 """
 
 from __future__ import annotations

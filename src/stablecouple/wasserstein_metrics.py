@@ -6,10 +6,11 @@ shortest augmenting paths (with a provably optimal sorting fast path in one
 dimension).  Any coupling of the two samples gives an upper bound; the paired
 ensemble mean (E |x - y|^p)^(1/p) is the one used throughout.
 
-The standard error of the exact value treats (x_i, y_i) as coupled pairs.
-In one dimension it is a paired bootstrap, one sort per resample.  For
-d >= 2 it comes from the dual potentials of the one assignment that gives
-the value, so each call makes a single solve.
+The standard error of the exact value treats (x_i, y_i) as coupled pairs:
+the delta method on h_i = u_i + v_i from the dual potentials of the optimal
+pairing.  Those potentials come from two scans over the sorted samples in
+one dimension and from the one assignment that gives the value for d >= 2,
+so the error bar draws no random numbers.
 """
 
 from __future__ import annotations
@@ -76,18 +77,30 @@ def _pairwise_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _rownorm(a[:, None, :] - b[None, :, :])
 
 
-def _resample_pairs(n: int, rng: np.random.Generator,
-                    n_boot: int) -> list[np.ndarray]:
-    """Indices of ``n_boot`` resamples of the pairs (x_i, y_i): one index
-    array for both sides, so a resample keeps each coupled pair together."""
-    return [rng.integers(0, n, n) for _ in range(n_boot)]
+def _sorted_wp(x: np.ndarray, y: np.ndarray,
+               p: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact W_p of two one-dimensional samples, which pairs the order
+    statistics (optimal for every convex cost), with the dual potentials
+    (u, v) of that pairing: u_i belongs to x_i and v_j to y_j.
 
-
-def _sorted_wp(x: np.ndarray, y: np.ndarray, p: float) -> float:
-    """Exact W_p of two one-dimensional samples: pair the order statistics,
-    which is optimal for every convex cost."""
-    return float((np.abs(np.sort(x[:, 0]) - np.sort(y[:, 0])) ** p).mean()
-                 ** (1.0 / p))
+    On sorted samples C_ij = |x_i - y_j|^p is Monge for p >= 1, so a
+    shortest path of :func:`_dual_potentials` never skips a column and
+    never turns back (that would close a cycle, of nonnegative length at
+    an optimum).  Its fixed point from v = 0 is then one scan up the
+    adjacent columns and one scan down.
+    """
+    ix = np.argsort(x[:, 0], kind="stable")
+    iy = np.argsort(y[:, 0], kind="stable")
+    xs, ys = x[ix, 0], y[iy, 0]
+    matched = np.abs(xs - ys) ** p
+    value = float(matched.mean() ** (1.0 / p))
+    up = np.cumsum(np.r_[0.0, np.abs(xs[:-1] - ys[1:]) ** p - matched[:-1]])
+    down = np.cumsum(np.r_[0.0, np.abs(xs[1:] - ys[:-1]) ** p - matched[1:]])
+    v_sorted = up - np.maximum.accumulate(up) + down
+    v_sorted = np.minimum.accumulate(v_sorted[::-1])[::-1] - down
+    u, v = np.empty_like(matched), np.empty_like(matched)
+    u[ix], v[iy] = matched - v_sorted, v_sorted
+    return value, u, v
 
 
 def _assigned_wp(x: np.ndarray, y: np.ndarray,
@@ -134,65 +147,58 @@ def _dual_potentials(cost: np.ndarray,
                      f"still move after {n} Bellman-Ford sweeps")
 
 
-def _dual_wp_stderr(cost: np.ndarray, sigma: np.ndarray, value: float,
-                    p: float) -> float:
-    """Standard error of the exact W_p ``value`` from the dual potentials
-    (u, v) of its assignment.
+def _dual_wp_stderr(h: np.ndarray, value: float, p: float) -> float:
+    """Standard error of a W_p ``value`` whose p-th power is mean_i h_i to
+    first order in the pairs (x_i, y_i): se(W_p^p) = sd_i(h_i) / sqrt(n),
+    carried to W_p by the delta method.
 
-    The linearisation of the optimal cost (del Barrio & Loubes 2019,
-    Sommerfeld & Munk 2018) gives W_p^p = mean_i (u_i + v_i) to first order
-    in the pairs (x_i, y_i), so se(W_p^p) = sd_i(u_i + v_i) / sqrt(n); the
-    delta method carries it to W_p.  Taking u_i and v_i from one pair keeps
-    the covariance of the coupled samples.
+    For the exact value h_i = u_i + v_i from the dual potentials, the
+    linearisation of the optimal cost (del Barrio & Loubes 2019, Sommerfeld
+    & Munk 2018); taking u_i and v_i from one pair keeps the covariance of
+    the coupled samples.
     """
-    n = len(sigma)
-    if n == 1:
+    n = len(h)
+    if n == 1 or value == 0.0:
         return 0.0
-    u, v = _dual_potentials(cost, sigma)
-    h = u + v
     # centred on h[0] so that equal contributions give exactly 0
     se_m = float(np.std(h - h[0], ddof=1) / math.sqrt(n))
-    return se_m / (p * value ** (p - 1.0)) if value > 0.0 else 0.0
+    return se_m / (p * value ** (p - 1.0))
 
 
 def exact_empirical_wp(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
     """Exact W_p between the uniform empirical measures of two equal-size samples."""
     x, y = _wp_inputs(xs, ys, p)
     if x.shape[1] == 1:
-        return _sorted_wp(x, y, p)
+        return _sorted_wp(x, y, p)[0]
     return _assigned_wp(x, y, p)[0]
 
 
-def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
-                         rng: np.random.Generator,
-                         n_boot: int = 100) -> tuple[float, float]:
+def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray,
+                         p: float) -> tuple[float, float]:
     """``exact_empirical_wp`` and its standard error from one core call.
 
-    The samples are pairs: (x_i, y_i) come from one coupled path.  In one
-    dimension the se is the paired bootstrap over ``n_boot`` resamples drawn
-    from ``rng``, each solved by sorting.  For d >= 2 it is the dual plug-in
-    of :func:`_dual_wp_stderr` on the one assignment that gives the value;
-    ``rng`` and ``n_boot`` are then unused.
+    The samples are pairs: (x_i, y_i) come from one coupled path.  The se is
+    :func:`_dual_wp_stderr` on the dual potentials of the optimal pairing.
     """
     x, y = _wp_inputs(xs, ys, p)
     if x.shape[1] == 1:
-        vals = [_sorted_wp(x[i], y[i], p)
-                for i in _resample_pairs(x.shape[0], rng, n_boot)]
-        return _sorted_wp(x, y, p), float(np.std(vals, ddof=1))
-    value, cost, sigma = _assigned_wp(x, y, p)
-    return value, _dual_wp_stderr(cost, sigma, value, p)
+        value, u, v = _sorted_wp(x, y, p)
+    else:
+        value, cost, sigma = _assigned_wp(x, y, p)
+        u, v = _dual_potentials(cost, sigma)
+    return value, _dual_wp_stderr(u + v, value, p)
 
 
 def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
                         rng: np.random.Generator, n_boot: int = 100) -> float:
     """The standard error of :func:`exact_wp_with_stderr`, alone.
 
-    The name stays for the benchmark's traced replay, which calls it after
-    ``exact_empirical_wp``, until that replay runs ``exact_wp_with_stderr``
-    as the CLI does (ROADMAP item 7).  For d >= 2 it is the dual plug-in,
-    not a bootstrap.
+    The name and signature stay for the benchmark's traced replay, which
+    calls it after ``exact_empirical_wp``; ``rng`` and ``n_boot`` are unused
+    until that replay runs ``exact_wp_with_stderr`` as the CLI does (ROADMAP
+    item 7).  It is the dual plug-in, not a bootstrap.
     """
-    return exact_wp_with_stderr(xs, ys, p, rng, n_boot)[1]
+    return exact_wp_with_stderr(xs, ys, p)[1]
 
 
 @dataclass(frozen=True)

@@ -398,13 +398,13 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p, sha256", [
-    (1, "1", "e469fb39fabde37f9f1d84a128106170090ac26de08711cdfff02ae742cdced9"),
+    (1, "1", "e4d6bf991f153f9ece356ee03185dc3eaba67f6410b025c37922e18d6ad24b41"),
     (2, "2", "a85ada93def43c6e5c0273caa508fb7b6f8822f23b2ea9b7e0679975a1a61dc4"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
-    # the exact solve and its se pinned bitwise: the d = 1 sort path with its
-    # paired bootstrap, the d >= 2 assignment with its dual plug-in (recorded
-    # with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64)
+    # the exact solve and its se pinned bitwise: the d = 1 sort path and the
+    # d >= 2 assignment, each with its dual plug-in (recorded with Python
+    # 3.11, numpy 2.4 and scipy 1.17 on x86-64)
     out = tmp_path / f"wp{d}"
     base = ["--d", str(d), "--alpha", "1.5", "--beta", "1.5", "--p", p,
             "--seed", "7", "--out", str(out)]
@@ -413,6 +413,23 @@ def test_wp_golden_digests(tmp_path, d, p, sha256):
                 "--grid-step", "0.125"] + base) == EXIT_OK
     assert run(["wp"] + base) == EXIT_OK
     assert hashlib.sha256((out / "wp.csv").read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("d, p", [(1, "1"), (2, "2")])
+def test_wp_is_a_function_of_its_inputs(tmp_path, d, p):
+    # wp draws no random numbers: another seed on the same positions.csv
+    # and cert.txt writes the same bytes
+    out = tmp_path / f"pure{d}"
+    base = ["--d", str(d), "--alpha", "1.5", "--beta", "1.5", "--p", p,
+            "--out", str(out)]
+    assert run(["certify"] + base) == EXIT_OK
+    assert run(["simulate", "--paths", "32", "--horizon", "0.25",
+                "--grid-step", "0.125", "--seed", "7"] + base) == EXIT_OK
+    written = []
+    for seed in ("7", "8"):
+        assert run(["wp", "--seed", seed] + base) == EXIT_OK
+        written.append((out / "wp.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_wp_leaves_no_thread_running(tmp_path):

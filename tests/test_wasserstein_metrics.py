@@ -151,54 +151,62 @@ def test_bootstrap_stderr_positive():
     assert se > 0.0
 
 
+def potentials(xs, ys, p):
+    """The exact value and the dual potentials (u, v) that give its se."""
+    if xs.shape[1] == 1:
+        return wasserstein_metrics._sorted_wp(xs, ys, p)
+    value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
+    return (value, *wasserstein_metrics._dual_potentials(cost, sigma))
+
+
 @pytest.mark.parametrize("d, p", [(1, 1.0), (2, 2.0), (3, 1.5)])
 def test_bootstrap_reuses_cost_bitwise(d, p):
+    # the dual plug-in on one fresh solve; rng and n_boot are unused
     xs = rng_at(7).standard_normal((24, d))
     ys = rng_at(8).standard_normal((24, d)) + 0.5
-    if d == 1:
-        # the paired bootstrap: the bits of a fresh exact solve per
-        # resample, drawn in the same order
-        rng = rng_at(9)
-        vals = []
-        for _ in range(15):
-            i = rng.integers(0, 24, 24)
-            vals.append(exact_empirical_wp(xs[i], ys[i], p))
-        want = float(np.std(vals, ddof=1))
-    else:
-        # the dual plug-in on one fresh assignment
-        value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
-        want = wasserstein_metrics._dual_wp_stderr(cost, sigma, value, p)
+    value, u, v = potentials(xs, ys, p)
+    want = wasserstein_metrics._dual_wp_stderr(u + v, value, p)
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
 
 
-def serial_exact_and_stderr(xs, ys, p, seed, n_boot):
-    """The exact value and the per-resample loop, one solve after another."""
-    rng = derive_stream(seed, 0)
-    n = len(xs)
-    vals = []
-    for _ in range(n_boot):
-        i = rng.integers(0, n, n)
-        vals.append(exact_empirical_wp(xs[i], ys[i], p))
-    return exact_empirical_wp(xs, ys, p), float(np.std(vals, ddof=1))
+def serial_exact_and_stderr(xs, ys, p):
+    """The exact value and the dual se from Bellman-Ford on the full cost
+    matrix, whatever the dimension; in one dimension sigma pairs the ranks."""
+    cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
+    if xs.shape[1] == 1:
+        sigma = np.empty(len(xs), dtype=int)
+        sigma[np.argsort(xs[:, 0], kind="stable")] = np.argsort(ys[:, 0],
+                                                                kind="stable")
+    else:
+        sigma = wasserstein_metrics._assigned_wp(xs, ys, p)[2]
+    u, v = wasserstein_metrics._dual_potentials(cost, sigma)
+    value = exact_empirical_wp(xs, ys, p)
+    return value, wasserstein_metrics._dual_wp_stderr(u + v, value, p)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_exact_wp_with_stderr_is_bitwise_serial(d, p):
-    # one core call gives the bits of the separate calls; in one dimension
-    # also those of the serial bootstrap loop
+    # one core call gives the bits of the separate calls; and the se of the
+    # Bellman-Ford potentials on the full matrix, bitwise for d >= 2 (the
+    # same solve) and to rounding in one dimension (the sorted scans)
     xs = rng_at(10).standard_normal((24, d))
     ys = rng_at(11).standard_normal((24, d)) + 0.5
-    got = exact_wp_with_stderr(xs, ys, p, derive_stream(12, 0), n_boot=15)
+    got = exact_wp_with_stderr(xs, ys, p)
     assert np.array_equal(got[0], exact_empirical_wp(xs, ys, p))
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, derive_stream(12, 0), 15),
                           got[1])
+    want = serial_exact_and_stderr(xs, ys, p)
+    assert got[0] == want[0]
     if d == 1:
-        assert np.array_equal(got, serial_exact_and_stderr(xs, ys, p, 12, 15))
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+    else:
+        assert got[1] == want[1]
 
 
-@pytest.mark.parametrize("d, p", [(2, 2.0), (2, 1.0), (3, 2.0)])
+@pytest.mark.parametrize("d, p", [(1, 1.0), (1, 2.0), (2, 2.0), (2, 1.0),
+                                  (3, 2.0)])
 def test_bootstrap_stderr_matches_spread_across_seeds(d, p):
     # coupled pairs, as the wp stage gets them: X heavy-tailed, Y = X plus a
     # small independent shift.  The se must keep each pair together, so its
@@ -211,27 +219,43 @@ def test_bootstrap_stderr_matches_spread_across_seeds(d, p):
         rng = derive_stream(2718, seed)
         xs = sample_increment(spec, 0.25, rng, size=64)
         ys = xs + 0.1 * rng.standard_normal(xs.shape)
-        value, stderr = exact_wp_with_stderr(xs, ys, p, rng, n_boot=60)
+        value, stderr = exact_wp_with_stderr(xs, ys, p)
         exact.append(value)
         se.append(stderr)
     ratio = float(np.median(se)) / float(np.std(exact, ddof=1))
     assert abs(ratio - 1.0) <= 0.25, ratio
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_dual_potentials_certify_the_assignment(d, p):
+    # feasible on the full matrix and tight on the optimal pairing; in one
+    # dimension the sorted scans also give Bellman-Ford's potentials on the
+    # pairing of the ranks, with repeated values and merged pairs x_i = y_i
     rng = derive_stream(31, 10 * d + int(2 * p))
     for n in (2, 7, 40):
         xs = rng.standard_normal((n, d))
         ys = 0.5 * xs + rng.standard_normal((n, d))
-        value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
-        u, v = wasserstein_metrics._dual_potentials(cost, sigma)
+        if d == 1:
+            xs = np.round(xs, 1)
+            ys[::3] = xs[::3]
+            value, u, v = wasserstein_metrics._sorted_wp(xs, ys, p)
+            cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
+            sigma = np.empty(n, dtype=int)
+            sigma[np.argsort(xs[:, 0], kind="stable")] = np.argsort(
+                ys[:, 0], kind="stable")
+        else:
+            value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
+            u, v = wasserstein_metrics._dual_potentials(cost, sigma)
         tol = 1e-12 * cost.max()
         assert (u[:, None] + v[None, :] <= cost + tol).all()
         assert np.allclose(u + v[sigma], cost[np.arange(n), sigma],
                            rtol=0.0, atol=tol)
         assert u.sum() + v.sum() == pytest.approx(n * value ** p, rel=1e-12)
+        if d == 1:
+            bellman_ford = wasserstein_metrics._dual_potentials(cost, sigma)
+            assert np.allclose(u, bellman_ford[0], rtol=0.0, atol=tol)
+            assert np.allclose(v, bellman_ford[1], rtol=0.0, atol=tol)
 
 
 def test_dual_rejects_a_non_optimal_assignment(monkeypatch):
@@ -247,19 +271,19 @@ def test_dual_rejects_a_non_optimal_assignment(monkeypatch):
     ys = rng_at(18).standard_normal((16, 2))
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", worse)
     with pytest.raises(ValueError, match="not optimal"):
-        exact_wp_with_stderr(xs, ys, 2.0, rng_at(19))
+        exact_wp_with_stderr(xs, ys, 2.0)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_dual_stderr_is_zero_without_spread(d):
     # one pair, and the t = 0 point masses, where every pair is (x0, y0);
     # a RuntimeWarning from a 1-sample sd would fail the test
     x0 = rng_at(20).standard_normal(d)
     y0 = x0 + 0.7
-    assert exact_wp_with_stderr(x0[None], y0[None], 1.5, rng_at(21))[1] == 0.0
+    assert exact_wp_with_stderr(x0[None], y0[None], 1.5)[1] == 0.0
     for p in (1.0, 1.5, 2.0):
         value, se = exact_wp_with_stderr(np.tile(x0, (256, 1)),
-                                         np.tile(y0, (256, 1)), p, rng_at(21))
+                                         np.tile(y0, (256, 1)), p)
         assert value > 0.0 and se == 0.0
 
 
@@ -271,7 +295,7 @@ def test_pooled_solve_error_reaches_caller():
         with pytest.raises(ValueError) as serial:
             exact_empirical_wp(xs, -xs, 3.0)
         with pytest.raises(type(serial.value)):
-            exact_wp_with_stderr(xs, -xs, 3.0, rng_at(16), n_boot=5)
+            exact_wp_with_stderr(xs, -xs, 3.0)
         with pytest.raises(type(serial.value)):
             bootstrap_wp_stderr(xs, -xs, 3.0, rng_at(16), n_boot=5)
     assert threading.active_count() == before
