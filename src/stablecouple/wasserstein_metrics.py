@@ -6,11 +6,12 @@ shortest augmenting paths (with a provably optimal sorting fast path in one
 dimension).  Any coupling of the two samples gives an upper bound; the paired
 ensemble mean (E |x - y|^p)^(1/p) is the one used throughout.
 
-The standard error of the exact value treats (x_i, y_i) as coupled pairs:
-the delta method on h_i = u_i + v_i from the dual potentials of the optimal
-pairing.  Those potentials come from two scans over the sorted samples in
-one dimension and from the one assignment that gives the value for d >= 2,
-so the error bar draws no random numbers.
+Both W_p columns carry one standard error, the delta method on per-pair
+contributions h_i that treat (x_i, y_i) as coupled pairs: h_i = |x_i - y_i|^p
+for the coupling bound, and h_i = u_i + v_i from the dual potentials of the
+optimal pairing for the exact value.  Those potentials come from two scans
+over the sorted samples in one dimension and from the one assignment that
+gives the value for d >= 2, so the error bar draws no random numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def require_order(p: float) -> None:
 
 
 def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, float]:
-    """Coupling upper bound (mean |x_i - y_i|^p)^(1/p) with delta-method stderr.
+    """Coupling upper bound (mean |x_i - y_i|^p)^(1/p) with its standard error.
 
     The pairs realize one particular coupling of the two marginals, so the
     value dominates the true Wasserstein distance.
@@ -47,12 +48,8 @@ def coupling_wp_upper(xs: np.ndarray, ys: np.ndarray, p: float) -> tuple[float, 
         raise ValueError("need equally many x and y points")
     require_order(p)
     cost = _rownorm(xs - ys) ** p
-    m = float(cost.mean())
-    n = len(cost)
-    se_m = float(cost.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    value = m ** (1.0 / p)
-    stderr = se_m / p * m ** (1.0 / p - 1.0) if m > 0.0 else 0.0
-    return value, stderr
+    value = float(cost.mean()) ** (1.0 / p)
+    return value, _wp_stderr(cost, value, p)
 
 
 def _wp_inputs(xs: np.ndarray, ys: np.ndarray,
@@ -147,12 +144,12 @@ def _dual_potentials(cost: np.ndarray,
                      f"still move after {n} Bellman-Ford sweeps")
 
 
-def _dual_wp_stderr(h: np.ndarray, value: float, p: float) -> float:
+def _wp_stderr(h: np.ndarray, value: float, p: float) -> float:
     """Standard error of a W_p ``value`` whose p-th power is mean_i h_i to
     first order in the pairs (x_i, y_i): se(W_p^p) = sd_i(h_i) / sqrt(n),
     carried to W_p by the delta method.
 
-    For the exact value h_i = u_i + v_i from the dual potentials, the
+    For the coupling bound h_i = |x_i - y_i|^p.  For the exact value h_i = u_i + v_i from the dual potentials, the
     linearisation of the optimal cost (del Barrio & Loubes 2019, Sommerfeld
     & Munk 2018); taking u_i and v_i from one pair keeps the covariance of
     the coupled samples.
@@ -178,7 +175,7 @@ def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray,
     """``exact_empirical_wp`` and its standard error from one core call.
 
     The samples are pairs: (x_i, y_i) come from one coupled path.  The se is
-    :func:`_dual_wp_stderr` on the dual potentials of the optimal pairing.
+    :func:`_wp_stderr` on the dual potentials of the optimal pairing.
     """
     x, y = _wp_inputs(xs, ys, p)
     if x.shape[1] == 1:
@@ -186,7 +183,7 @@ def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray,
     else:
         value, cost, sigma = _assigned_wp(x, y, p)
         u, v = _dual_potentials(cost, sigma)
-    return value, _dual_wp_stderr(u + v, value, p)
+    return value, _wp_stderr(u + v, value, p)
 
 
 def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,

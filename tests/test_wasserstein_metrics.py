@@ -165,7 +165,7 @@ def test_bootstrap_reuses_cost_bitwise(d, p):
     xs = rng_at(7).standard_normal((24, d))
     ys = rng_at(8).standard_normal((24, d)) + 0.5
     value, u, v = potentials(xs, ys, p)
-    want = wasserstein_metrics._dual_wp_stderr(u + v, value, p)
+    want = wasserstein_metrics._wp_stderr(u + v, value, p)
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
 
@@ -182,7 +182,7 @@ def serial_exact_and_stderr(xs, ys, p):
         sigma = wasserstein_metrics._assigned_wp(xs, ys, p)[2]
     u, v = wasserstein_metrics._dual_potentials(cost, sigma)
     value = exact_empirical_wp(xs, ys, p)
-    return value, wasserstein_metrics._dual_wp_stderr(u + v, value, p)
+    return value, wasserstein_metrics._wp_stderr(u + v, value, p)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -272,6 +272,19 @@ def test_dual_rejects_a_non_optimal_assignment(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", worse)
     with pytest.raises(ValueError, match="not optimal"):
         exact_wp_with_stderr(xs, ys, 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_both_stderrs_are_zero_at_the_point_masses(d, p):
+    # n = 1000 pairs (x0, y0) at r0 = 0.7, as the wp stage sees t = 0: both
+    # se columns are exactly 0, not the rounding noise of an uncentred sd
+    x0 = np.full(d, 0.35)
+    y0 = np.full(d, -0.35)
+    x0[1:] = y0[1:] = 0.0
+    xs, ys = np.tile(x0, (1000, 1)), np.tile(y0, (1000, 1))
+    assert coupling_wp_upper(xs, ys, p)[1] == 0.0
+    assert exact_wp_with_stderr(xs, ys, p)[1] == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
