@@ -95,7 +95,6 @@ class ExperimentConfig:
     y0: str = ""
     seed: int = 20250810
     out: str = "runs/out"
-    dt_max: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-2
     force_synchronous: bool = False
@@ -173,8 +172,7 @@ def resolve_model(cfg: ExperimentConfig):
 
 
 def scheme_of(cfg: ExperimentConfig) -> SchemeConfig:
-    return SchemeConfig(dt_max=cfg.dt_max, eps_couple=cfg.eps_couple,
-                        delta_floor=cfg.delta_floor)
+    return SchemeConfig(eps_couple=cfg.eps_couple, delta_floor=cfg.delta_floor)
 
 
 def record_grid_of(cfg: ExperimentConfig) -> np.ndarray:

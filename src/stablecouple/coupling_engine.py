@@ -15,7 +15,7 @@ Without a profile (``lyap=None``) the band is empty, (a, L0) = (0, 0), so
 the same loop runs the purely synchronous coupling.
 
 Time stepping is jump-adapted: within frozen windows of length at most
-``dt_max`` the jump clock runs at the compound-Poisson rate of jumps above
+``_WINDOW`` the jump clock runs at the compound-Poisson rate of jumps above
 the truncation radius delta = ``delta_floor``; drift is integrated between
 events with classical fourth-order steps.  Jump activity below delta enters
 at the window end as a Gaussian kick of the matched per-coordinate variance
@@ -53,6 +53,7 @@ from .stable_noise import StableSpec, _large_jumps, _rownorm, decompose
 from .streams import derive_stream
 
 _DRIFT_SUBSTEP = 5e-3
+_WINDOW = 1e-2  # longest window between two window-end kicks
 _EVENT_BUDGET = 2e9  # expected explicit jumps one ensemble may draw
 
 
@@ -74,12 +75,11 @@ class SchemeConfig:
     synchronous switch is ``lyap=None`` in :func:`simulate_coupled_ensemble`.
     """
 
-    dt_max: float = 1e-2
     eps_couple: float = 1e-6
     delta_floor: float = 2e-2
 
     def __post_init__(self):
-        for name in ("eps_couple", "dt_max", "delta_floor"):
+        for name in ("eps_couple", "delta_floor"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -366,7 +366,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     while rec < T:
         target = float(record_grid[rec])
         while t < target - 1e-12:
-            h = min(cfg.dt_max, target - t)
+            h = min(_WINDOW, target - t)
 
             # one event round: gather the active rows once, drift them to
             # their jump time, jump, settle, scatter once

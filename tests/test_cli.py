@@ -121,10 +121,11 @@ def test_certify_takes_k2_theta_from_the_drift(tmp_path):
     assert inputs["theta_in"] == 3.0
 
 
-@pytest.mark.parametrize("key", ["k2", "theta", "eps_delta"])
+@pytest.mark.parametrize("key", ["k2", "theta", "eps_delta", "dt_max"])
 def test_k2_theta_are_not_options(tmp_path, capsys, key):
-    # (K2, theta) come from the drift's claim, and delta_floor is the only
-    # truncation radius: no flag or config key sets any of them
+    # (K2, theta) come from the drift's claim, delta_floor is the only
+    # truncation radius and the window length is a constant of the engine:
+    # no flag or config key sets any of them
     with pytest.raises(SystemExit) as info:
         run(["certify", "--" + key.replace("_", "-"), "2",
              "--out", str(tmp_path / "f")])
@@ -300,7 +301,7 @@ def test_example_invalid_beta(tmp_path, capsys):
         "configuration error: beta must exceed 1")
 
 
-@pytest.mark.parametrize("flags", [["--paths", "0"], ["--dt-max", "0"],
+@pytest.mark.parametrize("flags", [["--paths", "0"], ["--eps-couple", "0"],
                                    ["--grid-step", "0"]])
 def test_example_checks_simulate_inputs_first(tmp_path, capsys, flags):
     # an invalid simulate input stops the run before certify writes
@@ -474,7 +475,7 @@ def test_certify_warns_vacuous_rate(tmp_path, capsys):
 
 
 def test_simulate_warns_no_merge(tmp_path, capsys):
-    # one window of length dt_max from r0 = 0.5: no explicit jump reflects
+    # one window of the engine's length 0.01 from r0 = 0.5: no explicit jump reflects
     # (a r0 < delta_floor) and the mirrored kick would have to move the
     # separation by about 7 of its standard deviations, so no pair merges
     out = tmp_path / "nomerge"
@@ -505,7 +506,7 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
     ["certify", "--drift", "monomial", "--drift-q", "-0.5"],
     ["certify", "--beta", "0.5"],
     ["certify", "--d", "0"],
-    ["simulate", "--dt-max", "0"],
+    ["simulate", "--delta-floor", "0"],
     ["simulate", "--x0", "1,2"],
     ["certify", "--l0", "inf"],
     ["certify", "--k1", "nan"],
@@ -513,7 +514,7 @@ def test_healthy_model_prints_no_warning(tmp_path, capsys):
     ["certify", "--p", "nan"],
     ["certify", "--p", "inf"],
     ["simulate", "--eps-couple", "nan"],
-    ["simulate", "--dt-max", "nan"],
+    ["simulate", "--delta-floor", "nan"],
     ["simulate", "--horizon", "inf"],
     ["simulate", "--r0", "nan"],
     ["simulate", "--x0", "nan"],

@@ -17,6 +17,7 @@ from stablecouple.coupling_engine import (
     EventBudgetError,
     ExcessComponent,
     SchemeConfig,
+    _WINDOW,
     _mirror,
     _mirrored_kick,
     coupled_jump,
@@ -399,7 +400,7 @@ _NULL_FIELD = DriftField(evaluate=lambda x: np.zeros_like(x), d=1, label="null")
 
 
 def _one_window(monkeypatch, r0: float, lyap, n: int = 20_000):
-    """One window of length dt_max from (r0/2, -r0/2) under zero drift: the
+    """One window of the engine's length from (r0/2, -r0/2) under zero drift: the
     ensemble, and the next draws of the engine's stream after the run."""
     import stablecouple.coupling_engine as engine
 
@@ -410,7 +411,7 @@ def _one_window(monkeypatch, r0: float, lyap, n: int = 20_000):
         return streams[-1]
 
     monkeypatch.setattr(engine, "derive_stream", spy)
-    h = SchemeConfig().dt_max
+    h = engine._WINDOW
     ens = simulate_coupled_ensemble(np.array([0.5 * r0]), np.array([-0.5 * r0]),
                                     _NULL_FIELD, isotropic_stable(1, 1.5), lyap,
                                     SchemeConfig(), h, np.array([0.0, h]), n,
@@ -428,7 +429,7 @@ def test_mirrored_band_merges_at_the_bridge_crossing_rate(monkeypatch):
     r0 = 0.05
     assert r0 <= lyap.l0 and lyap.a * r0 < cfg.delta_floor
     ens, _ = _one_window(monkeypatch, r0, lyap)
-    sd = math.sqrt(decompose(spec, lyap.a * r0).small_var_per_coord * cfg.dt_max)
+    sd = math.sqrt(decompose(spec, lyap.a * r0).small_var_per_coord * _WINDOW)
     want = math.erfc(r0 / (2.0 * sd) / math.sqrt(2.0))
     n = ens.n_paths
     got = ens.merged[:, -1].mean()
