@@ -9,7 +9,7 @@ stratified band around |x-y| = L0 to stress the regime boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -76,9 +76,8 @@ def linear_drift(kappa: float, d: int) -> DriftField:
 def monomial_drift(c: float, q: float, d: int) -> DriftField:
     """b(x) = -c |x|^q x for c > 0, q >= 0.
 
-    Claims K2 = c 2^(3 - 3 beta) and theta = q + 2 with beta = (q + 2)/2,
-    power_potential_drift's constant beta 2^(4 - 3 beta) scaled by
-    c/(2 beta), since b is c/(2 beta) times that drift.  Proof: the
+    Claims K2 = c 2^(3 - 3 beta) and theta = q + 2 with beta = (q + 2)/2.
+    Proof: the
     p-Laplacian inequality <|x|^(p-2) x - |y|^(p-2) y, x - y> >=
     2^(2-p) |x - y|^p (p >= 2), at p = q + 2, gives
     <b(x)-b(y), x-y> <= -c 2^(-q) |x-y|^(q+2), and c 2^(-q) >= c 2^(-3q/2)
@@ -104,19 +103,14 @@ def monomial_drift(c: float, q: float, d: int) -> DriftField:
 def power_potential_drift(beta: float, d: int) -> DriftField:
     """Gradient drift of the super-convex potential -|x|^(2 beta), beta > 1.
 
-    b(x) = -2 beta |x|^(2 beta - 2) x.  Satisfies
-    <b(x)-b(y), x-y> <= -beta 2^(4 - 3 beta) |x-y|^(2 beta) everywhere, so the
-    two-regime condition holds with K2 = beta 2^(4-3beta), theta = 2 beta and
-    any positive K1, L0 (the claim carries the placeholders 1).
+    b(x) = -2 beta |x|^(2 beta - 2) x, the monomial drift with c = 2 beta
+    and q = 2 beta - 2, whose claim it takes: K2 = beta 2^(4 - 3 beta) and
+    theta = 2 beta, with any positive K1, L0.
     """
     if not 1.0 < beta < math.inf:
         raise ValueError(f"beta must exceed 1 and be finite, got {beta}")
-    cond = DriftCondition(k1=1.0, k2=beta * 2.0 ** (4.0 - 3.0 * beta),
-                          l0=1.0, theta=2.0 * beta)
-    field = monomial_drift(2.0 * beta, 2.0 * beta - 2.0, d)
-    return DriftField(evaluate=field.evaluate, d=field.d,
-                      label=f"power_potential(beta={beta})",
-                      claimed_condition=cond)
+    return replace(monomial_drift(2.0 * beta, 2.0 * beta - 2.0, d),
+                   label=f"power_potential(beta={beta})")
 
 
 def drift_from_label(label: str, d: int, **params) -> DriftField:

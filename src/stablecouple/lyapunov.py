@@ -325,14 +325,13 @@ def small_distance_rate(lyap: RadialLyapunov, spec: StableSpec,
     """Closed-form small-separation rate lambda_1.
 
     High alpha: big_c c1^(alpha-1) e^(-2 L0) / 2.
-    Low  alpha: alpha c_dalpha omega_d 3^(alpha-1) / (8 (2-alpha) d L0^alpha) - K1,
-    positive exactly when the small-alpha gate passes.
+    Low  alpha: the small-alpha gate's margin over L0^alpha, that is
+    alpha c_dalpha omega_d 3^(alpha-1) / (8 (2-alpha) d L0^alpha) - K1,
+    positive exactly when the gate passes.
     """
     if lyap.regime is Regime.HIGH_ALPHA:
         return lyap.big_c * lyap.c1 ** (spec.alpha - 1.0) * math.exp(-2.0 * cond.l0) / 2.0
-    lam = (spec.alpha * spec.c_dalpha * spec.omega_d * 3.0 ** (spec.alpha - 1.0)
-           / (8.0 * (2.0 - spec.alpha) * spec.d * cond.l0 ** spec.alpha)
-           - cond.k1)
+    lam = check_small_alpha_gate(spec, cond).margin / cond.l0 ** spec.alpha
     if lam <= 0.0:
         raise GateError(lam)
     return lam
