@@ -77,9 +77,8 @@ def monomial_drift(c: float, q: float, d: int) -> DriftField:
     """b(x) = -c |x|^q x for c > 0, q >= 0.
 
     Claims K2 = c 2^(3 - 3 beta) and theta = q + 2 with beta = (q + 2)/2.
-    Proof: the
-    p-Laplacian inequality <|x|^(p-2) x - |y|^(p-2) y, x - y> >=
-    2^(2-p) |x - y|^p (p >= 2), at p = q + 2, gives
+    Proof: the p-Laplacian inequality <|x|^(p-2) x - |y|^(p-2) y, x - y>
+    >= 2^(2-p) |x - y|^p (p >= 2), at p = q + 2, gives
     <b(x)-b(y), x-y> <= -c 2^(-q) |x-y|^(q+2), and c 2^(-q) >= c 2^(-3q/2)
     = K2 for every q >= 0.  The bound holds at every separation and b is
     monotone, so the two-regime condition holds for any K1, L0 > 0 (the

@@ -149,10 +149,10 @@ def _wp_stderr(h: np.ndarray, value: float, p: float) -> float:
     first order in the pairs (x_i, y_i): se(W_p^p) = sd_i(h_i) / sqrt(n),
     carried to W_p by the delta method.
 
-    For the coupling bound h_i = |x_i - y_i|^p.  For the exact value h_i = u_i + v_i from the dual potentials, the
-    linearisation of the optimal cost (del Barrio & Loubes 2019, Sommerfeld
-    & Munk 2018); taking u_i and v_i from one pair keeps the covariance of
-    the coupled samples.
+    For the coupling bound h_i = |x_i - y_i|^p.  For the exact value
+    h_i = u_i + v_i from the dual potentials, the linearisation of the
+    optimal cost (del Barrio & Loubes 2019, Sommerfeld & Munk 2018); taking
+    u_i and v_i from one pair keeps the covariance of the coupled samples.
     """
     n = len(h)
     if n == 1 or value == 0.0:

@@ -151,12 +151,12 @@ def test_bootstrap_stderr_positive():
     assert se > 0.0
 
 
-def potentials(xs, ys, p):
-    """The exact value and the dual potentials (u, v) that give its se."""
-    if xs.shape[1] == 1:
-        return wasserstein_metrics._sorted_wp(xs, ys, p)
-    value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
-    return (value, *wasserstein_metrics._dual_potentials(cost, sigma))
+def rank_pairing(xs, ys):
+    """sigma pairing x_i with the y of the same rank, as the 1-d sort does."""
+    sigma = np.empty(len(xs), dtype=int)
+    sigma[np.argsort(xs[:, 0], kind="stable")] = np.argsort(ys[:, 0],
+                                                            kind="stable")
+    return sigma
 
 
 @pytest.mark.parametrize("d, p", [(1, 1.0), (2, 2.0), (3, 1.5)])
@@ -164,7 +164,11 @@ def test_bootstrap_reuses_cost_bitwise(d, p):
     # the dual plug-in on one fresh solve; rng and n_boot are unused
     xs = rng_at(7).standard_normal((24, d))
     ys = rng_at(8).standard_normal((24, d)) + 0.5
-    value, u, v = potentials(xs, ys, p)
+    if d == 1:
+        value, u, v = wasserstein_metrics._sorted_wp(xs, ys, p)
+    else:
+        value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
+        u, v = wasserstein_metrics._dual_potentials(cost, sigma)
     want = wasserstein_metrics._wp_stderr(u + v, value, p)
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
@@ -175,9 +179,7 @@ def serial_exact_and_stderr(xs, ys, p):
     matrix, whatever the dimension; in one dimension sigma pairs the ranks."""
     cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
     if xs.shape[1] == 1:
-        sigma = np.empty(len(xs), dtype=int)
-        sigma[np.argsort(xs[:, 0], kind="stable")] = np.argsort(ys[:, 0],
-                                                                kind="stable")
+        sigma = rank_pairing(xs, ys)
     else:
         sigma = wasserstein_metrics._assigned_wp(xs, ys, p)[2]
     u, v = wasserstein_metrics._dual_potentials(cost, sigma)
@@ -241,9 +243,7 @@ def test_dual_potentials_certify_the_assignment(d, p):
             ys[::3] = xs[::3]
             value, u, v = wasserstein_metrics._sorted_wp(xs, ys, p)
             cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
-            sigma = np.empty(n, dtype=int)
-            sigma[np.argsort(xs[:, 0], kind="stable")] = np.argsort(
-                ys[:, 0], kind="stable")
+            sigma = rank_pairing(xs, ys)
         else:
             value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
             u, v = wasserstein_metrics._dual_potentials(cost, sigma)
