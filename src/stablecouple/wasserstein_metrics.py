@@ -1,10 +1,11 @@
 """Empirical Wasserstein distances, rate fitting, and a two-sample test.
 
 Equal-size empirical measures only: the p-Wasserstein distance then reduces
-to an optimal assignment on the cost matrix |x_i - y_j|^p, solved exactly by
-shortest augmenting paths (with a provably optimal sorting fast path in one
-dimension).  Any coupling of the two samples gives an upper bound; the paired
-ensemble mean (E |x - y|^p)^(1/p) is the one used throughout.
+to an optimal assignment on the cost matrix |x_i - y_j|^p.  In one dimension
+sorting both samples solves it; for d >= 2 the module's own numpy solver
+does (an epsilon-scaling auction finished by shortest augmenting paths), so
+no run imports scipy.  Any coupling of the two samples gives an upper bound;
+the paired ensemble mean (E |x - y|^p)^(1/p) is the one used throughout.
 
 Both W_p columns carry one standard error, the delta method on per-pair
 contributions h_i that treat (x_i, y_i) as coupled pairs: h_i = |x_i - y_i|^p
@@ -24,6 +25,9 @@ import numpy as np
 from .stable_noise import _rownorm
 
 _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
+_EPS_DIV = 8.0  # the auction's epsilon shrinks by this factor per phase
+_EPS_END = 1e-4  # the last phase's epsilon, relative to max C / n
+_FREE_END = 16  # a phase ends with at most this many rows free
 
 
 class DegenerateFitError(ValueError):
@@ -89,6 +93,7 @@ def _sorted_wp(x: np.ndarray, y: np.ndarray,
     ix = np.argsort(x[:, 0], kind="stable")
     iy = np.argsort(y[:, 0], kind="stable")
     xs, ys = x[ix, 0], y[iy, 0]
+    _power(np.abs([xs[-1] - ys[0], ys[-1] - xs[0]]), p)  # the two largest costs
     matched = np.abs(xs - ys) ** p
     value = float(matched.mean() ** (1.0 / p))
     up = np.cumsum(np.r_[0.0, np.abs(xs[:-1] - ys[1:]) ** p - matched[:-1]])
@@ -105,15 +110,118 @@ def _assigned_wp(x: np.ndarray, y: np.ndarray,
     """Exact W_p by one assignment solve, with the cost matrix
     C = |x_i - y_j|^p and the optimal assignment sigma that gives it: row i
     is matched to column sigma[i]."""
-    # imported here so that a d = 1 run never loads scipy
-    from scipy.optimize import linear_sum_assignment
-
-    cost = _pairwise_norms(x, y) ** p
-    if not np.isfinite(cost).all():
-        raise ValueError(f"|x - y|^{p:g} overflows for these samples")
-    sigma = linear_sum_assignment(cost)[1]
+    cost = _power(_pairwise_norms(x, y), p)
+    sigma = _assignment(cost)
     value = float(cost[np.arange(len(sigma)), sigma].mean() ** (1.0 / p))
     return value, cost, sigma
+
+
+def _power(dist: np.ndarray, p: float) -> np.ndarray:
+    """The costs dist^p of pairs at distances dist, or ValueError when one
+    of them overflows: the exact solves need every cost finite."""
+    with np.errstate(over="ignore"):
+        cost = dist ** p
+    if not np.isfinite(cost).all():
+        raise ValueError(f"|x - y|^{p:g} overflows for these samples")
+    return cost
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """An optimal assignment sigma of the square cost matrix: row i goes to
+    column sigma[i].
+
+    Rows start on the diagonal, the pairing the coupled samples come with;
+    when every diagonal entry is its row's minimum, that pairing is optimal
+    as it stands.  Otherwise a Jacobi auction with epsilon-scaling
+    (Bertsekas 1988) places all but a few rows.  The column potentials v
+    start at the column minima; a row's price for column j is C_ij - v_j.
+    Between phases, rows whose column is no longer within epsilon of their
+    cheapest are released.  The finish keeps the rows whose column is
+    exactly their cheapest and places the rest by shortest augmenting paths
+    (Crouse 2016), which keep every placed row on a cheapest column.  So the
+    result is optimal, not epsilon-optimal.
+    """
+    n = len(cost)
+    rows = np.arange(n)
+    sigma = rows.copy()
+    if (cost[rows, rows] <= cost.min(axis=1)).all():
+        return sigma
+    owner, v = rows.copy(), cost.min(axis=0)
+
+    def slack() -> np.ndarray:
+        reduced = cost - v
+        return reduced[rows, sigma] - reduced.min(axis=1)
+
+    def release(rows_out: np.ndarray) -> None:
+        rows_out &= sigma >= 0
+        owner[sigma[rows_out]] = -1
+        sigma[rows_out] = -1
+
+    # costs are >= 0, so every epsilon stays above the rounding of v
+    top = float(cost.max())
+    eps, gap = top, slack()
+    while eps > _EPS_END * top / n:
+        eps /= _EPS_DIV
+        release(gap > eps)
+        free = np.flatnonzero(sigma < 0)
+        if len(free) <= _FREE_END:
+            continue  # no bids, so v and the slack stand
+        while len(free) > _FREE_END:
+            prices = cost[free]
+            prices -= v
+            k = np.arange(len(free))
+            best = prices.argmin(axis=1)
+            cheapest = prices[k, best]
+            prices[k, best] = np.inf
+            bid = v[best] - (prices.min(axis=1) - cheapest) - eps
+            # each column goes to its lowest bid
+            order = np.lexsort((bid, best))
+            win = order[np.r_[True, best[order[1:]] != best[order[:-1]]]]
+            cols, lost = best[win], owner[best[win]]
+            sigma[lost[lost >= 0]] = -1
+            owner[cols] = free[win]
+            sigma[free[win]] = cols
+            v[cols] = bid[win]
+            free = np.flatnonzero(sigma < 0)
+        gap = slack()
+    release(gap > 0.0)
+    for i in np.flatnonzero(sigma < 0):
+        _augment(cost, v, sigma, owner, i)
+    return sigma
+
+
+def _augment(cost: np.ndarray, v: np.ndarray, sigma: np.ndarray,
+             owner: np.ndarray, i: int) -> None:
+    """Place the free row i by a shortest augmenting path (Dijkstra on the
+    reduced prices C_rj - v_j - u_r, u_r the price of row r's own column),
+    then lower v on the columns the search settled so that every placed row
+    stays on a cheapest column."""
+    dist = np.full(len(v), np.inf)  # to the columns not settled yet
+    pred = np.full(len(v), i)
+    w = v.copy()  # v, with -inf on the settled columns
+    settled, at = [], []
+    row, shift = i, 0.0
+    while True:
+        reach_via_row = cost[row] - w
+        reach_via_row += shift
+        pred[reach_via_row < dist] = row
+        np.minimum(dist, reach_via_row, out=dist)
+        j = int(dist.argmin())
+        reach = dist[j]
+        settled.append(j)
+        at.append(reach)
+        dist[j], w[j] = np.inf, -np.inf
+        if owner[j] < 0:
+            break
+        row = owner[j]
+        shift = reach - (cost[row, j] - v[j])
+    v[settled] -= reach - np.array(at)
+    while True:
+        row = pred[j]
+        owner[j] = row
+        sigma[row], j = j, sigma[row]
+        if row == i:
+            return
 
 
 def _dual_potentials(cost: np.ndarray,

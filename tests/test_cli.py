@@ -446,9 +446,9 @@ def test_wp_leaves_no_thread_running(tmp_path):
 
 
 def test_wp_solves_one_assignment_per_grid_time(tmp_path, monkeypatch):
-    import scipy.optimize
+    from stablecouple import wasserstein_metrics
 
-    solve = scipy.optimize.linear_sum_assignment
+    solve = wasserstein_metrics._assignment
     calls = []
 
     def counted(cost):
@@ -461,7 +461,7 @@ def test_wp_solves_one_assignment_per_grid_time(tmp_path, monkeypatch):
     assert run(["certify"] + base) == EXIT_OK
     assert run(["simulate", "--paths", "16", "--horizon", "0.25",
                 "--grid-step", "0.125"] + base) == EXIT_OK
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    monkeypatch.setattr(wasserstein_metrics, "_assignment", counted)
     assert run(["wp"] + base) == EXIT_OK
     assert calls == [(16, 16)] * 3
 
@@ -601,16 +601,20 @@ def test_python_dash_m_runs_the_cli(tmp_path):
             == (tmp_path / "inproc" / "cert.txt").read_bytes())
 
 
-def test_d1_certify_imports_no_scipy(tmp_path):
-    # a fresh interpreter, so modules loaded by other tests do not count
+def test_pipeline_imports_no_scipy_in_d1_or_d2(tmp_path):
+    # a fresh interpreter, so modules loaded by other tests do not count;
+    # d = 2 reaches the assignment solver at every grid time
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [[stage, "--d", d, "--p", d, "--paths", "16", "--horizon", "0.25",
+             "--grid-step", "0.125", "--out", str(tmp_path / d)]
+            for d in ("1", "2") for stage in ("certify", "simulate", "wp")]
     code = ("import sys\n"
             "from stablecouple import cli\n"
-            f"rc = cli.main(['certify', '--out', {str(tmp_path)!r}])\n"
+            f"rc = [cli.main(argv) for argv in {runs!r}]\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+    assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 6} []"

@@ -259,19 +259,67 @@ def test_dual_potentials_certify_the_assignment(d, p):
 
 
 def test_dual_rejects_a_non_optimal_assignment(monkeypatch):
-    import scipy.optimize
-
-    solve = scipy.optimize.linear_sum_assignment
+    solve = wasserstein_metrics._assignment
 
     def worse(cost):
-        rows, cols = solve(cost)
-        return rows, np.roll(cols, 1)
+        return np.roll(solve(cost), 1)
 
     xs = rng_at(17).standard_normal((16, 2))
     ys = rng_at(18).standard_normal((16, 2))
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", worse)
+    monkeypatch.setattr(wasserstein_metrics, "_assignment", worse)
     with pytest.raises(ValueError, match="not optimal"):
         exact_wp_with_stderr(xs, ys, 2.0)
+
+
+def solver_instance(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n cost matrix of one test family; the last two have ties."""
+    if family == "cauchy_d3_p1":
+        return wasserstein_metrics._pairwise_norms(rng.standard_cauchy((n, 3)),
+                                                   rng.standard_cauchy((n, 3)))
+    if family == "integer":
+        return rng.integers(0, 3, (n, n)).astype(float)
+    x = rng.standard_normal((n, 2))
+    if family == "gauss":
+        y = rng.standard_normal((n, 2)) + 0.5
+    elif family == "half_merged":  # coupled pairs, half of them merged
+        y = x + 0.3 * rng.standard_normal((n, 2))
+        y[::2] = x[::2]
+    else:  # the t = 0 point masses
+        x, y = np.tile([0.35, 0.0], (n, 1)), np.tile([-0.35, 0.0], (n, 1))
+    return wasserstein_metrics._pairwise_norms(x, y) ** 2
+
+
+@pytest.mark.parametrize("family, n", [
+    ("gauss", 1), ("gauss", 2), ("gauss", 3), ("gauss", 64), ("gauss", 300),
+    ("cauchy_d3_p1", 200), ("half_merged", 200), ("point_masses", 100),
+    ("integer", 2), ("integer", 3), ("integer", 40), ("integer", 120)])
+def test_assignment_matches_scipy(family, n):
+    # scipy's solver is the reference; sigma must be the same where the
+    # optimum is unique, and cost the same where ties make it not
+    from scipy.optimize import linear_sum_assignment
+
+    rng = rng_at(40 + n)
+    rows = np.arange(n)
+    for _ in range(3 if n > 100 else 10):
+        cost = solver_instance(family, n, rng)
+        sigma = wasserstein_metrics._assignment(cost)
+        reference = linear_sum_assignment(cost)[1]
+        assert np.array_equal(np.sort(sigma), rows)
+        assert cost[rows, sigma].sum() == pytest.approx(
+            cost[rows, reference].sum(), rel=1e-12, abs=0.0)
+        if family not in ("point_masses", "integer"):
+            assert np.array_equal(sigma, reference)
+        wasserstein_metrics._dual_potentials(cost, sigma)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_overflowing_costs_raise_in_every_dimension(d):
+    # |x - y|^3 overflows for these points; no warning leaks before the error
+    x = np.linspace(1e150, 2e150, 8)[:, None] * np.eye(1, d)
+    for exact in (exact_empirical_wp, exact_wp_with_stderr):
+        with pytest.raises(ValueError,
+                           match=r"^\|x - y\|\^3 overflows for these samples$"):
+            exact(x, -x, 3.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
