@@ -157,48 +157,51 @@ def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
 _STABILITY_MARGIN = 0.2  # |b'| h kept below this for the explicit steps
 
 
-def _rk4_one(field: DriftField, x: np.ndarray, h: np.ndarray,
-             k1: np.ndarray) -> np.ndarray:
-    """One classical fourth-order step with per-row step h from the slope
-    k1 = b(x); x is (n, d)."""
-    h = h[:, None]
+def _rk4_one(field: DriftField, x: np.ndarray,
+             remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One classical fourth-order step of each row of x (n, d), of length
+    min(remaining, stability cap); returns the new rows, a new array, and the
+    steps taken.
+
+    The cap keeps explicit steps inside the stability region by bounding the
+    step against the local scale |b(x)| / (1 + |x|); superlinear drifts hit by
+    a heavy-tailed jump are therefore contracted back instead of overflowing.
+    """
     b = field.evaluate
+    k1 = b(x)
+    scale = _rownorm(k1) / (1.0 + _rownorm(x))
+    if not np.isfinite(scale).all():
+        raise DriftBlowupError("non-finite drift value encountered")
+    cap = _STABILITY_MARGIN / np.maximum(scale,
+                                         _STABILITY_MARGIN / _DRIFT_SUBSTEP)
+    step = np.minimum(remaining, cap)
+    h = step[:, None]
     k2 = b(x + 0.5 * h * k1)
     k3 = b(x + 0.5 * h * k2)
     k4 = b(x + h * k3)
-    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), step
 
 
 def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Integrate dx = b(x) dt over per-row horizons h with stable steps.
+    """Integrate dx = b(x) dt over per-row horizons h with stable steps
+    (:func:`_rk4_one`).
 
-    Explicit steps are kept inside the stability region by bounding the step
-    against the local scale |b(x)| / (1 + |x|); superlinear drifts hit by a
-    heavy-tailed jump are therefore contracted back instead of overflowing.
-    Rows never interact, so stacking two batches into one call gives each
-    row the bits it would get alone.
+    The first step takes every row; only then are the rows with time left
+    gathered, so a flow that ends in one step makes no second pass.  Rows
+    never interact, so stacking two batches into one call gives each row the
+    bits it would get alone.
     """
-    x = x.copy()
-    remaining = h.copy()
     # non-finite intermediates are possible for pathological fields and are
     # caught by the caller's guard; keep the warnings quiet here
     with np.errstate(over="ignore", invalid="ignore"):
+        x, step = _rk4_one(field, x, h)
+        remaining = h - step
         for _ in range(100_000):
-            act = remaining > 0.0
-            if not act.any():
+            act = np.nonzero(remaining > 0.0)[0]
+            if not act.size:
                 return x
-            if act.all():
-                act = slice(None)  # a view: no gather, no scatter
-            xa = x[act]
-            k1 = field.evaluate(xa)
-            scale = _rownorm(k1) / (1.0 + _rownorm(xa))
-            if not np.isfinite(scale).all():
-                raise DriftBlowupError("non-finite drift value encountered")
-            cap = _STABILITY_MARGIN / np.maximum(scale,
-                                                 _STABILITY_MARGIN / _DRIFT_SUBSTEP)
-            step = np.minimum(remaining[act], cap)
-            x[act] = _rk4_one(field, xa, step, k1)
-            remaining[act] = remaining[act] - step
+            x[act], step = _rk4_one(field, x[act], remaining[act])
+            remaining[act] -= step
     raise DriftBlowupError("drift flow did not finish; field too stiff")
 
 
@@ -225,7 +228,7 @@ def _settle(x: np.ndarray, y: np.ndarray, merged: np.ndarray,
     """Merge, in place, the rows of (x, y) within ``eps``; set y := x on every
     merged row, so a merged pair is bitwise equal from then on."""
     merged |= _rownorm(x - y) <= eps
-    y[merged] = x[merged]
+    np.copyto(y, x, where=merged[:, None])
 
 
 def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,

@@ -115,9 +115,21 @@ def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis.
 
     The arithmetic of numpy's ``linalg.norm(v, axis=-1)``, so bitwise equal to it
-    in every dimension, without its per-call dispatch.
+    in every dimension (for a C-ordered v), without its per-call dispatch.
+    numpy sums an axis shorter than 8 in order, so there the squares are
+    added one column at a time: a few whole-array adds instead of one short
+    reduction per row.  A longer axis is summed pairwise along each row, so
+    its squares are taken in C order whatever the layout of v.
     """
-    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+    d = v.shape[-1]
+    if d >= 8:
+        return np.sqrt(np.add.reduce(np.multiply(v, v, order="C"), axis=-1,
+                                     keepdims=keepdims))
+    s = v[..., 0] * v[..., 0]
+    for k in range(1, d):
+        s = s + v[..., k] * v[..., k]
+    s = np.sqrt(s)
+    return s[..., None] if keepdims else s
 
 
 def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -74,8 +74,14 @@ def _wp_inputs(xs: np.ndarray, ys: np.ndarray,
 
 
 def _pairwise_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (n, m) matrix |a_i - b_j| of the rows of a (n, d) and b (m, d)."""
-    return _rownorm(a[:, None, :] - b[None, :, :])
+    """The (n, m) matrix |a_i - b_j| of the rows of a (n, d) and b (m, d).
+
+    The differences are laid out one coordinate plane at a time, (d, n, m),
+    so each plane is one contiguous subtraction and :func:`_rownorm` adds
+    whole planes.
+    """
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    return _rownorm(np.moveaxis(at[:, :, None] - bt[:, None, :], 0, -1))
 
 
 def _sorted_wp(x: np.ndarray, y: np.ndarray,

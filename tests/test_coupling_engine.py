@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,23 +175,49 @@ def test_step_drift_riccati():
     assert x[0] == pytest.approx(1.0 / 1.3, rel=1e-8)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", range(1, 10))
 def test_rownorm_is_bitwise_linalg_norm(d):
     # zeros, subnormals (whose squares underflow), overflowing squares,
-    # infinities and nans, in every combination, plus ordinary rows
+    # infinities and nans, in every combination up to d = 3 and drawn at
+    # random beyond, plus ordinary rows; d < 8 takes the column sum, d >= 8
+    # the reduction
     special = [0.0, -0.0, 5e-324, 2.2e-310, 1e-160, 1.0, -3.5, 1e300, -1e300,
                np.inf, -np.inf, np.nan]
-    rows = np.array(list(itertools.product(special, repeat=d)))
-    rows = np.vstack([rows, rng_at(40 + d).standard_normal((64, d))])
+    rng = rng_at(40 + d)
+    rows = (np.array(list(itertools.product(special, repeat=d))) if d <= 3
+            else rng.choice(special, (4096, d)))
+    rows = np.vstack([rows, rng.standard_normal((64, d))])
+    # strided views of an (n, T, d) array, as the engine's record is read
+    xs = rng.standard_cauchy((len(rows), 3, d))
+    xs[:, 1, :] = rows
     with np.errstate(over="ignore", invalid="ignore"):
-        want = np.linalg.norm(rows, axis=1)
-        assert np.array_equal(_rownorm(rows), want, equal_nan=True)
-        assert np.array_equal(_rownorm(rows, keepdims=True),
-                              np.linalg.norm(rows, axis=1, keepdims=True),
-                              equal_nan=True)
-        stack = rows.reshape(2, -1, d)
-        assert np.array_equal(_rownorm(stack), np.linalg.norm(stack, axis=-1),
-                              equal_nan=True)
+        for v in (rows, rows.reshape(2, -1, d), xs, xs[:, 1, :], xs[:, 2, :],
+                  rows[0], rows[-1]):
+            for keepdims in (False, True):
+                got = _rownorm(v, keepdims=keepdims)
+                want = np.linalg.norm(v, axis=-1, keepdims=keepdims)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_rownorm_warns_where_linalg_norm_does(d):
+    # the suite turns RuntimeWarnings into errors, so the column sum must
+    # warn (overflow in a square or in the sum) exactly where the reduction
+    # does, and stay quiet on subnormals, infinities and nans; it may warn
+    # once per column where the reduction warns once
+    def warned(norm, v):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            norm(v)
+        return {w.category for w in caught}
+
+    linalg = lambda v: np.linalg.norm(v, axis=-1)
+    for value, loud in ((1.0, False), (5e-324, False), (np.inf, False),
+                        (np.nan, False), (1e300, True), (1e154, d > 1)):
+        for v in (np.full((5, d), value), np.full(d, value)):
+            assert warned(_rownorm, v) == warned(linalg, v)
+            assert warned(_rownorm, v) == ({RuntimeWarning} if loud else set())
 
 
 @pytest.mark.parametrize("field", [power_potential_drift(1.5, 2),
