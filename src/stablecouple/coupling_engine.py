@@ -17,11 +17,13 @@ the same loop runs the purely synchronous coupling.
 Time stepping is jump-adapted: within frozen windows of length at most
 ``_WINDOW`` the jump clock runs at the compound-Poisson rate of jumps above
 the truncation radius delta = ``delta_floor``; drift is integrated between
-events with classical fourth-order steps.  Jump activity below delta enters
-at the window end as a Gaussian kick of the matched per-coordinate variance
-var(delta) h on each component, so each marginal keeps the first two
-moments of the omitted jumps (not their full law) and the marginal error
-shrinks with delta.  The kick is split in two:
+events with classical fourth-order steps, one per segment unless the
+stability cap binds (no segment is longer than a window, and neither is a
+step).  Jump activity below delta enters at the window end as a Gaussian
+kick of the matched per-coordinate variance var(delta) h on each
+component, so each marginal keeps the first two moments of the omitted
+jumps (not their full law) and the marginal error shrinks with delta.  The
+kick is split in two:
 
 - on unmerged pairs within L0 at the kick, the reflected band
   |z| <= min(delta, a r) goes in as a mirrored Gaussian (the reflection
@@ -52,7 +54,6 @@ from .drift_models import DriftField
 from .stable_noise import StableSpec, _large_jumps, _rownorm, decompose
 from .streams import derive_stream
 
-_DRIFT_SUBSTEP = 5e-3
 _WINDOW = 1e-2  # longest window between two window-end kicks
 _EVENT_BUDGET = 2e9  # expected explicit jumps one ensemble may draw
 
@@ -172,8 +173,7 @@ def _rk4_one(field: DriftField, x: np.ndarray,
     scale = _rownorm(k1) / (1.0 + _rownorm(x))
     if not np.isfinite(scale).all():
         raise DriftBlowupError("non-finite drift value encountered")
-    cap = _STABILITY_MARGIN / np.maximum(scale,
-                                         _STABILITY_MARGIN / _DRIFT_SUBSTEP)
+    cap = _STABILITY_MARGIN / np.maximum(scale, _STABILITY_MARGIN / _WINDOW)
     step = np.minimum(remaining, cap)
     h = step[:, None]
     k2 = b(x + 0.5 * h * k1)

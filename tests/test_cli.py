@@ -399,8 +399,8 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p, sha256", [
-    (1, "1", "e4d6bf991f153f9ece356ee03185dc3eaba67f6410b025c37922e18d6ad24b41"),
-    (2, "2", "a85ada93def43c6e5c0273caa508fb7b6f8822f23b2ea9b7e0679975a1a61dc4"),
+    (1, "1", "eca473205194de1feafd084d6bd3e02d3c5073c8d5508567bccc54ed5467e214"),
+    (2, "2", "f4adcd55dc7ef1092c1a21c22a6f9721ec03969d5868bdd6a7769709823bf7bf"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
     # the exact solve and its se pinned bitwise: the d = 1 sort path and the

@@ -175,6 +175,56 @@ def test_step_drift_riccati():
     assert x[0] == pytest.approx(1.0 / 1.3, rel=1e-8)
 
 
+# the drifts -c |x|^q x with their (c, q), and the linear drift -x
+_FLOWS = {"power_potential": (power_potential_drift(1.5, 2), (3.0, 1.0)),
+          "monomial": (monomial_drift(2.0, 1.0, 2), (2.0, 1.0)),
+          "linear": (linear_drift(1.0, 2), None)}
+
+
+def _points_within_3(n, seed):
+    # n points of R^2, radii spread over (0, 3], directions uniform
+    g = rng_at(seed).standard_normal((n, 2))
+    return 3.0 * np.linspace(0.02, 1.0, n)[:, None] * g / _rownorm(g, True)
+
+
+@pytest.mark.parametrize("name", _FLOWS)
+def test_drift_flow_takes_one_rk4_step_per_window(name):
+    # from |x| <= 3 the stability cap is above the window, so a flow over at
+    # most one window is one RK4 step, four evaluations of the drift, and
+    # eight windows are eight steps (0.1, which ten steps of 0.01 miss by
+    # 1e-17 in floating point, would take an eleventh)
+    field = _FLOWS[name][0]
+    calls = []
+    counted = DriftField(evaluate=lambda x: calls.append(len(x))
+                         or field.evaluate(x), d=2, label="counted")
+    x = _points_within_3(40, 60)
+    for h in (np.full(40, _WINDOW), np.full(40, 1e-4),
+              rng_at(61).uniform(1e-6, _WINDOW, 40)):
+        calls.clear()
+        _drift_flow(counted, x, h)
+        assert calls == [40] * 4
+    calls.clear()
+    _drift_flow(counted, x, np.full(40, 8 * _WINDOW))
+    assert calls == [40] * 32
+
+
+@pytest.mark.parametrize("name", _FLOWS)
+def test_one_window_drift_flow_matches_closed_form(name):
+    # b = -c |x|^q x keeps the direction and gives
+    # |x|_h = |x| (1 + c q |x|^q h)^(-1/q); b = -x gives x e^(-h)
+    field, cq = _FLOWS[name]
+    x = _points_within_3(60, 62)
+    r = _rownorm(x, keepdims=True)
+    for h in (2e-3, 5e-3, 7.5e-3, _WINDOW):
+        got = _drift_flow(field, x, np.full(len(x), h))
+        if cq is None:
+            want = x * math.exp(-h)
+        else:
+            c, q = cq
+            want = x * (1.0 + c * q * r ** q * h) ** (-1.0 / q)
+        assert (_rownorm(got - want) <= 1e-6 * _rownorm(want)).all()
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_rownorm_is_bitwise_linalg_norm(d):
     # zeros, subnormals (whose squares underflow), overflowing squares,
@@ -577,11 +627,11 @@ def _golden_merging_d2():
 
 @pytest.mark.parametrize("make, merged_at_end, sha256", [
     (_golden_reflecting_d1, 59,
-     "634048cbfd2ec8418180e2a38ea4f8698dc10b1c551125ecb2571acba322cc9a"),
+     "513f08881aff4cb78ea7b2f805599eb1c24439cf74cf54ccd282d223f955e6e3"),
     (_golden_synchronous_d1, 0,
-     "0d9590ec156aedba880fb0378a4d33227ee7f4d243896f968a0c1c8b0e945709"),
+     "a9f003fe9857b113207b135fae8c04b44072a43e6ab7635c2b9066b5e1c865b0"),
     (_golden_merging_d2, 225,
-     "539d314c916fc6a468e9030c351b0f235f090a1762743becd6e73647aa07027b"),
+     "89d608087dd1816a01e89532029e5fad7198a57f7c7c21d5bf08290cdddbb58a"),
 ], ids=["reflecting_d1", "synchronous_d1", "merging_d2"])
 def test_ensemble_golden_digests(make, merged_at_end, sha256):
     # times, xs, ys and merged pinned bitwise (recorded with Python 3.11,
