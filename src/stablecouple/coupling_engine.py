@@ -51,7 +51,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drift_models import DriftField
-from .stable_noise import StableSpec, _large_jumps, _rownorm, decompose
+from .stable_noise import (StableSpec, _large_jumps, _rownorm,
+                           _small_var_per_coord, decompose)
 from .streams import derive_stream
 
 _WINDOW = 1e-2  # longest window between two window-end kicks
@@ -144,7 +145,7 @@ def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     diff = x - y
     r = _rownorm(diff)
     do_refl = (~merged) & (r <= l0) & (radius <= a * r)
-    if not do_refl.any():
+    if not np.count_nonzero(do_refl):
         return z, z
     phi = _mirror(z, diff, np.where(r > 0.0, r, 1.0))
     return z, np.where(do_refl[:, None], phi, z)
@@ -171,15 +172,32 @@ def _rk4_one(field: DriftField, x: np.ndarray,
     b = field.evaluate
     k1 = b(x)
     scale = _rownorm(k1) / (1.0 + _rownorm(x))
-    if not np.isfinite(scale).all():
+    if np.count_nonzero(np.isfinite(scale)) < len(scale):
         raise DriftBlowupError("non-finite drift value encountered")
     cap = _STABILITY_MARGIN / np.maximum(scale, _STABILITY_MARGIN / _WINDOW)
     step = np.minimum(remaining, cap)
     h = step[:, None]
-    k2 = b(x + 0.5 * h * k1)
-    k3 = b(x + 0.5 * h * k2)
-    k4 = b(x + h * k3)
-    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), step
+    half = 0.5 * h
+    # each stage argument and the combination are built in arrays this step
+    # owns, in place: b may return its input, so nothing b returned is
+    # written; with + and * commutative, the bits are those of
+    # x + h / 6 (k1 + 2 k2 + 2 k3 + k4)
+    t = half * k1
+    t += x
+    k2 = b(t)
+    t = half * k2
+    t += x
+    k3 = b(t)
+    t = h * k3
+    t += x
+    k4 = b(t)
+    k = 2.0 * k2
+    k += k1
+    k += 2.0 * k3
+    k += k4
+    k *= h / 6.0
+    k += x
+    return k, step
 
 
 def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -189,19 +207,23 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     The first step takes every row; only then are the rows with time left
     gathered, so a flow that ends in one step makes no second pass.  Rows
     never interact, so stacking two batches into one call gives each row the
-    bits it would get alone.
+    bits it would get alone.  Non-finite intermediates of a pathological
+    field are left to the caller's guard; the engine quiets their warnings
+    once per run.
     """
-    # non-finite intermediates are possible for pathological fields and are
-    # caught by the caller's guard; keep the warnings quiet here
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, step = _rk4_one(field, x, h)
-        remaining = h - step
-        for _ in range(100_000):
-            act = np.nonzero(remaining > 0.0)[0]
-            if not act.size:
-                return x
-            x[act], step = _rk4_one(field, x[act], remaining[act])
-            remaining[act] -= step
+    x, step = _rk4_one(field, x, h)
+    # for finite doubles h - step > 0 exactly when step < h, so the rows
+    # with time left are known before the subtraction
+    act = (step < h).nonzero()[0]
+    if not act.size:
+        return x
+    remaining = h - step
+    for _ in range(100_000):
+        x[act], step = _rk4_one(field, x[act], remaining[act])
+        remaining[act] -= step
+        act = (remaining > 0.0).nonzero()[0]
+        if not act.size:
+            return x
     raise DriftBlowupError("drift flow did not finish; field too stiff")
 
 
@@ -245,27 +267,26 @@ def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,
     exp(-2 (l0 - ra)(l0 - rb) / var).
     """
     c = rb - ra
-
-    def ratio(length):
-        # density of the unfolded route over that of the direct one
-        return np.exp(-(length - c) * (length + c) / (2.0 * var))
-
-    # routes ending at 0 or at l0 first, straight or by the other barrier
-    to0 = ra + np.abs(rb)
-    tol = (l0 - ra) + np.abs(l0 - rb)
-    via_l0 = (l0 - ra) + l0 + np.abs(rb)
-    via_0 = ra + l0 + np.abs(l0 - rb)
-    p0 = np.zeros_like(ra)
-    pl = np.zeros_like(ra)
+    two_var = 2.0 * var
+    # the unfolded routes, one row each: to 0 and to l0 straight, then to 0
+    # by l0 and to l0 by 0, which first reach the other barrier and cross
+    # the strip (l0) before their last leg
+    start = np.array((ra, l0 - ra))
+    end = np.array((np.abs(rb), np.abs(l0 - rb)))
+    routes = np.concatenate((start + end, start[::-1] + l0 + end))
+    length = routes
     k = 0
     while True:
+        # density of each unfolded route over that of the direct one; a
+        # straight route counts for, its detour against, the exit
+        ratio = np.exp((c - length) * (length + c) / two_var)
+        term = ratio[:2] - ratio[2:]
+        p = term if k == 0 else p + term
+        if ratio[2:].max() < 1e-17:
+            return p[0], p[1]
         # each further pair of visits adds 2 l0 to the route
-        back0, backl = ratio(via_l0 + 2 * k * l0), ratio(via_0 + 2 * k * l0)
-        p0 += ratio(to0 + 2 * k * l0) - back0
-        pl += ratio(tol + 2 * k * l0) - backl
-        if max(back0.max(), backl.max()) < 1e-17:
-            return p0, pl
         k += 1
+        length = routes + 2 * k * l0
 
 
 def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
@@ -293,12 +314,12 @@ def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
     ra = _rownorm(diff)
     e = diff / ra[:, None]
     g = rng.standard_normal(diff.shape) * np.sqrt(var)[:, None]
-    ge = np.einsum("ij,ij->i", g, e)
-    p0, pl = _bridge_exits(ra, ra + 2.0 * ge, l0, 4.0 * var)
+    ge2 = 2.0 * np.einsum("ij,ij->i", g, e)
+    p0, pl = _bridge_exits(ra, ra + ge2, l0, 4.0 * var)
     u = rng.random(len(rows))
     at_l0 = (u >= p0) & (u < p0 + pl)
     x[rows] += g
-    y[rows] += g - np.where(at_l0, l0 - ra, 2.0 * ge)[:, None] * e
+    y[rows] += g - np.where(at_l0, l0 - ra, ge2)[:, None] * e
     merged[rows[u < p0]] = True
 
 
@@ -319,6 +340,10 @@ def require_event_budget(spec: StableSpec, cfg: SchemeConfig, horizon: float,
             f"{_EVENT_BUDGET:g}; raise delta_floor or lower n_paths or horizon")
 
 
+# non-finite intermediates of a pathological field are caught by the
+# finite-state guard at each window end; their warnings are quieted once
+# per run, and numpy's error state is the caller's again on return or raise
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               spec: StableSpec, lyap, cfg: SchemeConfig,
                               horizon: float, record_grid: np.ndarray,
@@ -365,6 +390,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         rec = 1
 
     split = decompose(spec, cfg.delta_floor)
+    rate = split.rate_above
 
     while rec < T:
         target = float(record_grid[rec])
@@ -374,9 +400,9 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             # one event round: gather the active rows once, drift them to
             # their jump time, jump, settle, scatter once
             t_path = np.zeros(n)
-            next_jump = rng.standard_exponential(n) / split.rate_above
+            next_jump = rng.standard_exponential(n) / rate
             while True:
-                idx = np.nonzero(next_jump < h)[0]
+                idx = (next_jump < h).nonzero()[0]
                 m = idx.size
                 if not m:
                     break
@@ -395,7 +421,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 X[idx] = xi
                 Y[idx] = yi
                 merged[idx] = mi
-                next_jump[idx] = tj + rng.standard_exponential(m) / split.rate_above
+                next_jump[idx] = tj + rng.standard_exponential(m) / rate
 
             # drift to the window end
             live = ~merged
@@ -405,15 +431,17 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             # per-coordinate variance var(delta) h on each component: on the
             # unmerged pairs within L0 at the kick, the band
             # |z| <= min(delta, a r) goes in mirrored, the rest is common and
-            # cancels in the separation
+            # cancels in the separation; y = x on a merged row, so r > 0
+            # leaves it out
             r = _rownorm(X - Y)
-            band = np.nonzero(~merged & (r > 0.0) & (r <= l0))[0]
-            var = np.full(n, split.small_var_per_coord * h)
+            band = ((r > 0.0) & (r <= l0)).nonzero()[0]
+            common = split.small_var_per_coord * h
+            var = np.full(n, common)
             g = rng.standard_normal((n, d))
             if band.size:
-                var_band = h * decompose(spec, np.minimum(
-                    cfg.delta_floor, a * r[band])).small_var_per_coord
-                var[band] -= var_band
+                var_band = h * _small_var_per_coord(
+                    spec, np.minimum(cfg.delta_floor, a * r[band]))
+                var[band] = common - var_band
                 _mirrored_kick(X, Y, band, var_band, l0, merged, rng)
             g *= np.sqrt(var)[:, None]
             X += g

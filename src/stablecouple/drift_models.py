@@ -89,8 +89,12 @@ def monomial_drift(c: float, q: float, d: int) -> DriftField:
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must lie in [0, inf), got {q}")
 
-    def b(x):
-        return -c * _rownorm(x, keepdims=True) ** q * x
+    if q == 1.0:  # r ** 1 is r: skip the pass
+        def b(x):
+            return -c * _rownorm(x, keepdims=True) * x
+    else:
+        def b(x):
+            return -c * _rownorm(x, keepdims=True) ** q * x
 
     beta = (q + 2.0) / 2.0
     cond = DriftCondition(k1=1.0, k2=c * 2.0 ** (3.0 - 3.0 * beta), l0=1.0,

@@ -94,13 +94,19 @@ def decompose(spec: StableSpec, delta) -> JumpDecomposition:
     arr = np.asarray(delta, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
-    d, a = spec.d, spec.alpha
+    a = spec.alpha
     rate = spec.c_dalpha * spec.omega_d / a * arr ** (-a)
-    var = spec.c_dalpha * spec.omega_d / (d * (2.0 - a)) * arr ** (2.0 - a)
+    var = _small_var_per_coord(spec, arr)
     if arr.ndim == 0:
         return JumpDecomposition(rate_above=float(rate),
                                  small_var_per_coord=float(var))
     return JumpDecomposition(rate_above=rate, small_var_per_coord=var)
+
+
+def _small_var_per_coord(spec: StableSpec, delta: np.ndarray) -> np.ndarray:
+    """``small_var_per_coord`` of :func:`decompose` at radii delta > 0, unchecked."""
+    a = spec.alpha
+    return spec.c_dalpha * spec.omega_d / (spec.d * (2.0 - a)) * delta ** (2.0 - a)
 
 
 def pareto_radius(delta: float, alpha: float, u):
@@ -118,10 +124,14 @@ def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     in every dimension (for a C-ordered v), without its per-call dispatch.
     numpy sums an axis shorter than 8 in order, so there the squares are
     added one column at a time: a few whole-array adds instead of one short
-    reduction per row.  A longer axis is summed pairwise along each row, so
-    its squares are taken in C order whatever the layout of v.
+    reduction per row (one column is the square itself).  A longer axis is
+    summed pairwise along each row, so its squares are taken in C order
+    whatever the layout of v.
     """
     d = v.shape[-1]
+    if d == 1:
+        s = v * v
+        return np.sqrt(s if keepdims else s[..., 0])
     if d >= 8:
         return np.sqrt(np.add.reduce(np.multiply(v, v, order="C"), axis=-1,
                                      keepdims=keepdims))
@@ -133,8 +143,15 @@ def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 
 def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n directions uniform on the unit sphere of R^d (normalized Gaussians)."""
+    """n directions uniform on the unit sphere of R^d (normalized Gaussians).
+
+    On the line the normalized draw is its sign: g / sqrt(g g) is exactly
+    +-1 for 2^-511 <= |g| < 2^512, and numpy's normal sampler draws 0 or
+    more than 1e-17 in magnitude; a zero draw stays as drawn.
+    """
     g = rng.standard_normal((n, d))
+    if d == 1:
+        return np.copysign(g != 0.0, g)
     norm = _rownorm(g, keepdims=True)
     # a zero draw has probability 0; guard anyway
     norm[norm == 0.0] = 1.0

@@ -18,9 +18,11 @@ from stablecouple.coupling_engine import (
     EventBudgetError,
     ExcessComponent,
     SchemeConfig,
+    _STABILITY_MARGIN,
     _WINDOW,
     _mirror,
     _mirrored_kick,
+    _rk4_one,
     coupled_jump,
     lyapunov_decay_series,
     read_positions_csv,
@@ -291,6 +293,51 @@ def test_stacked_drift_flow_is_bitwise_two_flows(field):
     assert np.array_equal(_drift_flow(field, b, hb)[hb == 0.0], b[hb == 0.0])
 
 
+def _rk4_out_of_place(field, x, remaining):
+    # the step as written out of place, x + h / 6 (k1 + 2 k2 + 2 k3 + k4),
+    # with the engine's stability cap
+    b = field.evaluate
+    k1 = b(x)
+    scale = _rownorm(k1) / (1.0 + _rownorm(x))
+    cap = _STABILITY_MARGIN / np.maximum(scale, _STABILITY_MARGIN / _WINDOW)
+    step = np.minimum(remaining, cap)
+    h = step[:, None]
+    k2 = b(x + 0.5 * h * k1)
+    k3 = b(x + 0.5 * h * k2)
+    k4 = b(x + h * k3)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), step
+
+
+_STEP_FIELDS = {
+    "power_potential": lambda d: power_potential_drift(1.5, d),
+    "monomial": lambda d: monomial_drift(2.0, 1.0, d),
+    "monomial_q1.7": lambda d: monomial_drift(0.5, 1.7, d),
+    "linear": lambda d: linear_drift(1.0, d),
+    "returns_its_input": lambda d: DriftField(evaluate=lambda x: x, d=d,
+                                              label="identity"),
+}
+
+
+@pytest.mark.parametrize("name", _STEP_FIELDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_rk4_step_is_bitwise_the_out_of_place_step(name, d):
+    # _rk4_one builds its stages and the combination in place; + and * are
+    # commutative, so every bit is the out-of-place step's, and a field that
+    # returns its own input (b(x) = x) must not see its stages overwritten;
+    # the caller's x is left as it was
+    field = _STEP_FIELDS[name](d)
+    rng = rng_at(70 + d)
+    scale = np.array([1e-3, 0.1, 1.0, 3.0, 40.0, 1e4])
+    x = rng.standard_normal((60, d)) * np.repeat(scale, 10)[:, None]
+    x_before = x.copy()
+    remaining = rng.uniform(1e-5, 2 * _WINDOW, 60)
+    got, step = _rk4_one(field, x, remaining)
+    want, want_step = _rk4_out_of_place(field, x, remaining)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(step, want_step)
+    assert np.array_equal(got, want)
+
+
 def test_step_drift_stable_far_from_origin():
     # a heavy-tailed jump can leave a path far out where the superlinear
     # drift is stiff; the stability-capped steps must contract it back
@@ -541,6 +588,40 @@ def test_bridge_exits_complete_the_double_barrier_law():
     assert pl[0] == 0.0
 
 
+def _bridge_exits_route_by_route(ra, rb, l0, var):
+    # the series one route at a time, each shifted by 2 k l0 on its own
+    c = rb - ra
+
+    def ratio(length):
+        return np.exp(-(length - c) * (length + c) / (2.0 * var))
+
+    to0, tol = ra + np.abs(rb), (l0 - ra) + np.abs(l0 - rb)
+    via_l0, via_0 = (l0 - ra) + l0 + np.abs(rb), ra + l0 + np.abs(l0 - rb)
+    p0, pl = np.zeros_like(ra), np.zeros_like(ra)
+    k = 0
+    while True:
+        back0, backl = ratio(via_l0 + 2 * k * l0), ratio(via_0 + 2 * k * l0)
+        p0 += ratio(to0 + 2 * k * l0) - back0
+        pl += ratio(tol + 2 * k * l0) - backl
+        if max(back0.max(), backl.max()) < 1e-17:
+            return p0, pl
+        k += 1
+
+
+def test_bridge_exits_are_bitwise_the_route_by_route_series():
+    # _bridge_exits puts the four routes through exp as one array; every bit
+    # is the route-by-route sum's, for bridges that stop after the first
+    # term and for wide ones that need many
+    rng = rng_at(80)
+    for l0, sd in ((1.0, 1e-2), (1.0, 0.3), (1.0, 3.0), (0.05, 1.0)):
+        ra = rng.uniform(1e-3, 1.0, 500) * l0
+        rb = ra + sd * rng.standard_normal(500)
+        var = sd * sd * rng.uniform(0.5, 2.0, 500)
+        got = _bridge_exits(ra, rb, l0, var)
+        want = _bridge_exits_route_by_route(ra, rb, l0, var)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_mirrored_kick_stops_at_l0_and_keeps_y_gaussian():
     # the band's separation leaves (0, L0) through L0 with probability about
     # 2 Phi(-(L0 - r_a) / (2 sd)); such a pair ends exactly at L0, never above,
@@ -678,6 +759,37 @@ def test_nan_guard():
         simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), bad,
                                   spec, None, SchemeConfig(), 0.1, grid, 4,
                                   seed=1)
+
+
+def test_engine_restores_numpy_error_state():
+    # the engine quiets overflow and invalid once, around its window loop:
+    # the caller's error state is back after a run, a drift blowup and a
+    # refused budget, and a direct flow, outside that block, stays quiet
+    spec, field, _, lyap = _example_model()
+    blowup = DriftField(evaluate=lambda x: x * np.inf, d=1, label="blowup")
+    x0, y0, grid = np.array([0.25]), np.array([-0.25]), np.array([0.0, 0.1])
+    for state in (np.geterr(), dict(divide="print", over="raise",
+                                    under="ignore", invalid="raise")):
+        with np.errstate(**state):
+            before = np.geterr()
+            simulate_coupled_ensemble(x0, y0, field, spec, lyap,
+                                      SchemeConfig(), 0.1, grid, 16, seed=1)
+            assert np.geterr() == before
+            with pytest.raises(DriftBlowupError):
+                simulate_coupled_ensemble(x0, y0, blowup, spec, None,
+                                          SchemeConfig(), 0.1, grid, 4, seed=1)
+            assert np.geterr() == before
+            with pytest.raises(EventBudgetError):
+                simulate_coupled_ensemble(x0, y0, field, spec, lyap,
+                                          SchemeConfig(delta_floor=1e-7), 1.0,
+                                          grid, 64, seed=1)
+            assert np.geterr() == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _drift_flow(power_potential_drift(1.5, 1),
+                        np.array([[1e8], [0.3], [-2.0], [0.0]]),
+                        np.full(4, _WINDOW))
+    assert np.isfinite(x).all()
 
 
 def test_decay_series_zero_at_equal_start():

@@ -17,7 +17,7 @@ from stablecouple.drift_models import (
     verify_dissipativity,
 )
 from stablecouple.drift_models import DriftField
-from stablecouple.stable_noise import isotropic_stable
+from stablecouple.stable_noise import _rownorm, isotropic_stable
 from stablecouple.streams import derive_stream
 
 
@@ -214,3 +214,16 @@ def test_single_point_drift_is_bitwise_batch_row(d):
     for field in (monomial_drift(2.0, 0.7, d), power_potential_drift(1.5, d)):
         batch = field(xs)
         assert all(np.array_equal(field(x), row) for x, row in zip(xs, batch))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monomial_q1_is_bitwise_the_power_form(d):
+    # q = 1 skips the power r ** q, which is r itself: the bits are those
+    # of -c |x|^q x, nans, zeros and infinities included
+    xs = 3.0 * rng_at(40 + d).standard_normal((64, d))
+    xs[:4] = np.array([0.0, -0.0, np.inf, np.nan])[:, None]
+    for field, c in ((monomial_drift(2.0, 1.0, d), 2.0),
+                     (power_potential_drift(1.5, d), 3.0)):
+        with np.errstate(invalid="ignore"):
+            want = -c * _rownorm(xs, keepdims=True) ** 1.0 * xs
+            assert np.array_equal(field(xs), want, equal_nan=True)

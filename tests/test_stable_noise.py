@@ -9,6 +9,8 @@ from scipy import integrate, stats
 
 from stablecouple.stable_noise import (
     _large_jumps,
+    _rownorm,
+    _unit_directions,
     decompose,
     isotropic_stable,
     levy_constant,
@@ -184,6 +186,34 @@ def test_large_jump_single_shape():
     radius, z = _large_jumps(1.0, spec.alpha, spec.d, 1, rng_at(3))
     assert radius.shape == (1,) and z.shape == (1, 2)
     assert np.linalg.norm(z[0]) == pytest.approx(radius[0], rel=1e-15)
+
+
+def test_line_directions_are_bitwise_normalized_draws():
+    # on the line a direction is the sign of its draw, which is g / |g| bit
+    # for bit over the normal sampler's range (a zero draw, of either sign,
+    # stays as drawn); d = 2 still normalizes the draw
+    g = rng_at(5).standard_normal((200_000, 1))
+    g[:6, 0] = [0.0, -0.0, 6e-17, -3.7, 40.0, 2.0 ** -511]
+    norm = _rownorm(g, keepdims=True)
+    want = g / np.where(norm == 0.0, 1.0, norm)
+    for d in (1, 2):
+        drawn = rng_at(6).standard_normal((1000, d))
+        got = _unit_directions(d, 1000, rng_at(6))
+        assert np.array_equal(got, drawn / _rownorm(drawn, keepdims=True))
+    got = _unit_directions(1, len(g), _Replay(g))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got, want)
+
+
+class _Replay:
+    """A generator stand-in whose normal draws are the given array."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def standard_normal(self, shape):
+        assert shape == self.draws.shape
+        return self.draws.copy()
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 0.8), (1, 1.5), (2, 1.5), (3, 1.2)])
