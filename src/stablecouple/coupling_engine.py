@@ -282,7 +282,7 @@ def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,
         ratio = np.exp((c - length) * (length + c) / two_var)
         term = ratio[:2] - ratio[2:]
         p = term if k == 0 else p + term
-        if ratio[2:].max() < 1e-17:
+        if not ratio[2:].max() >= 1e-17:  # a nan input ends the series too
             return p[0], p[1]
         # each further pair of visits adds 2 l0 to the route
         k += 1
@@ -290,16 +290,16 @@ def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,
 
 
 def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                   var: np.ndarray, l0: float, merged: np.ndarray,
-                   rng: np.random.Generator) -> None:
+                   ra: np.ndarray, var: np.ndarray, l0: float,
+                   merged: np.ndarray, rng: np.random.Generator) -> None:
     """Reflection-coupled Gaussian kick, in place, on the given rows.
 
-    Row i of ``rows`` (0 < r_a <= l0) draws g ~ N(0, var[i] I); x gets g.
-    Until the separation leaves (0, l0), y gets the mirror of x's motion
-    across x - y, so the separation moves only along e = (x - y)/|x - y|, a
-    one-dimensional Brownian motion of variance 4 var from r_a towards
-    r_b = r_a + 2 g.e.  Where it leaves is decided by the bridge
-    (:func:`_bridge_exits`, one uniform per row):
+    Row i of ``rows``, at separation r_a = ra[i] (0 < r_a <= l0), draws
+    g ~ N(0, var[i] I); x gets g.  Until the separation leaves (0, l0), y
+    gets the mirror of x's motion across x - y, so the separation moves
+    only along e = (x - y)/|x - y|, a one-dimensional Brownian motion of
+    variance 4 var from r_a towards r_b = r_a + 2 g.e.  Where it leaves is
+    decided by the bridge (:func:`_bridge_exits`, one uniform per row):
 
     - first at 0: the pair has met and both components follow x, so it is
       marked merged and the caller's settle step sets y := x;
@@ -311,7 +311,6 @@ def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
     time, so y's kick is N(0, var I) as well.
     """
     diff = x[rows] - y[rows]
-    ra = _rownorm(diff)
     e = diff / ra[:, None]
     g = rng.standard_normal(diff.shape) * np.sqrt(var)[:, None]
     ge2 = 2.0 * np.einsum("ij,ij->i", g, e)
@@ -442,7 +441,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 var_band = h * _small_var_per_coord(
                     spec, np.minimum(cfg.delta_floor, a * r[band]))
                 var[band] = common - var_band
-                _mirrored_kick(X, Y, band, var_band, l0, merged, rng)
+                _mirrored_kick(X, Y, band, r[band], var_band, l0, merged, rng)
             g *= np.sqrt(var)[:, None]
             X += g
             Y += g

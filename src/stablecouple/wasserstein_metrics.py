@@ -11,8 +11,9 @@ Both W_p columns carry one standard error, the delta method on per-pair
 contributions h_i that treat (x_i, y_i) as coupled pairs: h_i = |x_i - y_i|^p
 for the coupling bound, and h_i = u_i + v_i from the dual potentials of the
 optimal pairing for the exact value.  Those potentials come from two scans
-over the sorted samples in one dimension and from the one assignment that
-gives the value for d >= 2, so the error bar draws no random numbers.
+over the sorted samples in one dimension and, for d >= 2, from the one
+assignment that gives the value and the same shortest-path search that
+finished it, so the error bar draws no random numbers.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def _sorted_wp(x: np.ndarray, y: np.ndarray,
     On sorted samples C_ij = |x_i - y_j|^p is Monge for p >= 1, so a
     shortest path of :func:`_dual_potentials` never skips a column and
     never turns back (that would close a cycle, of nonnegative length at
-    an optimum).  Its fixed point from v = 0 is then one scan up the
-    adjacent columns and one scan down.
+    an optimum).  Its shortest distances from the source are then one scan
+    up the adjacent columns and one scan down.
     """
     ix = np.argsort(x[:, 0], kind="stable")
     iy = np.argsort(y[:, 0], kind="stable")
@@ -113,13 +114,12 @@ def _sorted_wp(x: np.ndarray, y: np.ndarray,
 
 def _assigned_wp(x: np.ndarray, y: np.ndarray,
                  p: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact W_p by one assignment solve, with the cost matrix
-    C = |x_i - y_j|^p and the optimal assignment sigma that gives it: row i
-    is matched to column sigma[i]."""
+    """Exact W_p by one assignment solve on C = |x_i - y_j|^p, with the
+    dual potentials (u, v) of the optimal assignment."""
     cost = _power(_pairwise_norms(x, y), p)
-    sigma = _assignment(cost)
+    sigma, v = _assignment(cost)
     value = float(cost[np.arange(len(sigma)), sigma].mean() ** (1.0 / p))
-    return value, cost, sigma
+    return (value, *_dual_potentials(cost, sigma, v))
 
 
 def _power(dist: np.ndarray, p: float) -> np.ndarray:
@@ -132,26 +132,26 @@ def _power(dist: np.ndarray, p: float) -> np.ndarray:
     return cost
 
 
-def _assignment(cost: np.ndarray) -> np.ndarray:
-    """An optimal assignment sigma of the square cost matrix: row i goes to
-    column sigma[i].
+def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An optimal assignment sigma of the square cost matrix (row i goes to
+    column sigma[i]) and column potentials v that keep every row on a
+    cheapest column.
 
     Rows start on the diagonal, the pairing the coupled samples come with;
     when every diagonal entry is its row's minimum, that pairing is optimal
-    as it stands.  Otherwise a Jacobi auction with epsilon-scaling
-    (Bertsekas 1988) places all but a few rows.  The column potentials v
-    start at the column minima; a row's price for column j is C_ij - v_j.
+    as it stands, with v = 0.  Otherwise a Jacobi auction with
+    epsilon-scaling (Bertsekas 1988) places all but a few rows.  v starts
+    at the column minima; a row's price for column j is C_ij - v_j.
     Between phases, rows whose column is no longer within epsilon of their
     cheapest are released.  The finish keeps the rows whose column is
     exactly their cheapest and places the rest by shortest augmenting paths
-    (Crouse 2016), which keep every placed row on a cheapest column.  So the
-    result is optimal, not epsilon-optimal.
+    (Crouse 2016).  So the result is optimal, not epsilon-optimal.
     """
     n = len(cost)
     rows = np.arange(n)
     sigma = rows.copy()
     if (cost[rows, rows] <= cost.min(axis=1)).all():
-        return sigma
+        return sigma, np.zeros(n)
     owner, v = rows.copy(), cost.min(axis=0)
 
     def slack() -> np.ndarray:
@@ -193,35 +193,45 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     release(gap > 0.0)
     for i in np.flatnonzero(sigma < 0):
         _augment(cost, v, sigma, owner, i)
-    return sigma
+    return sigma, v
 
 
-def _augment(cost: np.ndarray, v: np.ndarray, sigma: np.ndarray,
-             owner: np.ndarray, i: int) -> None:
-    """Place the free row i by a shortest augmenting path (Dijkstra on the
-    reduced prices C_rj - v_j - u_r, u_r the price of row r's own column),
-    then lower v on the columns the search settled so that every placed row
-    stays on a cheapest column."""
-    dist = np.full(len(v), np.inf)  # to the columns not settled yet
-    pred = np.full(len(v), i)
+def _search(cost: np.ndarray, v: np.ndarray, owner: np.ndarray,
+            dist: np.ndarray, pred: np.ndarray) -> tuple[list, np.ndarray]:
+    """Dijkstra on the columns from the source lengths ``dist``: a settled
+    column j leads on through its row r = owner[j] at the reduced prices
+    C_rk - v_k - (C_rj - v_j), nonnegative while every row is on a cheapest
+    column (Johnson 1977).  ``dist`` and ``pred`` (the row each column is
+    reached from) are updated in place.  Returns the settled columns in
+    order, with their distances, up to the first free column (owner -1) or
+    the last column."""
     w = v.copy()  # v, with -inf on the settled columns
     settled, at = [], []
-    row, shift = i, 0.0
-    while True:
-        reach_via_row = cost[row] - w
-        reach_via_row += shift
-        pred[reach_via_row < dist] = row
-        np.minimum(dist, reach_via_row, out=dist)
+    while len(settled) < len(v):
         j = int(dist.argmin())
         reach = dist[j]
         settled.append(j)
         at.append(reach)
         dist[j], w[j] = np.inf, -np.inf
-        if owner[j] < 0:
-            break
         row = owner[j]
-        shift = reach - (cost[row, j] - v[j])
-    v[settled] -= reach - np.array(at)
+        if row < 0:
+            break
+        reach_via_row = cost[row] - w
+        reach_via_row += reach - (cost[row, j] - v[j])
+        pred[reach_via_row < dist] = row
+        np.minimum(dist, reach_via_row, out=dist)
+    return settled, np.array(at)
+
+
+def _augment(cost: np.ndarray, v: np.ndarray, sigma: np.ndarray,
+             owner: np.ndarray, i: int) -> None:
+    """Place the free row i by a shortest augmenting path (:func:`_search`
+    from row i to the first free column), then lower v on the columns the
+    search settled so that every placed row stays on a cheapest column."""
+    pred = np.full(len(v), i)
+    settled, at = _search(cost, v, owner, cost[i] - v, pred)
+    j = settled[-1]
+    v[settled] -= at[-1] - at
     while True:
         row = pred[j]
         owner[j] = row
@@ -230,32 +240,34 @@ def _augment(cost: np.ndarray, v: np.ndarray, sigma: np.ndarray,
             return
 
 
-def _dual_potentials(cost: np.ndarray,
-                     sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dual_potentials(cost: np.ndarray, sigma: np.ndarray,
+                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column potentials (u, v) of the optimal assignment sigma:
     u_i + v_j <= C_ij, with equality on the matched pairs (i, sigma[i]).
 
-    v solves a shortest-path problem on the columns, where the edge
-    sigma[i] -> j has length C_ij - C_{i,sigma[i]}.  Bellman-Ford starts at
-    v = 0 and relaxes every edge per sweep until a sweep moves no v_j by
-    more than rounding.  Without a negative cycle that takes at most n
-    sweeps; a negative cycle means sigma is not optimal, and then every
-    sweep moves some v_j, so the n-th one raises ValueError.
+    v_j is the shortest distance to column j from a source that reaches
+    every column at length 0, where the edge sigma[r] -> j has length
+    C_rj - C_{r,sigma[r]}.  :func:`_search` finds the shortest-path tree
+    with the given column prices as Johnson weights.  Those prices must
+    keep every row of sigma on a cheapest column; the result then does not
+    depend on them.  Each v_j is summed along its tree path, in settle
+    order, so that its parent is summed first.  A non-optimal sigma leaves
+    (u, v) infeasible beyond rounding and raises ValueError.
     """
     n = len(sigma)
     matched = cost[np.arange(n), sigma]
-    reduced = cost - matched[:, None]
+    pred = np.full(n, -1)
+    col = np.zeros(n)
+    for j in _search(cost, v, np.argsort(sigma), -v, pred)[0]:
+        r = pred[j]
+        if r >= 0:
+            col[j] = col[sigma[r]] + (cost[r, j] - matched[r])
+    u = matched - col[sigma]
     # rounding of the edge lengths, summed along a path of at most n edges
-    tol = n * np.spacing(cost.max())
-    v = np.zeros(n)
-    for _ in range(n):
-        relaxed = np.minimum(v, (v[sigma][:, None] + reduced).min(axis=0))
-        moved = float((v - relaxed).max())
-        v = relaxed
-        if moved <= tol:
-            return matched - v[sigma], v
-    raise ValueError("the assignment is not optimal: its dual potentials "
-                     f"still move after {n} Bellman-Ford sweeps")
+    if (u[:, None] + col - cost).max() > n * np.spacing(cost.max()):
+        raise ValueError("the assignment is not optimal: its dual "
+                         "potentials are infeasible")
+    return u, col
 
 
 def _wp_stderr(h: np.ndarray, value: float, p: float) -> float:
@@ -276,28 +288,19 @@ def _wp_stderr(h: np.ndarray, value: float, p: float) -> float:
     return se_m / (p * value ** (p - 1.0))
 
 
-def exact_empirical_wp(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
-    """Exact W_p between the uniform empirical measures of two equal-size samples."""
-    x, y = _wp_inputs(xs, ys, p)
-    if x.shape[1] == 1:
-        return _sorted_wp(x, y, p)[0]
-    return _assigned_wp(x, y, p)[0]
-
-
 def exact_wp_with_stderr(xs: np.ndarray, ys: np.ndarray,
                          p: float) -> tuple[float, float]:
-    """``exact_empirical_wp`` and its standard error from one core call.
-
-    The samples are pairs: (x_i, y_i) come from one coupled path.  The se is
-    :func:`_wp_stderr` on the dual potentials of the optimal pairing.
-    """
+    """:func:`exact_empirical_wp` with its standard error: the samples are
+    pairs, (x_i, y_i) from one coupled path, and the se is :func:`_wp_stderr`
+    on the dual potentials of the optimal pairing."""
     x, y = _wp_inputs(xs, ys, p)
-    if x.shape[1] == 1:
-        value, u, v = _sorted_wp(x, y, p)
-    else:
-        value, cost, sigma = _assigned_wp(x, y, p)
-        u, v = _dual_potentials(cost, sigma)
+    value, u, v = (_sorted_wp if x.shape[1] == 1 else _assigned_wp)(x, y, p)
     return value, _wp_stderr(u + v, value, p)
+
+
+def exact_empirical_wp(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
+    """Exact W_p between the uniform empirical measures of two equal-size samples."""
+    return exact_wp_with_stderr(xs, ys, p)[0]
 
 
 def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
@@ -389,20 +392,16 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray,
     n, m = x.shape[0], y.shape[0]
     pooled = np.vstack([x, y])
     dmat = _pairwise_norms(pooled, pooled)
-
-    def stat_for(idx_a):
-        mask = np.zeros(n + m, dtype=bool)
-        mask[idx_a] = True
-        daa = dmat[np.ix_(mask, mask)].mean()
-        dbb = dmat[np.ix_(~mask, ~mask)].mean()
-        dab = dmat[np.ix_(mask, ~mask)].mean()
-        return 2.0 * dab - daa - dbb
-
-    observed = stat_for(np.arange(n))
-    count = 0
-    for _ in range(n_perm):
-        idx = rng.permutation(n + m)[:n]
-        if stat_for(idx) >= observed:
-            count += 1
-    p_value = (1.0 + count) / (1.0 + n_perm)
-    return float(observed), float(p_value)
+    # column k marks group a of labelling k: the observed one, then the
+    # permutations; the block sums of D follow from m'Dm, 1'Dm and 1'D1
+    marks = np.zeros((n + m, 1 + n_perm))
+    marks[:n, 0] = 1.0
+    for k in range(1, 1 + n_perm):
+        marks[rng.permutation(n + m)[:n], k] = 1.0
+    dm = dmat @ marks
+    aa = np.einsum("ik,ik->k", marks, dm)
+    ab = dm.sum(axis=0) - aa
+    bb = dmat.sum() - 2.0 * ab - aa
+    stat = 2.0 * ab / (n * m) - aa / (n * n) - bb / (m * m)
+    p_value = (1.0 + np.count_nonzero(stat[1:] >= stat[0])) / (1.0 + n_perm)
+    return float(stat[0]), float(p_value)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -588,6 +589,23 @@ def test_bridge_exits_complete_the_double_barrier_law():
     assert pl[0] == 0.0
 
 
+def test_bridge_exits_end_on_a_nan_input():
+    # a nan never falls below the series' stopping bound; the alarm turns a
+    # loop that never ends into a failure
+    def hang(signum, frame):
+        raise TimeoutError("_bridge_exits did not return on a nan input")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        p0, pl = _bridge_exits(np.array([0.5]), np.array([np.nan]), 1.0,
+                               np.array([0.01]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.isnan(p0).all() and np.isnan(pl).all()
+
+
 def _bridge_exits_route_by_route(ra, rb, l0, var):
     # the series one route at a time, each shifted by 2 k l0 on its own
     c = rb - ra
@@ -632,7 +650,8 @@ def test_mirrored_kick_stops_at_l0_and_keeps_y_gaussian():
     y = np.tile([-ra * 0.6, -ra * 0.8], (n, 1))
     y0 = y.copy()
     merged = np.zeros(n, dtype=bool)
-    _mirrored_kick(x, y, np.arange(n), np.full(n, var), l0, merged, rng)
+    _mirrored_kick(x, y, np.arange(n), _rownorm(x - y), np.full(n, var), l0,
+                   merged, rng)
     r = _rownorm(x - y)
     assert not merged.any()
     assert r.max() <= l0 * (1.0 + 1e-12)

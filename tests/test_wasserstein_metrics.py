@@ -167,22 +167,23 @@ def test_bootstrap_reuses_cost_bitwise(d, p):
     if d == 1:
         value, u, v = wasserstein_metrics._sorted_wp(xs, ys, p)
     else:
-        value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
-        u, v = wasserstein_metrics._dual_potentials(cost, sigma)
+        value, u, v = wasserstein_metrics._assigned_wp(xs, ys, p)
     want = wasserstein_metrics._wp_stderr(u + v, value, p)
     assert np.array_equal(bootstrap_wp_stderr(xs, ys, p, rng_at(9), n_boot=15),
                           want)
 
 
 def serial_exact_and_stderr(xs, ys, p):
-    """The exact value and the dual se from Bellman-Ford on the full cost
-    matrix, whatever the dimension; in one dimension sigma pairs the ranks."""
+    """The exact value and the dual se from the shortest-path search on the
+    full cost matrix, whatever the dimension; in one dimension sigma pairs
+    the ranks and the sorted scans' column potentials weight the search."""
     cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
     if xs.shape[1] == 1:
         sigma = rank_pairing(xs, ys)
+        weights = wasserstein_metrics._sorted_wp(xs, ys, p)[2]
     else:
-        sigma = wasserstein_metrics._assigned_wp(xs, ys, p)[2]
-    u, v = wasserstein_metrics._dual_potentials(cost, sigma)
+        sigma, weights = wasserstein_metrics._assignment(cost)
+    u, v = wasserstein_metrics._dual_potentials(cost, sigma, weights)
     value = exact_empirical_wp(xs, ys, p)
     return value, wasserstein_metrics._wp_stderr(u + v, value, p)
 
@@ -191,8 +192,8 @@ def serial_exact_and_stderr(xs, ys, p):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_exact_wp_with_stderr_is_bitwise_serial(d, p):
     # one core call gives the bits of the separate calls; and the se of the
-    # Bellman-Ford potentials on the full matrix, bitwise for d >= 2 (the
-    # same solve) and to rounding in one dimension (the sorted scans)
+    # searched potentials on the full matrix, bitwise for d >= 2 (the same
+    # solve) and to rounding in one dimension (the sorted scans)
     xs = rng_at(10).standard_normal((24, d))
     ys = rng_at(11).standard_normal((24, d)) + 0.5
     got = exact_wp_with_stderr(xs, ys, p)
@@ -232,8 +233,10 @@ def test_bootstrap_stderr_matches_spread_across_seeds(d, p):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_dual_potentials_certify_the_assignment(d, p):
     # feasible on the full matrix and tight on the optimal pairing; in one
-    # dimension the sorted scans also give Bellman-Ford's potentials on the
-    # pairing of the ranks, with repeated values and merged pairs x_i = y_i
+    # dimension the sorted scans also give the searched potentials on the
+    # pairing of the ranks, with repeated values and merged pairs x_i = y_i.
+    # The search's weights do not matter: the solver's column prices, those
+    # plus 1 and the returned potentials give the same (u, v) to rounding
     rng = derive_stream(31, 10 * d + int(2 * p))
     for n in (2, 7, 40):
         xs = rng.standard_normal((n, d))
@@ -241,28 +244,30 @@ def test_dual_potentials_certify_the_assignment(d, p):
         if d == 1:
             xs = np.round(xs, 1)
             ys[::3] = xs[::3]
+        cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
+        if d == 1:
             value, u, v = wasserstein_metrics._sorted_wp(xs, ys, p)
-            cost = wasserstein_metrics._pairwise_norms(xs, ys) ** p
-            sigma = rank_pairing(xs, ys)
+            sigma, prices = rank_pairing(xs, ys), v
         else:
-            value, cost, sigma = wasserstein_metrics._assigned_wp(xs, ys, p)
-            u, v = wasserstein_metrics._dual_potentials(cost, sigma)
+            value, u, v = wasserstein_metrics._assigned_wp(xs, ys, p)
+            sigma, prices = wasserstein_metrics._assignment(cost)
         tol = 1e-12 * cost.max()
         assert (u[:, None] + v[None, :] <= cost + tol).all()
         assert np.allclose(u + v[sigma], cost[np.arange(n), sigma],
                            rtol=0.0, atol=tol)
         assert u.sum() + v.sum() == pytest.approx(n * value ** p, rel=1e-12)
-        if d == 1:
-            bellman_ford = wasserstein_metrics._dual_potentials(cost, sigma)
-            assert np.allclose(u, bellman_ford[0], rtol=0.0, atol=tol)
-            assert np.allclose(v, bellman_ford[1], rtol=0.0, atol=tol)
+        for weights in (prices, prices + 1.0, v):
+            searched = wasserstein_metrics._dual_potentials(cost, sigma, weights)
+            assert np.allclose(u, searched[0], rtol=0.0, atol=tol)
+            assert np.allclose(v, searched[1], rtol=0.0, atol=tol)
 
 
 def test_dual_rejects_a_non_optimal_assignment(monkeypatch):
     solve = wasserstein_metrics._assignment
 
     def worse(cost):
-        return np.roll(solve(cost), 1)
+        sigma, v = solve(cost)
+        return np.roll(sigma, 1), v
 
     xs = rng_at(17).standard_normal((16, 2))
     ys = rng_at(18).standard_normal((16, 2))
@@ -302,14 +307,14 @@ def test_assignment_matches_scipy(family, n):
     rows = np.arange(n)
     for _ in range(3 if n > 100 else 10):
         cost = solver_instance(family, n, rng)
-        sigma = wasserstein_metrics._assignment(cost)
+        sigma, v = wasserstein_metrics._assignment(cost)
         reference = linear_sum_assignment(cost)[1]
         assert np.array_equal(np.sort(sigma), rows)
         assert cost[rows, sigma].sum() == pytest.approx(
             cost[rows, reference].sum(), rel=1e-12, abs=0.0)
         if family not in ("point_masses", "integer"):
             assert np.array_equal(sigma, reference)
-        wasserstein_metrics._dual_potentials(cost, sigma)
+        wasserstein_metrics._dual_potentials(cost, sigma, v)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -416,3 +421,27 @@ def test_energy_test_rejects_shifted_law():
     y = rng.standard_normal((800, 2)) + 0.4
     _, p = energy_distance_test(x, y, rng_at(12), n_perm=199)
     assert p <= 0.01
+
+
+def test_energy_test_matches_the_permutation_loop():
+    # the batched statistics against one block gather per labelling, over
+    # the same permutations in the same order, with groups of unequal size
+    rng = rng_at(13)
+    x = rng.standard_normal((40, 2))
+    y = rng.standard_normal((30, 2)) + 0.2
+    stat, p = energy_distance_test(x, y, rng_at(14), n_perm=99)
+    pooled = np.vstack([x, y])
+    dmat = wasserstein_metrics._pairwise_norms(pooled, pooled)
+
+    def stat_for(idx_a):
+        a = np.zeros(70, dtype=bool)
+        a[idx_a] = True
+        return (2.0 * dmat[np.ix_(a, ~a)].mean() - dmat[np.ix_(a, a)].mean()
+                - dmat[np.ix_(~a, ~a)].mean())
+
+    observed = stat_for(np.arange(40))
+    draws = rng_at(14)
+    count = sum(stat_for(draws.permutation(70)[:40]) >= observed
+                for _ in range(99))
+    assert stat == pytest.approx(observed, rel=0.0, abs=1e-12)
+    assert p == (1.0 + count) / 100.0
