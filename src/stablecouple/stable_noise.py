@@ -122,11 +122,11 @@ def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
     The arithmetic of numpy's ``linalg.norm(v, axis=-1)``, so bitwise equal to it
     in every dimension (for a C-ordered v), without its per-call dispatch.
-    numpy sums an axis shorter than 8 in order, so there the squares are
-    added one column at a time: a few whole-array adds instead of one short
-    reduction per row (one column is the square itself).  A longer axis is
-    summed pairwise along each row, so its squares are taken in C order
-    whatever the layout of v.
+    numpy sums an axis shorter than 8 in order, so there the array is squared
+    once and its squared columns are added in order: a few whole-array
+    operations instead of one short reduction per row (one column is the
+    square itself).  A longer axis is summed pairwise along each row, so its
+    squares are taken in C order whatever the layout of v.
     """
     d = v.shape[-1]
     if d == 1:
@@ -135,9 +135,10 @@ def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     if d >= 8:
         return np.sqrt(np.add.reduce(np.multiply(v, v, order="C"), axis=-1,
                                      keepdims=keepdims))
-    s = v[..., 0] * v[..., 0]
-    for k in range(1, d):
-        s = s + v[..., k] * v[..., k]
+    sq = v * v
+    s = sq[..., 0] + sq[..., 1]
+    for k in range(2, d):
+        s += sq[..., k]
     s = np.sqrt(s)
     return s[..., None] if keepdims else s
 

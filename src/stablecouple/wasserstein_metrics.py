@@ -3,9 +3,11 @@
 Equal-size empirical measures only: the p-Wasserstein distance then reduces
 to an optimal assignment on the cost matrix |x_i - y_j|^p.  In one dimension
 sorting both samples solves it; for d >= 2 the module's own numpy solver
-does (an epsilon-scaling auction finished by shortest augmenting paths), so
-no run imports scipy.  Any coupling of the two samples gives an upper bound;
-the paired ensemble mean (E |x - y|^p)^(1/p) is the one used throughout.
+does (an epsilon-scaling auction whose prices are raised until almost every
+row sits exactly on a cheapest column, finished by shortest augmenting paths
+for the few rows left), so no run imports scipy.  Any coupling of the two
+samples gives an upper bound; the paired ensemble mean (E |x - y|^p)^(1/p)
+is the one used throughout.
 
 Both W_p columns carry one standard error, the delta method on per-pair
 contributions h_i that treat (x_i, y_i) as coupled pairs: h_i = |x_i - y_i|^p
@@ -13,7 +15,8 @@ for the coupling bound, and h_i = u_i + v_i from the dual potentials of the
 optimal pairing for the exact value.  Those potentials come from two scans
 over the sorted samples in one dimension and, for d >= 2, from the one
 assignment that gives the value and the same shortest-path search that
-finished it, so the error bar draws no random numbers.
+finished it (no search when the coupled pairing is optimal as it stands),
+so the error bar draws no random numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
 _EPS_DIV = 8.0  # the auction's epsilon shrinks by this factor per phase
 _EPS_END = 1e-4  # the last phase's epsilon, relative to max C / n
 _FREE_END = 16  # a phase ends with at most this many rows free
+_RAISE_SWEEPS = 16  # price raises that tighten the auction before its finish
 
 
 class DegenerateFitError(ValueError):
@@ -75,14 +79,24 @@ def _wp_inputs(xs: np.ndarray, ys: np.ndarray,
 
 
 def _pairwise_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (n, m) matrix |a_i - b_j| of the rows of a (n, d) and b (m, d).
+    """The (n, m) matrix |a_i - b_j| of the rows of a (n, d) and b (m, d),
+    bitwise ``np.linalg.norm`` of the (n, m, d) differences.
 
     The differences are laid out one coordinate plane at a time, (d, n, m),
-    so each plane is one contiguous subtraction and :func:`_rownorm` adds
-    whole planes.
+    so each plane is one contiguous subtraction.  For d < 8 the planes are
+    squared in place and added in order, as :func:`_rownorm` adds columns;
+    squaring a fresh copy instead would hold d more planes at the peak.
+    From d = 8 on :func:`_rownorm` sums each row pairwise, as numpy does.
     """
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    return _rownorm(np.moveaxis(at[:, :, None] - bt[:, None, :], 0, -1))
+    diff = at[:, :, None] - bt[:, None, :]
+    if len(diff) >= 8:
+        return _rownorm(np.moveaxis(diff, 0, -1))
+    np.multiply(diff, diff, out=diff)
+    total = diff[0]
+    for plane in diff[1:]:
+        total += plane
+    return np.sqrt(total)
 
 
 def _sorted_wp(x: np.ndarray, y: np.ndarray,
@@ -115,7 +129,9 @@ def _sorted_wp(x: np.ndarray, y: np.ndarray,
 def _assigned_wp(x: np.ndarray, y: np.ndarray,
                  p: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact W_p by one assignment solve on C = |x_i - y_j|^p, with the
-    dual potentials (u, v) of the optimal assignment."""
+    dual potentials (u, v) of the optimal assignment.  When the coupled
+    pairing is optimal as it stands (the t = 0 point masses, or every pair
+    merged), those are the diagonal costs and 0, and take no search."""
     cost = _power(_pairwise_norms(x, y), p)
     sigma, v = _assignment(cost)
     value = float(cost[np.arange(len(sigma)), sigma].mean() ** (1.0 / p))
@@ -132,31 +148,42 @@ def _power(dist: np.ndarray, p: float) -> np.ndarray:
     return cost
 
 
-def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """An optimal assignment sigma of the square cost matrix (row i goes to
     column sigma[i]) and column potentials v that keep every row on a
     cheapest column.
 
     Rows start on the diagonal, the pairing the coupled samples come with;
     when every diagonal entry is its row's minimum, that pairing is optimal
-    as it stands, with v = 0.  Otherwise a Jacobi auction with
-    epsilon-scaling (Bertsekas 1988) places all but a few rows.  v starts
-    at the column minima; a row's price for column j is C_ij - v_j.
-    Between phases, rows whose column is no longer within epsilon of their
-    cheapest are released.  The finish keeps the rows whose column is
-    exactly their cheapest and places the rest by shortest augmenting paths
-    (Crouse 2016).  So the result is optimal, not epsilon-optimal.
+    as it stands, and v is None: no price is needed, and the potentials are
+    the diagonal and 0 (:func:`_dual_potentials`).  Otherwise a Jacobi
+    auction with epsilon-scaling (Bertsekas 1988) places all but a few
+    rows.  v starts at the column minima; a row's price for column j is
+    C_ij - v_j.  Between phases, rows whose column is no longer within
+    epsilon of their cheapest are released.  A winning bid leaves its row
+    epsilon above its cheapest column, so before the finish each placed
+    row's column is raised by the row's slack.  A raise makes that column
+    cheaper for every other row too, so the raises repeat, checking only
+    the columns raised last, for at most ``_RAISE_SWEEPS`` sweeps; the
+    raised columns about halve in each, and a slack left by rounding may
+    never clear.  The finish keeps the rows whose column is then exactly
+    their cheapest and places the rest, the auction's last free rows and
+    a few more, by shortest augmenting paths (Crouse 2016).  So the result
+    is optimal, not epsilon-optimal.
     """
     n = len(cost)
     rows = np.arange(n)
     sigma = rows.copy()
     if (cost[rows, rows] <= cost.min(axis=1)).all():
-        return sigma, np.zeros(n)
+        return sigma, None
     owner, v = rows.copy(), cost.min(axis=0)
+    # C - v and its row minima, shared by slack(), the bids and the raises
+    reduced, low = np.empty_like(cost), np.empty(n)
 
     def slack() -> np.ndarray:
-        reduced = cost - v
-        return reduced[rows, sigma] - reduced.min(axis=1)
+        np.subtract(cost, v, out=reduced)
+        reduced.min(axis=1, out=low)
+        return reduced[rows, sigma] - low
 
     def release(rows_out: np.ndarray) -> None:
         rows_out &= sigma >= 0
@@ -173,7 +200,9 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(free) <= _FREE_END:
             continue  # no bids, so v and the slack stand
         while len(free) > _FREE_END:
-            prices = cost[free]
+            # mode clip writes straight to out (raise would buffer it)
+            prices = cost.take(free, axis=0, out=reduced[:len(free)],
+                               mode="clip")
             prices -= v
             k = np.arange(len(free))
             best = prices.argmin(axis=1)
@@ -182,14 +211,28 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             bid = v[best] - (prices.min(axis=1) - cheapest) - eps
             # each column goes to its lowest bid
             order = np.lexsort((bid, best))
-            win = order[np.r_[True, best[order[1:]] != best[order[:-1]]]]
-            cols, lost = best[win], owner[best[win]]
+            ranked = best[order]
+            win = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+            cols = best[win]
+            lost = owner[cols]
             sigma[lost[lost >= 0]] = -1
             owner[cols] = free[win]
             sigma[free[win]] = cols
             v[cols] = bid[win]
             free = np.flatnonzero(sigma < 0)
         gap = slack()
+    for _ in range(_RAISE_SWEEPS):
+        up = np.flatnonzero((gap > 0.0) & (sigma >= 0))
+        if not len(up):
+            break
+        cols = sigma[up]
+        v[cols] += gap[up]
+        # only the raised columns got cheaper, so only they can lower a minimum
+        raised = cost[:, cols]
+        raised -= v[cols]
+        reduced[:, cols] = raised
+        np.minimum(low, raised.min(axis=1), out=low)
+        gap = reduced[rows, sigma] - low
     release(gap > 0.0)
     for i in np.flatnonzero(sigma < 0):
         _augment(cost, v, sigma, owner, i)
@@ -205,21 +248,30 @@ def _search(cost: np.ndarray, v: np.ndarray, owner: np.ndarray,
     reached from) are updated in place.  Returns the settled columns in
     order, with their distances, up to the first free column (owner -1) or
     the last column."""
+    n = len(v)
     w = v.copy()  # v, with -inf on the settled columns
+    owners, v_at = owner.tolist(), v.tolist()
+    via, better = np.empty(n), np.empty(n, dtype=bool)
+    # local names: the loop runs up to n times per call
+    inf, subtract, less, putmask, minimum = (np.inf, np.subtract, np.less,
+                                             np.putmask, np.minimum)
     settled, at = [], []
-    while len(settled) < len(v):
-        j = int(dist.argmin())
+    for _ in range(n):
+        j = dist.argmin()
         reach = dist[j]
         settled.append(j)
         at.append(reach)
-        dist[j], w[j] = np.inf, -np.inf
-        row = owner[j]
+        dist[j] = inf
+        w[j] = -inf
+        row = owners[j]
         if row < 0:
             break
-        reach_via_row = cost[row] - w
-        reach_via_row += reach - (cost[row, j] - v[j])
-        pred[reach_via_row < dist] = row
-        np.minimum(dist, reach_via_row, out=dist)
+        c_row = cost[row]
+        subtract(c_row, w, out=via)
+        via += reach - (c_row[j] - v_at[j])
+        less(via, dist, out=better)
+        putmask(pred, better, row)
+        minimum(dist, via, out=dist)
     return settled, np.array(at)
 
 
@@ -241,7 +293,7 @@ def _augment(cost: np.ndarray, v: np.ndarray, sigma: np.ndarray,
 
 
 def _dual_potentials(cost: np.ndarray, sigma: np.ndarray,
-                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Row and column potentials (u, v) of the optimal assignment sigma:
     u_i + v_j <= C_ij, with equality on the matched pairs (i, sigma[i]).
 
@@ -253,9 +305,15 @@ def _dual_potentials(cost: np.ndarray, sigma: np.ndarray,
     depend on them.  Each v_j is summed along its tree path, in settle
     order, so that its parent is summed first.  A non-optimal sigma leaves
     (u, v) infeasible beyond rounding and raises ValueError.
+
+    Prices None stand for :func:`_assignment`'s diagonal exit, where every
+    matched entry is its row's minimum: from the prices 0 the search would
+    relax no column, so (u, v) is (the matched costs, 0) without it.
     """
     n = len(sigma)
     matched = cost[np.arange(n), sigma]
+    if v is None:
+        return matched, np.zeros(n)
     pred = np.full(n, -1)
     col = np.zeros(n)
     for j in _search(cost, v, np.argsort(sigma), -v, pred)[0]:

@@ -251,6 +251,8 @@ def test_dual_potentials_certify_the_assignment(d, p):
         else:
             value, u, v = wasserstein_metrics._assigned_wp(xs, ys, p)
             sigma, prices = wasserstein_metrics._assignment(cost)
+            if prices is None:  # the diagonal exit, whose prices are 0
+                prices = np.zeros(n)
         tol = 1e-12 * cost.max()
         assert (u[:, None] + v[None, :] <= cost + tol).all()
         assert np.allclose(u + v[sigma], cost[np.arange(n), sigma],
@@ -315,6 +317,88 @@ def test_assignment_matches_scipy(family, n):
         if family not in ("point_masses", "integer"):
             assert np.array_equal(sigma, reference)
         wasserstein_metrics._dual_potentials(cost, sigma, v)
+
+
+def test_raised_prices_leave_few_rows_to_the_finish(monkeypatch):
+    # a winning bid leaves its row epsilon above its cheapest column; without
+    # the raises before the finish about half of these 256 coupled pairs
+    # (123) are released and each placed by its own augmenting path
+    from scipy.optimize import linear_sum_assignment
+
+    cost = solver_instance("half_merged", 256, rng_at(296))
+    augment = wasserstein_metrics._augment
+    placed = []
+
+    def counted(cost, v, sigma, owner, i):
+        placed.append(i)
+        return augment(cost, v, sigma, owner, i)
+
+    monkeypatch.setattr(wasserstein_metrics, "_augment", counted)
+    sigma, v = wasserstein_metrics._assignment(cost)
+    assert 0 < len(placed) <= 2 * wasserstein_metrics._FREE_END
+    assert np.array_equal(sigma, linear_sum_assignment(cost)[1])
+    wasserstein_metrics._dual_potentials(cost, sigma, v)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diagonal_exit_takes_no_search(d, monkeypatch):
+    # the t = 0 point masses and a fully merged ensemble: the coupled
+    # pairing is optimal as it stands, and its potentials (the diagonal and
+    # 0) are those the search gives from the prices 0, bit for bit
+    x0 = np.zeros(d)
+    x0[0] = 0.35
+    masses = np.tile(x0, (64, 1)), np.tile(-x0, (64, 1))
+    xs = rng_at(21).standard_cauchy((64, d))
+    merged = xs, xs.copy()
+    for p in (1.0, 2.0):
+        for x, y in (masses, merged):
+            cost = wasserstein_metrics._pairwise_norms(x, y) ** p
+            n = len(cost)
+            searched = wasserstein_metrics._dual_potentials(
+                cost, np.arange(n), np.zeros(n))
+            value, u, v = wasserstein_metrics._assigned_wp(x, y, p)
+            assert np.array_equal(u, searched[0])
+            assert np.array_equal(v, searched[1])
+            assert np.array_equal(np.signbit(v), np.signbit(searched[1]))
+    want = [exact_wp_with_stderr(x, y, 2.0) for x, y in (masses, merged)]
+
+    def no_search(*args):
+        raise AssertionError("the diagonal exit ran a search")
+
+    monkeypatch.setattr(wasserstein_metrics, "_search", no_search)
+    got = [exact_wp_with_stderr(x, y, 2.0) for x, y in (masses, merged)]
+    assert got == want
+    assert got[0] == (0.7, 0.0) and got[1] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+def test_pairwise_norms_is_bitwise_linalg_norm(d):
+    # squared planes added in order below d = 8, the pairwise row sum from
+    # d = 8 on: both the bits of numpy's norm of the (n, m, d) differences
+    rng = rng_at(60 + d)
+    a, b = rng.standard_cauchy((37, d)), rng.standard_cauchy((23, d))
+    for x, y in ((a, b), (a, a)):
+        got = wasserstein_metrics._pairwise_norms(x, y)
+        want = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_pairwise_norms_peak_memory():
+    # the (d, n, m) differences squared in place, plus the one plane of
+    # their sum: squaring a copy of them held 2.01 MiB at 256^2, d = 2
+    import tracemalloc
+
+    rng = rng_at(70)
+    a, b = rng.standard_cauchy((256, 2)), rng.standard_cauchy((256, 2))
+    plane = 256 * 256 * 8
+    tracemalloc.start()
+    try:
+        wasserstein_metrics._pairwise_norms(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * plane + 64 * 1024
 
 
 @pytest.mark.parametrize("d", [1, 2])
