@@ -37,7 +37,10 @@ kick is split in two:
   common to both components and cancels in the separation.
 
 Pairs merge (and stick, with Y a bitwise copy of X) at a bridge crossing or
-once the separation falls below ``eps_couple``.  The jump clock runs at one
+once the separation falls below ``eps_couple``.  The ensemble is one array of
+shape (n, 2, d), X in [:, 0] and Y in [:, 1], so an event round gathers its
+pairs once, drifts their 2m rows in one flow and scatters them once; a
+merged pair's two equal rows flow to equal rows.  The jump clock runs at one
 constant rate, so the count of explicit jumps has a known mean; it is held
 to a budget before the first window (:func:`require_event_budget`).
 """
@@ -206,10 +209,11 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     The first step takes every row; only then are the rows with time left
     gathered, so a flow that ends in one step makes no second pass.  Rows
-    never interact, so stacking two batches into one call gives each row the
-    bits it would get alone.  Non-finite intermediates of a pathological
-    field are left to the caller's guard; the engine quiets their warnings
-    once per run.
+    never interact, so each row gets the bits it would get alone: the engine
+    flows the x and y rows of its pairs, interleaved, in one call, and equal
+    rows stay equal.  Non-finite intermediates of a pathological field are
+    left to the caller's guard; the engine quiets their warnings once per
+    run.
     """
     x, step = _rk4_one(field, x, h)
     # for finite doubles h - step > 0 exactly when step < h, so the rows
@@ -227,30 +231,17 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     raise DriftBlowupError("drift flow did not finish; field too stiff")
 
 
-def _flow_pair(field: DriftField, x: np.ndarray, y_live: np.ndarray,
-               h: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift the rows x and the rows y_live = y[live] over horizons h in one
-    stacked flow; returns (x, y) with y := x on the rows outside ``live``."""
-    n = len(x)
-    out = _drift_flow(field, np.concatenate((x, y_live)),
-                      np.concatenate((h, h[live])))
-    x = out[:n]
-    y = x.copy()
-    y[live] = out[n:]
-    return x, y
-
-
 # ---------------------------------------------------------------------------
 # Ensemble simulation
 # ---------------------------------------------------------------------------
 
 
-def _settle(x: np.ndarray, y: np.ndarray, merged: np.ndarray,
-            eps: float) -> None:
-    """Merge, in place, the rows of (x, y) within ``eps``; set y := x on every
-    merged row, so a merged pair is bitwise equal from then on."""
-    merged |= _rownorm(x - y) <= eps
-    np.copyto(y, x, where=merged[:, None])
+def _settle(pairs: np.ndarray, merged: np.ndarray, eps: float) -> None:
+    """Merge, in place, the pairs (x, y) = pairs[:, 0], pairs[:, 1] within
+    ``eps``; set y := x on every merged pair, so it is bitwise equal from
+    then on."""
+    merged |= _rownorm(pairs[:, 0] - pairs[:, 1]) <= eps
+    np.copyto(pairs[:, 1], pairs[:, 0], where=merged[:, None])
 
 
 def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,
@@ -289,10 +280,11 @@ def _bridge_exits(ra: np.ndarray, rb: np.ndarray, l0: float,
         length = routes + 2 * k * l0
 
 
-def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                   ra: np.ndarray, var: np.ndarray, l0: float,
-                   merged: np.ndarray, rng: np.random.Generator) -> None:
-    """Reflection-coupled Gaussian kick, in place, on the given rows.
+def _mirrored_kick(pairs: np.ndarray, rows: np.ndarray, ra: np.ndarray,
+                   var: np.ndarray, l0: float, merged: np.ndarray,
+                   rng: np.random.Generator) -> None:
+    """Reflection-coupled Gaussian kick, in place, on the given rows of the
+    pairs (x, y) = pairs[:, 0], pairs[:, 1].
 
     Row i of ``rows``, at separation r_a = ra[i] (0 < r_a <= l0), draws
     g ~ N(0, var[i] I); x gets g.  Until the separation leaves (0, l0), y
@@ -310,15 +302,18 @@ def _mirrored_kick(x: np.ndarray, y: np.ndarray, rows: np.ndarray,
     Each rule takes y's increment from x's Brownian motion up to a stopping
     time, so y's kick is N(0, var I) as well.
     """
-    diff = x[rows] - y[rows]
+    pr = pairs.take(rows, axis=0)
+    x, y = pr[:, 0], pr[:, 1]
+    diff = x - y
     e = diff / ra[:, None]
     g = rng.standard_normal(diff.shape) * np.sqrt(var)[:, None]
     ge2 = 2.0 * np.einsum("ij,ij->i", g, e)
     p0, pl = _bridge_exits(ra, ra + ge2, l0, 4.0 * var)
     u = rng.random(len(rows))
     at_l0 = (u >= p0) & (u < p0 + pl)
-    x[rows] += g
-    y[rows] += g - np.where(at_l0, l0 - ra, ge2)[:, None] * e
+    x += g
+    y += g - np.where(at_l0, l0 - ra, ge2)[:, None] * e
+    pairs[rows] = pr
     merged[rows[u < p0]] = True
 
 
@@ -372,11 +367,11 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     # synchronous coupling is the empty band: no pair reflects, so
     # coupled_jump returns (z, z)
     a, l0 = (0.0, 0.0) if lyap is None else (float(lyap.a), float(lyap.l0))
-    X = np.tile(x0, (n_paths, 1))
-    Y = np.tile(y0, (n_paths, 1))
-    n, d = X.shape
+    # each pair in one array: P[:, 0] is X and P[:, 1] is Y
+    P = np.tile(np.stack((x0, y0)), (n_paths, 1, 1))
+    n, _, d = P.shape
     merged = np.zeros(n, dtype=bool)
-    _settle(X, Y, merged, cfg.eps_couple)
+    _settle(P, merged, cfg.eps_couple)
 
     T = len(record_grid)
     xs = np.empty((n, T, d))
@@ -385,7 +380,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     rec = 0
     t = 0.0
     if record_grid[0] <= 1e-15:
-        xs[:, 0], ys[:, 0], mg[:, 0] = X, Y, merged
+        xs[:, 0], ys[:, 0], mg[:, 0] = P[:, 0], P[:, 1], merged
         rec = 1
 
     split = decompose(spec, cfg.delta_floor)
@@ -396,8 +391,9 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         while t < target - 1e-12:
             h = min(_WINDOW, target - t)
 
-            # one event round: gather the active rows once, drift them to
-            # their jump time, jump, settle, scatter once
+            # one event round: gather the active pairs once, drift both rows
+            # of each to its jump time in one flow, jump, settle, scatter
+            # once; a merged pair's rows are equal and flow to equal rows
             t_path = np.zeros(n)
             next_jump = rng.standard_exponential(n) / rate
             while True:
@@ -407,24 +403,22 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     break
                 tj = next_jump[idx]
                 mi = merged[idx]
-                live = ~mi
-                xi, yi = _flow_pair(field, X[idx], Y[idx[live]],
-                                    tj - t_path[idx], live)
+                pi = _drift_flow(field, P.take(idx, axis=0).reshape(2 * m, d),
+                                 (tj - t_path[idx]).repeat(2)).reshape(m, 2, d)
                 t_path[idx] = tj
 
                 radius, z = _large_jumps(cfg.delta_floor, spec.alpha, d, m, rng)
-                dx, dy = coupled_jump(xi, yi, z, radius, mi, a, l0)
-                xi += dx
-                yi += dy
-                _settle(xi, yi, mi, cfg.eps_couple)
-                X[idx] = xi
-                Y[idx] = yi
+                dx, dy = coupled_jump(pi[:, 0], pi[:, 1], z, radius, mi, a, l0)
+                pi[:, 0] += dx
+                pi[:, 1] += dy
+                _settle(pi, mi, cfg.eps_couple)
+                P[idx] = pi
                 merged[idx] = mi
                 next_jump[idx] = tj + rng.standard_exponential(m) / rate
 
             # drift to the window end
-            live = ~merged
-            X, Y = _flow_pair(field, X, Y[live], h - t_path, live)
+            P = _drift_flow(field, P.reshape(2 * n, d),
+                            (h - t_path).repeat(2)).reshape(n, 2, d)
 
             # Gaussian kick standing in for sub-delta jump activity, of
             # per-coordinate variance var(delta) h on each component: on the
@@ -432,7 +426,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             # |z| <= min(delta, a r) goes in mirrored, the rest is common and
             # cancels in the separation; y = x on a merged row, so r > 0
             # leaves it out
-            r = _rownorm(X - Y)
+            r = _rownorm(P[:, 0] - P[:, 1])
             band = ((r > 0.0) & (r <= l0)).nonzero()[0]
             common = split.small_var_per_coord * h
             var = np.full(n, common)
@@ -441,10 +435,9 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 var_band = h * _small_var_per_coord(
                     spec, np.minimum(cfg.delta_floor, a * r[band]))
                 var[band] = common - var_band
-                _mirrored_kick(X, Y, band, r[band], var_band, l0, merged, rng)
+                _mirrored_kick(P, band, r[band], var_band, l0, merged, rng)
             g *= np.sqrt(var)[:, None]
-            X += g
-            Y += g
+            P += g[:, None]
 
             if excess is not None and excess.rate > 0.0:
                 counts = rng.poisson(excess.rate * h, n)
@@ -453,19 +446,18 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     jumps = np.asarray(excess.sampler(rng, total), dtype=float)
                     sums = np.zeros((n, d))
                     np.add.at(sums, np.repeat(np.arange(n), counts), jumps)
-                    X += sums
-                    Y += sums
+                    P += sums[:, None]
 
             # drift or kicks may have crossed the merge threshold
-            _settle(X, Y, merged, cfg.eps_couple)
+            _settle(P, merged, cfg.eps_couple)
 
-            if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-                bad = int(np.nonzero(~np.isfinite(X).all(axis=1)
-                                     | ~np.isfinite(Y).all(axis=1))[0][0])
+            finite = np.isfinite(P).all(axis=(1, 2))
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite)[0])
                 raise DriftBlowupError(f"non-finite state on path {bad} at t={t + h:g}")
             t += h
 
-        xs[:, rec], ys[:, rec], mg[:, rec] = X, Y, merged
+        xs[:, rec], ys[:, rec], mg[:, rec] = P[:, 0], P[:, 1], merged
         rec += 1
     return PathEnsemble(times=record_grid.copy(), xs=xs, ys=ys, merged=mg)
 

@@ -71,36 +71,33 @@ def isotropic_stable(d: int, alpha: float) -> StableSpec:
 
 @dataclass(frozen=True)
 class JumpDecomposition:
-    """Split of the jump measure at radius ``delta`` (a float or an array).
+    """Split of the jump measure at radius ``delta``.
 
     ``rate_above`` is the total mass above the threshold (the compound-Poisson
     intensity); ``small_var_per_coord`` the per-coordinate second moment of
-    the jumps at or below it (the variance rate of the Gaussian proxy).  Both
-    have the shape of ``delta``.
+    the jumps at or below it (the variance rate of the Gaussian proxy).
     """
 
-    rate_above: float | np.ndarray
-    small_var_per_coord: float | np.ndarray
+    rate_above: float
+    small_var_per_coord: float
 
 
-def decompose(spec: StableSpec, delta) -> JumpDecomposition:
-    """Decompose the jump measure at truncation radius ``delta`` > 0.
+def decompose(spec: StableSpec, delta: float) -> JumpDecomposition:
+    """Decompose the jump measure at truncation radius 0 < ``delta`` < inf.
 
     rate_above = (c_dalpha omega_d / alpha) delta^(-alpha) and
     small_var_per_coord = (c_dalpha omega_d / (d (2-alpha))) delta^(2-alpha);
     the coupled simulator splits at ``delta_floor`` once and takes the
-    reflected band's variance per path from one array call.
+    reflected band's variance per path from :func:`_small_var_per_coord`.
     """
+    if not 0.0 < delta < math.inf:  # a nan fails this too
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     arr = np.asarray(delta, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"delta must be positive, got {delta}")
     a = spec.alpha
     rate = spec.c_dalpha * spec.omega_d / a * arr ** (-a)
     var = _small_var_per_coord(spec, arr)
-    if arr.ndim == 0:
-        return JumpDecomposition(rate_above=float(rate),
-                                 small_var_per_coord=float(var))
-    return JumpDecomposition(rate_above=rate, small_var_per_coord=var)
+    return JumpDecomposition(rate_above=float(rate),
+                             small_var_per_coord=float(var))
 
 
 def _small_var_per_coord(spec: StableSpec, delta: np.ndarray) -> np.ndarray:

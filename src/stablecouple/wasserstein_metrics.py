@@ -165,8 +165,9 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     row's column is raised by the row's slack.  A raise makes that column
     cheaper for every other row too, so the raises repeat, checking only
     the columns raised last, for at most ``_RAISE_SWEEPS`` sweeps; the
-    raised columns about halve in each, and a slack left by rounding may
-    never clear.  The finish keeps the rows whose column is then exactly
+    raised columns about halve in each.  A slack left by rounding may never
+    clear: once a sweep's raises all round away, no price moves, and the
+    sweeps stop.  The finish keeps the rows whose column is then exactly
     their cheapest and places the rest, the auction's last free rows and
     a few more, by shortest augmenting paths (Crouse 2016).  So the result
     is optimal, not epsilon-optimal.
@@ -226,10 +227,14 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         if not len(up):
             break
         cols = sigma[up]
-        v[cols] += gap[up]
+        was = v[cols]
+        now = was + gap[up]
+        if (now == was).all():
+            break  # the raises rounded away: every later sweep repeats this
+        v[cols] = now
         # only the raised columns got cheaper, so only they can lower a minimum
         raised = cost[:, cols]
-        raised -= v[cols]
+        raised -= now
         reduced[:, cols] = raised
         np.minimum(low, raised.min(axis=1), out=low)
         gap = reduced[rows, sigma] - low

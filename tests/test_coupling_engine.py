@@ -278,8 +278,9 @@ def test_rownorm_warns_where_linalg_norm_does(d):
                                    linear_drift(1.0, 2)],
                          ids=["power_potential", "monomial", "linear"])
 def test_stacked_drift_flow_is_bitwise_two_flows(field):
-    # the engine flows X and the live Y rows in one call; rows never
-    # interact, so the stacked call must give each row its own bits
+    # the engine flows the x and y rows of its pairs, interleaved, in one
+    # call; rows never interact, so the stacked call must give each row its
+    # own bits, and equal rows must stay equal
     rng = rng_at(50)
     a = rng.standard_normal((7, 2)) * np.array([[3.0], [0.1], [1.0], [40.0],
                                                 [1.0], [0.5], [2.0]])
@@ -292,6 +293,22 @@ def test_stacked_drift_flow_is_bitwise_two_flows(field):
         assert np.array_equal(both[:7], _drift_flow(field, a, hx))
         assert np.array_equal(both[7:], _drift_flow(field, b, hy))
     assert np.array_equal(_drift_flow(field, b, hb)[hb == 0.0], b[hb == 0.0])
+
+    # the pair layout: rows (x_i, y_i) interleaved, each horizon repeated;
+    # pairs 0, 2 and 4 are merged (y_i = x_i), and on pair 2 the stability
+    # cap (or, for the linear drift, the window) binds, so it takes more
+    # than one step
+    x = a[:6].copy()
+    x[2] = [30.0, -40.0]
+    y = x + 0.1 * rng.standard_normal((6, 2))
+    y[::2] = x[::2]
+    h = np.array([4e-3, 0.03, 0.03, 0.0, 7e-3, 0.012])
+    assert _rk4_one(field, x[2:3], h[2:3])[1][0] < h[2]
+    pairs = np.stack((x, y), axis=1)
+    got = _drift_flow(field, pairs.reshape(12, 2), h.repeat(2)).reshape(6, 2, 2)
+    assert np.array_equal(got[:, 0], _drift_flow(field, x, h))
+    assert np.array_equal(got[:, 1], _drift_flow(field, y, h))
+    assert np.array_equal(got[::2, 0], got[::2, 1])
 
 
 def _rk4_out_of_place(field, x, remaining):
@@ -646,11 +663,11 @@ def test_mirrored_kick_stops_at_l0_and_keeps_y_gaussian():
     # and y's kick is still N(0, var I) along and across x - y
     n, l0, ra, var = 20_000, 1.0, 0.9, 0.01
     rng = np.random.default_rng(41)
-    x = np.zeros((n, 2))
-    y = np.tile([-ra * 0.6, -ra * 0.8], (n, 1))
-    y0 = y.copy()
+    y0 = np.tile([-ra * 0.6, -ra * 0.8], (n, 1))
+    pairs = np.stack((np.zeros((n, 2)), y0), axis=1)
     merged = np.zeros(n, dtype=bool)
-    _mirrored_kick(x, y, np.arange(n), _rownorm(x - y), np.full(n, var), l0,
+    x, y = pairs[:, 0], pairs[:, 1]
+    _mirrored_kick(pairs, np.arange(n), _rownorm(x - y), np.full(n, var), l0,
                    merged, rng)
     r = _rownorm(x - y)
     assert not merged.any()

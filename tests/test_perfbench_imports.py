@@ -1,13 +1,17 @@
-"""Every name the benchmark harness takes from the package still exists.
+"""The benchmark harness still runs against the package.
 
 The harness in ``perfbench/`` replays the CLI stages through library calls,
 so a rename or deletion in ``src/`` can break it without failing any other
-test.  This walks its sources with ``ast`` and resolves each
-``from stablecouple... import name`` and each ``cli.<attr>``.
+test.  One test walks its sources with ``ast`` and resolves each
+``from stablecouple... import name`` and each ``cli.<attr>``; the other runs
+its self-test, which also requires the traced replay to reproduce the
+digests of the untimed CLI run.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -45,3 +49,12 @@ def test_every_perfbench_reference_resolves():
     missing = [f"{source}: {module}.{name}" for source, module, name in refs
                if not _resolves(module, name)]
     assert missing == []
+
+
+def test_perfbench_self_test_passes():
+    # a tiny pipeline, untimed and traced, plus a gate failure; it writes
+    # only under the git-ignored .perfbench_out/
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--self-test"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -139,6 +139,15 @@ def test_decompose_rejects_bad_delta():
         decompose(spec, 0.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_decompose_rejects_nan_and_inf_delta(delta):
+    # a nan radius would give nan rates, and an infinite one a zero rate with
+    # an infinite variance
+    spec = isotropic_stable(1, 1.5)
+    with pytest.raises(ValueError, match="positive and finite"):
+        decompose(spec, delta)
+
+
 @settings(max_examples=50, deadline=None)
 @given(alpha=st.floats(0.2, 1.9), delta=st.floats(0.01, 10.0),
        d=st.integers(1, 4))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from stablecouple.wasserstein_metrics import (
     exact_empirical_wp,
     exact_wp_with_stderr,
 )
+from stablecouple.coupling_engine import read_positions_csv
 from stablecouple.stable_noise import isotropic_stable, sample_increment
 from stablecouple.streams import derive_stream
 
@@ -338,6 +340,35 @@ def test_raised_prices_leave_few_rows_to_the_finish(monkeypatch):
     assert 0 < len(placed) <= 2 * wasserstein_metrics._FREE_END
     assert np.array_equal(sigma, linear_sum_assignment(cost)[1])
     wasserstein_metrics._dual_potentials(cost, sigma, v)
+
+
+def test_raise_sweeps_stop_once_no_price_moves(tmp_path, monkeypatch):
+    # the ot_d2 benchmark's seed 11 at t = 0.125: after five sweeps one row
+    # keeps a slack of about 7e-18 whose raise rounds away (v + s == v), so
+    # every later sweep would repeat the one before; with the cap lifted the
+    # sweeps must still end, with the default cap's sigma and v
+    from stablecouple.cli import main
+
+    argv = ["--d", "2", "--p", "2", "--seed", "11", "--paths", "256",
+            "--horizon", "0.25", "--grid-step", "0.125", "--out", str(tmp_path)]
+    assert main(["certify"] + argv) == 0 and main(["simulate"] + argv) == 0
+    ens = read_positions_csv(tmp_path / "positions.csv")
+    cost = wasserstein_metrics._power(
+        wasserstein_metrics._pairwise_norms(ens.xs[:, 1], ens.ys[:, 1]), 2.0)
+    want = wasserstein_metrics._assignment(cost)
+    monkeypatch.setattr(wasserstein_metrics, "_RAISE_SWEEPS", 10 ** 6)
+
+    def too_long(*_):
+        raise TimeoutError("the raise sweeps ran to the lifted cap")
+
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(5)
+    try:
+        got = wasserstein_metrics._assignment(cost)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("d", [2, 3])
