@@ -1,15 +1,18 @@
 """Command-line orchestration.
 
-Commands
---------
-certify    gates, Lyapunov construction, rate sweep, certificate record
-lyapunov   radial sweep CSV of the generator bound and contraction ratio
-simulate   coupled ensemble; per-path CSV, positions CSV, decay series CSV
-wp         empirical Wasserstein columns against the certified bound
-example    full pipeline: certify, simulate, wp and a rate fit
+Five commands (``_COMMANDS`` says what each does): certify, lyapunov,
+simulate, wp and example.  ``stablecouple --help`` lists them and every flag
+with its default.
 
 The command is one positional argument; every flag applies to all five
-commands and may come before or after it.
+commands and may come before or after it.  The flags are read from the
+``ExperimentConfig`` fields (``--paths`` for ``n_paths``, dashes for
+underscores) plus ``--config`` and ``-h``/``--help``.  A flag takes the next
+token as its value, even one starting with ``-`` (``--x0 -0.25,0``), or the
+text after ``=``; a bool flag takes none.  Flags match whole, never by
+prefix.  An unknown flag, a missing value, or a missing or unknown command
+is a usage error (exit 2); a value that does not parse to its field's type
+is a configuration error (exit 5), as the same value in a config file is.
 
 Configuration is a flat ``key = value`` text file plus flag overrides; runs
 are deterministic given (config, seed).  Exit codes: 0 success, 2 gate
@@ -18,13 +21,13 @@ failure, 3 certificate failure, 4 bound-violation flag, 5 runtime guard.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import gc
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -127,7 +130,10 @@ def _coerce(key: str, val):
         if low not in ("true", "false", "0", "1"):
             raise ValueError(f"bad boolean for {key}: {val!r}")
         return low in ("true", "1")
-    return kind(val)
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValueError(f"bad {kind.__name__} for {key}: {val!r}") from None
 
 
 def build_config(file: str | None, overrides: dict) -> ExperimentConfig:
@@ -135,7 +141,7 @@ def build_config(file: str | None, overrides: dict) -> ExperimentConfig:
     merged: dict = {}
     if file:
         merged.update(parse_config_file(file))
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged.update(overrides)
     for key, val in merged.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key: {key}")
@@ -360,15 +366,86 @@ def cmd_example(cfg: ExperimentConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "certify": "gates, Lyapunov construction, rate sweep, certificate record",
+    "lyapunov": "radial sweep CSV of the generator bound and contraction ratio",
+    "simulate": "coupled ensemble: per-path, positions and decay series CSVs",
+    "wp": "empirical Wasserstein columns against the certified bound",
+    "example": "full pipeline: certify, simulate, wp and a rate fit",
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    for key, kind in _FIELD_TYPES.items():
-        flag = "--paths" if key == "n_paths" else "--" + key.replace("_", "-")
-        if kind is bool:
-            parser.add_argument(flag, action="store_const", const=True, dest=key)
+# flag -> ExperimentConfig field; --config names the file, not a field
+_FLAGS = {("--paths" if key == "n_paths" else "--" + key.replace("_", "-")): key
+          for key in _FIELD_TYPES}
+
+_EXIT_USAGE = 2  # the conventional usage-error code; EXIT_GATE shares it
+_USAGE = ("usage: stablecouple [-h] [--config FILE] [--FLAG VALUE ...] "
+          "{" + ",".join(_COMMANDS) + "}")
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"{_USAGE}\nstablecouple: error: {message}", file=sys.stderr)
+    raise SystemExit(_EXIT_USAGE)
+
+
+def _help_text() -> str:
+    lines = [_USAGE, "",
+             "coupled simulation and certified contraction rates for "
+             "stable-noise SDEs", "", "commands:"]
+    lines += [f"  {name:<10} {text}" for name, text in _COMMANDS.items()]
+    lines += ["", "flags (each applies to every command, before or after it):",
+              f"  {'-h, --help':<26} show this help and exit",
+              f"  {'--config FILE':<26} flat key = value configuration file"]
+    defaults = ExperimentConfig()
+    for flag, key in _FLAGS.items():
+        kind = _FIELD_TYPES[key]
+        shown = flag if kind is bool else f"{flag} {kind.__name__.upper()}"
+        lines.append(f"  {shown:<26} default {getattr(defaults, key)!r}")
+    return "\n".join(lines)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
+    """(command, config file, flag overrides) from a command line.
+
+    A flag's value is the next token, whatever it starts with, or the text
+    after ``=``; a bool flag takes none.  The values stay strings, typed
+    later by :func:`build_config` as config-file values are.  Flags are
+    matched whole, never by prefix.
+    """
+    command, config, overrides = None, None, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if command is not None:
+                _usage_error(f"unexpected argument {token!r}")
+            if token not in _COMMANDS:
+                _usage_error(f"unknown command {token!r} (choose from "
+                             f"{', '.join(_COMMANDS)})")
+            command = token
+            continue
+        if token in ("-h", "--help"):
+            print(_help_text())
+            raise SystemExit(EXIT_OK)
+        flag, eq, value = token.partition("=")
+        key = _FLAGS.get(flag)
+        if key is None and flag != "--config":
+            _usage_error(f"unknown flag {flag}")
+        if key is not None and _FIELD_TYPES[key] is bool:
+            if eq:
+                _usage_error(f"flag {flag} takes no value")
+            overrides[key] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"flag {flag} expects a value")
+        if key is None:
+            config = value
         else:
-            parser.add_argument(flag, type=kind, dest=key)
+            overrides[key] = value
+    if command is None:
+        _usage_error(f"missing command (choose from {', '.join(_COMMANDS)})")
+    return command, config, overrides
 
 
 def main(argv=None) -> int:
@@ -384,25 +461,15 @@ def main(argv=None) -> int:
 
 
 def _run_command(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="stablecouple",
-        description="coupled simulation and certified contraction rates for "
-                    "stable-noise SDEs")
-    commands = {"certify": cmd_certify, "lyapunov": cmd_lyapunov,
-                "simulate": cmd_simulate, "wp": cmd_wp, "example": cmd_example}
-    parser.add_argument("command", choices=commands)
-    _add_common(parser)
-    args = parser.parse_args(argv)
-
-    overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
+    command, config, overrides = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = build_config(args.config, overrides)
+        cfg = build_config(config, overrides)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     try:
-        return commands[args.command](cfg)
+        return globals()[f"cmd_{command}"](cfg)
     except GateError as exc:
         print(f"gate failure: small-alpha margin = {exc.margin:.12g} <= 0",
               file=sys.stderr)

@@ -515,7 +515,10 @@ def write_table(path, header: Sequence[str], table) -> None:
 
 def read_table(path) -> np.ndarray:
     """The rows of a table written by :func:`write_table`, always 2-D."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    # a handle, not a path: given a path, loadtxt opens it through
+    # numpy.lib._datasource, whose first use imports gzip
+    with open(path) as fh:
+        return np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
 
 
 def _path_table(times: np.ndarray, *cols: np.ndarray) -> np.ndarray:

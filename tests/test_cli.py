@@ -547,6 +547,68 @@ def test_missing_or_unknown_command_is_usage_error(capsys, argv):
     assert "command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--pat", "7"], "unknown flag --pat"),  # no prefix matching
+    (["certify", "--paths"], "flag --paths expects a value"),
+    (["certify", "--force-synchronous=true"], "flag --force-synchronous takes no value"),
+    (["certify", "wp"], "unexpected argument 'wp'"),
+])
+def test_malformed_command_lines_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        run(argv[:1] + ["--out", str(tmp_path / "u")] + argv[1:])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stablecouple ") and message in err
+    assert not (tmp_path / "u").exists()
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["certify", "--help"])
+    assert info.value.code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for command in ("certify", "lyapunov", "simulate", "wp", "example"):
+        assert any(line.split()[:1] == [command] for line in lines), command
+    assert any(line.split()[:1] == ["--config"] for line in lines)
+    # each field's flag, with its default
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = "--paths" if f.name == "n_paths" else "--" + f.name.replace("_", "-")
+        line = next(line for line in lines if line.split()[:1] == [flag])
+        assert line.endswith(f"default {f.default!r}"), line
+
+
+@pytest.mark.parametrize("stage", ["certify", "simulate"])
+def test_a_flag_value_may_start_with_a_minus(tmp_path, stage):
+    # a flag takes the next token whatever it starts with, so a vector whose
+    # first component is negative needs no "=" form
+    common = [stage, "--d", "2", "--paths", "4", "--horizon", "0.25",
+              "--y0", "0.25,0"]
+    assert run(common + ["--x0", "-0.25,0", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert run(common + ["--x0=-0.25,0", "--out", str(tmp_path / "b")]) == EXIT_OK
+    files = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for name in files:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    if stage == "simulate":
+        start = np.loadtxt(tmp_path / "a" / "positions.csv", delimiter=",",
+                           skiprows=1)[0]
+        assert np.array_equal(start[2:6], [-0.25, 0.0, 0.25, 0.0])  # x, then y
+
+
+def test_malformed_flag_value_is_the_config_file_error(tmp_path, capsys):
+    # flags and config-file values are typed by the same code
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_paths = abc\n")
+    codes, errs = [], []
+    for argv in (["--paths", "abc"], ["--config", str(cfg_file)]):
+        codes.append(run(["certify", "--out", str(tmp_path / "o")] + argv))
+        errs.append(capsys.readouterr().err)
+    assert codes == [EXIT_RUNTIME] * 2
+    assert errs == ["configuration error: bad int for n_paths: 'abc'\n"] * 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_flags_may_precede_the_command(monkeypatch):
     # one parser: every flag is shared, on either side of the command
     seen = {}
@@ -601,9 +663,11 @@ def test_python_dash_m_runs_the_cli(tmp_path):
             == (tmp_path / "inproc" / "cert.txt").read_bytes())
 
 
-def test_pipeline_imports_no_scipy_in_d1_or_d2(tmp_path):
+def test_pipeline_imports_no_scipy_argparse_or_gzip(tmp_path):
     # a fresh interpreter, so modules loaded by other tests do not count;
-    # d = 2 reaches the assignment solver at every grid time
+    # d = 2 reaches the assignment solver at every grid time.  The command
+    # line is parsed without argparse (and so without gettext and locale),
+    # and tables are read from a handle, so loadtxt never imports gzip.
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -613,7 +677,8 @@ def test_pipeline_imports_no_scipy_in_d1_or_d2(tmp_path):
     code = ("import sys\n"
             "from stablecouple import cli\n"
             f"rc = [cli.main(argv) for argv in {runs!r}]\n"
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "    ('scipy', 'argparse', 'gettext', 'locale', 'gzip')))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
