@@ -60,8 +60,6 @@ from .wasserstein_metrics import (
     coupling_wp_upper,
     exact_empirical_wp,
     contraction_rate_fit,
-    energy_distance,
-    energy_distance_test,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,10 +37,19 @@ kick is split in two:
   common to both components and cancels in the separation.
 
 Pairs merge (and stick, with Y a bitwise copy of X) at a bridge crossing or
-once the separation falls below ``eps_couple``.  The ensemble is one array of
+once the separation falls below ``eps_couple``.  The merge test runs twice
+per window: after its last event round, before the window-end flow, and
+after the kick.  Event rounds leave it out: a synchronous jump adds the same
+z to both rows, a monotone drift does not widen a separation, and a pair
+within ``eps_couple`` cannot reflect a jump above ``delta_floor`` while
+``delta_floor > a eps_couple``, so a pair that a round brings within
+``eps_couple`` gets the same bits when it merges at the window's test.  For
+a drift that is not monotone, or a ``delta_floor <= a eps_couple``, the
+separation is thus sampled once per window.  The ensemble is one array of
 shape (n, 2, d), X in [:, 0] and Y in [:, 1], so an event round gathers its
-pairs once, drifts their 2m rows in one flow and scatters them once; a
-merged pair's two equal rows flow to equal rows.  The jump clock runs at one
+pairs once, drifts their 2m rows in one flow, adds the jumps (one add when
+no pair reflects) and scatters them once; a merged pair's two equal rows
+flow to equal rows and take equal jumps.  The jump clock runs at one
 constant rate, so the count of explicit jumps has a known mean; it is held
 to a budget before the first window (:func:`require_event_budget`).
 """
@@ -136,18 +145,20 @@ def _mirror(z: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                 radius: np.ndarray, merged: np.ndarray, a: float,
+                 radius: np.ndarray, a: float,
                  l0: float) -> tuple[np.ndarray, np.ndarray]:
     """Increments (dx, dy) of one event round: jump z[i] hits pair i.
 
-    X always takes z.  Row i reflects when the pair is unmerged, within L0
-    and hit by a jump of size radius[i] = |z[i]| <= a |x[i] - y[i]|; Y then
-    takes the mirror phi(z), else z itself.  The returned arrays may be
-    ``z`` itself.
+    X always takes z.  Row i reflects when the pair is within L0 and hit by
+    a jump of size radius[i] = |z[i]| <= a |x[i] - y[i]|; Y then takes the
+    mirror phi(z), else z itself.  A merged pair has y bitwise equal to x,
+    so r = 0 and no jump of positive size reflects it; at radius 0 the
+    mirror across a zero separation is z itself.  When no row reflects the
+    increments are ``(z, z)``, the same object twice.
     """
     diff = x - y
     r = _rownorm(diff)
-    do_refl = (~merged) & (r <= l0) & (radius <= a * r)
+    do_refl = (r <= l0) & (radius <= a * r)
     if not np.count_nonzero(do_refl):
         return z, z
     phi = _mirror(z, diff, np.where(r > 0.0, r, 1.0))
@@ -294,7 +305,8 @@ def _mirrored_kick(pairs: np.ndarray, rows: np.ndarray, ra: np.ndarray,
     decided by the bridge (:func:`_bridge_exits`, one uniform per row):
 
     - first at 0: the pair has met and both components follow x, so it is
-      marked merged and the caller's settle step sets y := x;
+      marked merged and the caller's settle step, which runs after every
+      kick, sets y := x;
     - first at l0: the coupling turns synchronous there, so y follows x
       from then on and the pair ends at separation exactly l0;
     - neither: y gets the mirror image of g.
@@ -392,8 +404,8 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             h = min(_WINDOW, target - t)
 
             # one event round: gather the active pairs once, drift both rows
-            # of each to its jump time in one flow, jump, settle, scatter
-            # once; a merged pair's rows are equal and flow to equal rows
+            # of each to its jump time in one flow, jump, scatter once; a
+            # merged pair's rows are equal and flow to equal rows
             t_path = np.zeros(n)
             next_jump = rng.standard_exponential(n) / rate
             while True:
@@ -402,19 +414,23 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 if not m:
                     break
                 tj = next_jump[idx]
-                mi = merged[idx]
                 pi = _drift_flow(field, P.take(idx, axis=0).reshape(2 * m, d),
                                  (tj - t_path[idx]).repeat(2)).reshape(m, 2, d)
                 t_path[idx] = tj
 
                 radius, z = _large_jumps(cfg.delta_floor, spec.alpha, d, m, rng)
-                dx, dy = coupled_jump(pi[:, 0], pi[:, 1], z, radius, mi, a, l0)
-                pi[:, 0] += dx
-                pi[:, 1] += dy
-                _settle(pi, mi, cfg.eps_couple)
+                dx, dy = coupled_jump(pi[:, 0], pi[:, 1], z, radius, a, l0)
+                if dy is z:
+                    pi += z[:, None]
+                else:
+                    pi[:, 0] += dx
+                    pi[:, 1] += dy
                 P[idx] = pi
-                merged[idx] = mi
                 next_jump[idx] = tj + rng.standard_exponential(m) / rate
+
+            # the rounds' merge test, once for all of them (the module
+            # docstring says why the bits are those of a test per round)
+            _settle(P, merged, cfg.eps_couple)
 
             # drift to the window end
             P = _drift_flow(field, P.reshape(2 * n, d),

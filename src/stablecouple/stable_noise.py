@@ -117,18 +117,20 @@ def pareto_radius(delta: float, alpha: float, u):
 def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis.
 
-    The arithmetic of numpy's ``linalg.norm(v, axis=-1)``, so bitwise equal to it
-    in every dimension (for a C-ordered v), without its per-call dispatch.
-    numpy sums an axis shorter than 8 in order, so there the array is squared
-    once and its squared columns are added in order: a few whole-array
-    operations instead of one short reduction per row (one column is the
-    square itself).  A longer axis is summed pairwise along each row, so its
-    squares are taken in C order whatever the layout of v.
+    On the line it is |v|, one ufunc; that is bitwise ``linalg.norm``'s
+    sqrt(v v) for v = +-0 and for 2^-511 <= |v| < 2^512, and exact (with no
+    underflow to 0 or overflow to inf, and so no warning) outside that range;
+    nan stays nan.  For d >= 2 it is the arithmetic of numpy's
+    ``linalg.norm(v, axis=-1)``, so bitwise equal to it (for a C-ordered v),
+    without its per-call dispatch.  numpy sums an axis shorter than 8 in
+    order, so there the array is squared once and its squared columns are
+    added in order: a few whole-array operations instead of one short
+    reduction per row.  A longer axis is summed pairwise along each row, so
+    its squares are taken in C order whatever the layout of v.
     """
     d = v.shape[-1]
     if d == 1:
-        s = v * v
-        return np.sqrt(s if keepdims else s[..., 0])
+        return np.abs(v if keepdims else v[..., 0])
     if d >= 8:
         return np.sqrt(np.add.reduce(np.multiply(v, v, order="C"), axis=-1,
                                      keepdims=keepdims))

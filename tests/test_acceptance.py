@@ -55,9 +55,10 @@ from stablecouple.streams import derive_stream
 from stablecouple.wasserstein_metrics import (
     contraction_rate_fit,
     coupling_wp_upper,
-    energy_distance_test,
     exact_empirical_wp,
 )
+
+from oracles import energy_distance_test
 
 SEED = 891235
 

@@ -102,12 +102,10 @@ def test_reflect_batched_matches_loop():
 # ------------------------------ coupled jump ---------------------------------
 
 
-def jump_round(x, y, z, a, l0, merged=None):
+def jump_round(x, y, z, a, l0):
     """One event round of the engine's coupled jump on rows (x, y, z)."""
     x, y, z = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, y, z))
-    if merged is None:
-        merged = np.zeros(len(z), dtype=bool)
-    return coupled_jump(x, y, z, np.linalg.norm(z, axis=1), merged, a, l0)
+    return coupled_jump(x, y, z, np.linalg.norm(z, axis=1), a, l0)
 
 
 def test_coupled_jump_synchronous_when_large_z():
@@ -125,16 +123,26 @@ def test_coupled_jump_synchronous_when_far_apart():
 
 
 def test_coupled_jump_merged_pair_synchronous():
-    # the same small jump reflects the unmerged row and not the merged one,
-    # nor an unmerged row at separation 0, where no jump fits in the band
-    x = np.array([[0.3, 0.0], [0.3, 0.0], [0.2, 0.1]])
-    y = np.array([[0.0, 0.0], [0.0, 0.0], [0.2, 0.1]])
-    z = np.array([[0.01, 0.0], [0.01, 0.0], [0.01, 0.0]])
-    dx, dy = jump_round(x, y, z, a=0.25, l0=1.0,
-                        merged=np.array([True, False, False]))
-    assert np.array_equal(dx[0], z[0]) and np.array_equal(dy[0], z[0])
-    assert np.array_equal(dx[1], z[1]) and np.array_equal(dy[1], -z[1])
-    assert np.array_equal(dx[2], z[2]) and np.array_equal(dy[2], z[2])
+    # the engine's settle step keeps y bitwise equal to x on a merged pair,
+    # so r = 0 and no jump fits in the band |z| <= a r: such a pair takes z
+    # on both rows for radii down to 0 and a up to 1/2, while the same jump
+    # reflects the pair at separation 0.3 in the last row
+    sizes = np.array([0.0, 5e-324, 1e-300, 1e-6, 0.01, 1.0, 40.0])
+    x = np.vstack([rng_at(5).standard_normal((len(sizes), 2)), [[0.3, 0.0]]])
+    y = x.copy()
+    y[-1] = 0.0
+    z = np.vstack([sizes[:, None] * [[0.6, -0.8]], [[0.01, 0.0]]])
+    radius = np.append(sizes, 0.01)  # |z| row by row, with no underflow
+    for a in (0.05, 0.25, 0.5):
+        dx, dy = coupled_jump(x, y, z, radius, a, 1.0)
+        assert np.array_equal(dx, z)
+        assert np.array_equal(dy[:-1], z[:-1])
+        assert np.array_equal(dy[-1], -z[-1])
+        # with every pair merged and every radius positive, no row reflects
+        # and the increments are z itself, which the engine adds once
+        zs = z[1:-1]
+        dx, dy = coupled_jump(x[1:-1], y[1:-1], zs, radius[1:-1], a, 1.0)
+        assert dx is zs and dy is zs
 
 
 def test_coupled_jump_distance_algebra():
@@ -228,14 +236,23 @@ def test_one_window_drift_flow_matches_closed_form(name):
         assert (_rownorm(got - want) <= 1e-6 * _rownorm(want)).all()
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_rownorm_is_bitwise_linalg_norm(d):
     # zeros, subnormals (whose squares underflow), overflowing squares,
     # infinities and nans, in every combination up to d = 3 and drawn at
     # random beyond, plus ordinary rows; d < 8 takes the column sum, d >= 8
-    # the reduction
+    # the reduction, and d = 1 is |v|, which is linalg.norm's sqrt(v v)
+    # wherever v v neither underflows nor overflows (the edges 2^-511 and
+    # 2^512 are probed from inside)
     special = [0.0, -0.0, 5e-324, 2.2e-310, 1e-160, 1.0, -3.5, 1e300, -1e300,
                np.inf, -np.inf, np.nan]
+    if d == 1:
+        special += [2.0 ** -511, -np.nextafter(2.0 ** 512, 0.0)]
     rng = rng_at(40 + d)
     rows = (np.array(list(itertools.product(special, repeat=d))) if d <= 3
             else rng.choice(special, (4096, d)))
@@ -250,7 +267,14 @@ def test_rownorm_is_bitwise_linalg_norm(d):
                 got = _rownorm(v, keepdims=keepdims)
                 want = np.linalg.norm(v, axis=-1, keepdims=keepdims)
                 assert got.shape == want.shape
-                assert np.array_equal(got, want, equal_nan=True)
+                if d > 1:
+                    assert np.array_equal(got, want, equal_nan=True)
+                    continue
+                mag = np.abs(v if keepdims else v[..., 0])
+                assert _same_bits(got, mag)
+                inside = (mag == 0.0) | ((mag >= 2.0 ** -511) & (mag < 2.0 ** 512))
+                assert _same_bits(got[inside], want[inside])
+                assert np.isnan(want[np.isnan(mag)]).all()
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -258,7 +282,8 @@ def test_rownorm_warns_where_linalg_norm_does(d):
     # the suite turns RuntimeWarnings into errors, so the column sum must
     # warn (overflow in a square or in the sum) exactly where the reduction
     # does, and stay quiet on subnormals, infinities and nans; it may warn
-    # once per column where the reduction warns once
+    # once per column where the reduction warns once; d = 1 squares nothing
+    # and never warns
     def warned(norm, v):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -269,6 +294,9 @@ def test_rownorm_warns_where_linalg_norm_does(d):
     for value, loud in ((1.0, False), (5e-324, False), (np.inf, False),
                         (np.nan, False), (1e300, True), (1e154, d > 1)):
         for v in (np.full((5, d), value), np.full(d, value)):
+            if d == 1:
+                assert warned(_rownorm, v) == set()
+                continue
             assert warned(_rownorm, v) == warned(linalg, v)
             assert warned(_rownorm, v) == ({RuntimeWarning} if loud else set())
 
@@ -445,6 +473,40 @@ def test_merge_is_absorbing():
             assert merged[i, idx[0]:].all()
             assert np.array_equal(ens.xs[i, idx[0]:], ens.ys[i, idx[0]:])
     assert merged[:, -1].any()
+
+
+@pytest.mark.parametrize("lyap_on, cfg, n", [
+    (True, SchemeConfig(), 64),
+    (True, SchemeConfig(eps_couple=5e-2), 8),
+    (True, SchemeConfig(delta_floor=5e-3), 128),
+    (False, SchemeConfig(), 16),
+], ids=["headline_cfg", "wide_merge", "many_rounds", "synchronous"])
+def test_merge_test_runs_twice_per_window(monkeypatch, lyap_on, cfg, n):
+    # the merge test runs once at the start and twice per window, after the
+    # last event round and after the kick, however many rounds the window
+    # has: a merge test inside the rounds would show here
+    import stablecouple.coupling_engine as engine
+
+    calls = dict(settle=0, rounds=0, flows=0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "_settle", counting("settle", engine._settle))
+    monkeypatch.setattr(engine, "_large_jumps",
+                        counting("rounds", engine._large_jumps))
+    monkeypatch.setattr(engine, "_drift_flow", counting("flows", engine._drift_flow))
+    spec, field, _, lyap = _example_model()
+    simulate_coupled_ensemble(np.array([0.1]), np.array([-0.1]), field, spec,
+                              lyap if lyap_on else None, cfg, 0.5,
+                              np.linspace(0.0, 0.5, 6), n, seed=19)
+    windows = calls["flows"] - calls["rounds"]  # one flow per round and window end
+    assert windows == 50
+    assert calls["rounds"] > windows
+    assert calls["settle"] == 1 + 2 * windows
 
 
 def test_determinism_same_seed():

@@ -15,14 +15,14 @@ from stablecouple.wasserstein_metrics import (
     bootstrap_wp_stderr,
     contraction_rate_fit,
     coupling_wp_upper,
-    energy_distance,
-    energy_distance_test,
     exact_empirical_wp,
     exact_wp_with_stderr,
 )
 from stablecouple.coupling_engine import read_positions_csv
 from stablecouple.stable_noise import isotropic_stable, sample_increment
 from stablecouple.streams import derive_stream
+
+from oracles import energy_distance, energy_distance_test
 
 
 def rng_at(index: int) -> np.random.Generator:
