@@ -3,10 +3,10 @@ isotropic alpha-stable noise.
 
 The package has six parts:
 
-- ``stable_noise``: constants, samplers and the large/small jump decomposition
-  of isotropic alpha-stable noise.
-- ``drift_models``: drift fields and an empirical verifier of the two-regime
-  dissipativity condition.
+- ``stable_noise``: constants and the large/small jump decomposition of
+  isotropic alpha-stable noise, with the draw of the large jumps.
+- ``drift_models``: drift fields with their claimed two-regime dissipativity
+  condition, and the small-alpha admissibility gate.
 - ``lyapunov``: radial Lyapunov functions for the coupled distance process,
   the coupled generator's jump term from its exact series, and certified
   contraction rates.
@@ -23,7 +23,6 @@ from .stable_noise import (
     levy_constant,
     sphere_surface,
     decompose,
-    sample_increment,
 )
 from .drift_models import (
     DriftCondition,
@@ -32,7 +31,6 @@ from .drift_models import (
     power_potential_drift,
     monomial_drift,
     drift_from_label,
-    verify_dissipativity,
     check_small_alpha_gate,
 )
 from .lyapunov import (

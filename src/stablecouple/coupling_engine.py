@@ -1,15 +1,14 @@
 """Event-driven simulation of the reflection/synchronous coupling.
 
 A coupled pair (X, Y) driven by the same stable noise evolves, before
-merging, with jumps handled in three channels:
+merging, with jumps handled in two channels:
 
 - reflection: when |x - y| <= L0 and the jump satisfies |z| <= a |x - y|,
   X receives z and Y its mirror image across the hyperplane orthogonal to
   x - y (Y's jump has the law of X's, because the restricted jump measure
   is mirror invariant);
 - synchronous: every other jump is applied identically to both components,
-  so it cancels in the separation;
-- an optional finite-activity extra jump component, always synchronous.
+  so it cancels in the separation.
 
 Without a profile (``lyap=None``) the band is empty, (a, L0) = (0, 0), so
 the same loop runs the purely synchronous coupling.
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,17 +99,6 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class ExcessComponent:
-    """Finite-activity extra jump component, applied synchronously.
-
-    ``sampler(rng, n)`` must return n jump vectors of shape (n, d).
-    """
-
-    rate: float
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Coupled trajectories of an ensemble, recorded on a common grid."""
 
@@ -145,24 +133,23 @@ def _mirror(z: np.ndarray, diff: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                 radius: np.ndarray, a: float,
-                 l0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Increments (dx, dy) of one event round: jump z[i] hits pair i.
+                 radius: np.ndarray, a: float, l0: float) -> np.ndarray:
+    """Y's increment in one event round: jump z[i] hits pair i, X takes z.
 
-    X always takes z.  Row i reflects when the pair is within L0 and hit by
-    a jump of size radius[i] = |z[i]| <= a |x[i] - y[i]|; Y then takes the
-    mirror phi(z), else z itself.  A merged pair has y bitwise equal to x,
-    so r = 0 and no jump of positive size reflects it; at radius 0 the
-    mirror across a zero separation is z itself.  When no row reflects the
-    increments are ``(z, z)``, the same object twice.
+    Row i reflects when the pair is within L0 and hit by a jump of size
+    radius[i] = |z[i]| <= a |x[i] - y[i]|; Y then takes the mirror phi(z),
+    else z itself.  A merged pair has y bitwise equal to x, so r = 0 and no
+    jump of positive size reflects it; at radius 0 the mirror across a zero
+    separation is z itself.  When no row reflects the increment is z, the
+    same object.
     """
     diff = x - y
     r = _rownorm(diff)
     do_refl = (r <= l0) & (radius <= a * r)
     if not np.count_nonzero(do_refl):
-        return z, z
+        return z
     phi = _mirror(z, diff, np.where(r > 0.0, r, 1.0))
-    return z, np.where(do_refl[:, None], phi, z)
+    return np.where(do_refl[:, None], phi, z)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +340,7 @@ def require_event_budget(spec: StableSpec, cfg: SchemeConfig, horizon: float,
 def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               spec: StableSpec, lyap, cfg: SchemeConfig,
                               horizon: float, record_grid: np.ndarray,
-                              n_paths: int, seed: int,
-                              excess: ExcessComponent | None = None) -> PathEnsemble:
+                              n_paths: int, seed: int) -> PathEnsemble:
     """Simulate ``n_paths`` independent coupled pairs from (x0, y0).
 
     The ensemble draws from one derived stream, ``derive_stream(seed, 0)``,
@@ -377,7 +363,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     rng = derive_stream(seed, 0)
     # synchronous coupling is the empty band: no pair reflects, so
-    # coupled_jump returns (z, z)
+    # coupled_jump returns z
     a, l0 = (0.0, 0.0) if lyap is None else (float(lyap.a), float(lyap.l0))
     # each pair in one array: P[:, 0] is X and P[:, 1] is Y
     P = np.tile(np.stack((x0, y0)), (n_paths, 1, 1))
@@ -419,11 +405,11 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 t_path[idx] = tj
 
                 radius, z = _large_jumps(cfg.delta_floor, spec.alpha, d, m, rng)
-                dx, dy = coupled_jump(pi[:, 0], pi[:, 1], z, radius, a, l0)
+                dy = coupled_jump(pi[:, 0], pi[:, 1], z, radius, a, l0)
                 if dy is z:
                     pi += z[:, None]
                 else:
-                    pi[:, 0] += dx
+                    pi[:, 0] += z
                     pi[:, 1] += dy
                 P[idx] = pi
                 next_jump[idx] = tj + rng.standard_exponential(m) / rate
@@ -454,15 +440,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                 _mirrored_kick(P, band, r[band], var_band, l0, merged, rng)
             g *= np.sqrt(var)[:, None]
             P += g[:, None]
-
-            if excess is not None and excess.rate > 0.0:
-                counts = rng.poisson(excess.rate * h, n)
-                total = int(counts.sum())
-                if total:
-                    jumps = np.asarray(excess.sampler(rng, total), dtype=float)
-                    sums = np.zeros((n, d))
-                    np.add.at(sums, np.repeat(np.arange(n), counts), jumps)
-                    P += sums[:, None]
 
             # drift or kicks may have crossed the merge threshold
             _settle(P, merged, cfg.eps_couple)

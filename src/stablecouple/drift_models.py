@@ -1,9 +1,9 @@
-"""Drift fields and the empirical two-regime dissipativity verifier.
+"""Drift fields, their claimed dissipativity, and the small-alpha gate.
 
 A drift is admissible when <b(x)-b(y), x-y> is at most K1 |x-y|^2 for
-|x-y| <= L0 and at most -K2 |x-y|^theta beyond L0.  The condition is checked
-statistically on random probe pairs (the drift is an opaque callable), with a
-stratified band around |x-y| = L0 to stress the regime boundary.
+|x-y| <= L0 and at most -K2 |x-y|^theta beyond L0.  Each built-in drift
+carries the (K2, theta) its docstring proves; the empirical probe of the
+condition is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stable_noise import StableSpec, _rownorm, _unit_directions
+from .stable_noise import StableSpec, _rownorm
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class DriftField:
     d: int
     label: str
     claimed_condition: DriftCondition | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(np.asarray(x, dtype=float))
 
 
 def linear_drift(kappa: float, d: int) -> DriftField:
@@ -130,73 +127,6 @@ def drift_from_label(label: str, d: int, **params) -> DriftField:
     if label == "monomial":
         return monomial_drift(params.get("c", 1.0), params.get("q", 1.0), d)
     raise ValueError(f"unknown drift label {label!r}")
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    n_probes: int
-    violations: int
-    worst_margin: float
-    witness_x: np.ndarray | None
-    witness_y: np.ndarray | None
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def _uniform_ball(d: int, n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    g = _unit_directions(d, n, rng)
-    return radius * (rng.random(n) ** (1.0 / d))[:, None] * g
-
-
-def verify_dissipativity(field: DriftField, cond: DriftCondition,
-                         n_probes: int, radius: float,
-                         rng: np.random.Generator,
-                         band_fraction: float = 0.2) -> DissipativityReport:
-    """Probe the two-regime condition on random pairs in a ball.
-
-    A ``band_fraction`` share of the probes is stratified so that
-    |x - y| lies in [0.9 L0, 1.1 L0], stressing the regime switch.  A pair is
-    a violation when <b(x)-b(y), x-y> exceeds the regime bound by more than a
-    relative rounding tolerance; the report carries the worst margin
-    (positive = violated) and the witnessing pair.
-    """
-    if n_probes < 1 or radius <= 0:
-        raise ValueError("need n_probes >= 1 and radius > 0")
-    d = field.d
-    n_band = int(band_fraction * n_probes)
-    n_unif = n_probes - n_band
-
-    xs = _uniform_ball(d, n_unif, radius, rng)
-    ys = _uniform_ball(d, n_unif, radius, rng)
-    if n_band > 0:
-        xb = _uniform_ball(d, n_band, radius, rng)
-        u = _unit_directions(d, n_band, rng)
-        sep = cond.l0 * rng.uniform(0.9, 1.1, n_band)
-        yb = xb + sep[:, None] * u
-        xs = np.vstack([xs, xb])
-        ys = np.vstack([ys, yb])
-
-    diff = xs - ys
-    r = _rownorm(diff)
-    keep = r > 0
-    xs, ys, diff, r = xs[keep], ys[keep], diff[keep], r[keep]
-
-    lhs = np.einsum("ij,ij->i", field(xs) - field(ys), diff)
-    rhs = np.where(r <= cond.l0, cond.k1 * r ** 2, -cond.k2 * r ** cond.theta)
-    margin = lhs - rhs
-    tol = 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs))
-    bad = margin > tol
-
-    worst = int(np.argmax(margin))
-    return DissipativityReport(
-        n_probes=len(r),
-        violations=int(bad.sum()),
-        worst_margin=float(margin[worst]),
-        witness_x=xs[worst].copy(),
-        witness_y=ys[worst].copy(),
-    )
 
 
 @dataclass(frozen=True)

@@ -159,10 +159,6 @@ class RadialLyapunov:
         """psi'(r)."""
         return self._piecewise(r, 1)
 
-    def second(self, r):
-        """psi''(r)."""
-        return self._piecewise(r, 2)
-
     def prime_over_value(self, r: float) -> float:
         """psi'(r)/psi(r), stable against tail overflow.
 
@@ -406,13 +402,12 @@ class TailEnvelopeReport:
 
     g > 0 keeps psi' positive beyond the gluing point.  g is convex (A > 0),
     so its infimum on [2L0, inf) is its value at the stationary point
-    r1 = 2L0 + log(-4B/(A cexp^2))/cexp, or at 2L0 when r1 lies below it;
-    both have closed forms, and the bracket is 1 - log(-4B/(A cexp^2)).
+    r1 = 2L0 + log(-4B/(A cexp^2))/cexp, where g = (-2B/cexp)
+    (1 - log(-4B/(A cexp^2))), or at 2L0 when r1 lies below it.
     """
 
     stationary_r: float
     value_at_stationary: float
-    log_bracket: float
 
     @property
     def ok(self) -> bool:
@@ -425,16 +420,13 @@ def tail_envelope_positivity(lyap: RadialLyapunov) -> TailEnvelopeReport:
     ratio = -4.0 * lyap.B / (lyap.A * cexp ** 2)
     if ratio >= 1.0:
         r1 = lyap.switch_r + math.log(ratio) / cexp
-        bracket = 1.0 - math.log(ratio)
-        g_r1 = (-2.0 * lyap.B / cexp) * bracket
+        g_r1 = (-2.0 * lyap.B / cexp) * (1.0 - math.log(ratio))
     else:
         # stationary point below the domain: g is increasing from g(2 L0)
         r1 = lyap.switch_r
-        bracket = float("inf")
         g_r1 = 0.5 * lyap.A * cexp
     return TailEnvelopeReport(stationary_r=float(r1),
-                              value_at_stationary=float(g_r1),
-                              log_bracket=float(bracket))
+                              value_at_stationary=float(g_r1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Isotropic alpha-stable noise: constants, samplers, jump decomposition.
+"""Isotropic alpha-stable noise: constants, jump decomposition, large jumps.
 
 The driving noise is the rotationally invariant stable process on R^d whose
 characteristic function is E exp(i<xi, Z_t>) = exp(-t |xi|^alpha) and whose
@@ -6,9 +6,12 @@ jump measure is c_dalpha |z|^(-d-alpha) dz.  This module provides
 
 - the normalization constant ``levy_constant`` tying the jump measure to that
   characteristic function, and the unit-sphere surface measure,
-- exact increment sampling by Gaussian subordination,
 - the compound-Poisson (above a threshold) / Gaussian-proxy (below it)
-  decomposition used by the coupled simulator.
+  decomposition used by the coupled simulator, and its draw of the jumps
+  above the threshold.
+
+The exact increment sampler, the reference law the tests compare the
+simulator against, is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -168,49 +171,3 @@ def _large_jumps(delta: float, alpha: float, d: int, n: int,
     # 1 - U lies in (0, 1], avoiding the zero that would blow the inverse CDF
     radius = pareto_radius(delta, alpha, 1.0 - rng.random(n))
     return radius, radius[:, None] * _unit_directions(d, n, rng)
-
-
-def sample_truncated_jump(spec: StableSpec, lo: float, hi: float,
-                          rng: np.random.Generator, size: int) -> np.ndarray:
-    """Sample from the jump measure conditioned on lo < |z| <= hi.
-
-    Radius inverse-CDF on the annulus; used by the measure-invariance tests.
-    """
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    a = spec.alpha
-    u = rng.random(size)
-    radius = (lo ** (-a) - u * (lo ** (-a) - hi ** (-a))) ** (-1.0 / a)
-    return radius[:, None] * _unit_directions(spec.d, size, rng)
-
-
-def _positive_stable(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive stable variables with Laplace transform exp(-u^rho), rho in (0,1).
-
-    Kanter's representation: S = (A(U)/E)^((1-rho)/rho) with U uniform on
-    (0, pi), E unit exponential and
-    A(u) = sin(rho u)^(rho/(1-rho)) sin((1-rho) u) / sin(u)^(1/(1-rho)).
-    """
-    u = rng.uniform(0.0, math.pi, n)
-    e = rng.standard_exponential(n)
-    a = (np.sin(rho * u) ** (rho / (1.0 - rho)) * np.sin((1.0 - rho) * u)
-         / np.sin(u) ** (1.0 / (1.0 - rho)))
-    return (a / e) ** ((1.0 - rho) / rho)
-
-
-def sample_increment(spec: StableSpec, t: float, rng: np.random.Generator,
-                     size: int | None = None) -> np.ndarray:
-    """Exact increment Z_t with characteristic function exp(-t |xi|^alpha).
-
-    Gaussian subordination: Z = sqrt(2 S) N with N standard d-dimensional
-    Gaussian and S positive (alpha/2)-stable with Laplace transform
-    exp(-t u^(alpha/2)); then E exp(i<xi,Z>) = E exp(-S |xi|^2)
-    = exp(-t |xi|^alpha).
-    """
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    n = 1 if size is None else int(size)
-    rho = spec.alpha / 2.0
-    s = t ** (1.0 / rho) * _positive_stable(rho, n, rng)
-    z = np.sqrt(2.0 * s)[:, None] * rng.standard_normal((n, spec.d))
-    return z[0] if size is None else z

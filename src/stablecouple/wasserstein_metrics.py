@@ -381,8 +381,6 @@ def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
 @dataclass(frozen=True)
 class RateFit:
     lambda_hat: float
-    intercept: float
-    r_squared: float
     lambda_stderr: float
 
 
@@ -416,9 +414,7 @@ def contraction_rate_fit(times, values, stderrs=None) -> RateFit:
     intercept = ybar - slope * tbar
     resid = ly - (intercept + slope * t)
     sse = (w * resid ** 2).sum()
-    sst = (w * (ly - ybar) ** 2).sum()
-    r2 = 1.0 - sse / sst if sst > 0.0 else 1.0
     dof = max(len(t) - 2, 1)
     slope_var = (sse / dof) / stt
-    return RateFit(lambda_hat=float(-slope), intercept=float(intercept),
-                   r_squared=float(r2), lambda_stderr=float(math.sqrt(slope_var)))
+    return RateFit(lambda_hat=float(-slope),
+                   lambda_stderr=float(math.sqrt(slope_var)))

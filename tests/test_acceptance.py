@@ -46,11 +46,7 @@ from stablecouple.lyapunov import (
     small_distance_rate,
     tail_envelope_positivity,
 )
-from stablecouple.stable_noise import (
-    isotropic_stable,
-    sample_increment,
-    sample_truncated_jump,
-)
+from stablecouple.stable_noise import isotropic_stable
 from stablecouple.streams import derive_stream
 from stablecouple.wasserstein_metrics import (
     contraction_rate_fit,
@@ -58,7 +54,11 @@ from stablecouple.wasserstein_metrics import (
     exact_empirical_wp,
 )
 
-from oracles import energy_distance_test
+from oracles import (
+    energy_distance_test,
+    sample_increment,
+    sample_truncated_jump,
+)
 
 SEED = 891235
 
@@ -219,7 +219,7 @@ def test_criterion_04_profile_construction():
         grid = np.geomspace(1e-5 * lyap.l0, 10.0 * lyap.l0, 400)
         assert np.all(lyap.prime(grid) > 0.0)
         inner = grid[grid < s]
-        assert np.all(lyap.second(inner) < 0.0)
+        assert np.all(lyap._piecewise(inner, 2) < 0.0)
     elapsed = time.time() - t0
     ok = elapsed < 5.0
     assert report("4", "profile construction (20 random models)", ok,
@@ -313,9 +313,12 @@ def test_criterion_06_tail_envelope(high_alpha_default):
     rep_l = tail_envelope_positivity(lyap_l)
     rep_h = tail_envelope_positivity(lyap_h)
     bracket = 1.0 - math.log(2.1)
+    # g's bracket at its stationary point, 1 - log(-4B/(A cexp^2))
+    brk_l, brk_h = (1.0 - math.log(-4.0 * lyap.B / (lyap.A * lyap.tail_exp ** 2))
+                    for lyap in (lyap_l, lyap_h))
     ok = (rep_l.ok and rep_h.ok
-          and abs(rep_l.log_bracket - bracket) <= 1e-12
-          and rep_h.log_bracket >= bracket - 1e-12
+          and abs(brk_l - bracket) <= 1e-12
+          and brk_h >= bracket - 1e-12
           and rep_l.value_at_stationary > 0.0
           and rep_h.value_at_stationary > 0.0)
     # the closed-form infimum against g evaluated directly on [2 L0, 10 L0]
@@ -329,7 +332,7 @@ def test_criterion_06_tail_envelope(high_alpha_default):
               and bool(np.all(g > 0.0))
               and abs(g[0] - 0.5 * lyap.A * cexp) <= 1e-12 * g[0])
     assert report("6", "tail envelope positivity", ok,
-                  f"brackets {rep_l.log_bracket:.6f} / {rep_h.log_bracket:.6f}"
+                  f"brackets {brk_l:.6f} / {brk_h:.6f}"
                   f" vs 1 - log 2.1 = {bracket:.6f}")
 
 

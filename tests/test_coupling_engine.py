@@ -17,7 +17,6 @@ from stablecouple.coupling_engine import (
     _bridge_exits,
     _drift_flow,
     EventBudgetError,
-    ExcessComponent,
     SchemeConfig,
     _STABILITY_MARGIN,
     _WINDOW,
@@ -42,6 +41,8 @@ from stablecouple.drift_models import (
 from stablecouple.lyapunov import build_lyapunov
 from stablecouple.stable_noise import _rownorm, decompose, isotropic_stable
 from stablecouple.streams import derive_stream
+
+from oracles import sample_increment
 
 
 def rng_at(index: int) -> np.random.Generator:
@@ -103,7 +104,7 @@ def test_reflect_batched_matches_loop():
 
 
 def jump_round(x, y, z, a, l0):
-    """One event round of the engine's coupled jump on rows (x, y, z)."""
+    """Y's increment in one event round of the engine on rows (x, y, z)."""
     x, y, z = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, y, z))
     return coupled_jump(x, y, z, np.linalg.norm(z, axis=1), a, l0)
 
@@ -111,15 +112,13 @@ def jump_round(x, y, z, a, l0):
 def test_coupled_jump_synchronous_when_large_z():
     x, y = np.array([0.3, 0.0]), np.array([0.0, 0.0])
     z = np.array([1.0, 0.0])  # |z| > a |x-y|
-    dx, dy = jump_round(x, y, z, a=0.25, l0=1.0)
-    assert np.allclose(dx, z) and np.allclose(dy, z)
+    assert np.allclose(jump_round(x, y, z, a=0.25, l0=1.0), z)
 
 
 def test_coupled_jump_synchronous_when_far_apart():
     x, y = np.array([3.0, 0.0]), np.array([0.0, 0.0])
     z = np.array([0.01, 0.0])
-    dx, dy = jump_round(x, y, z, a=0.25, l0=1.0)
-    assert np.allclose(dx, z) and np.allclose(dy, z)
+    assert np.allclose(jump_round(x, y, z, a=0.25, l0=1.0), z)
 
 
 def test_coupled_jump_merged_pair_synchronous():
@@ -134,15 +133,13 @@ def test_coupled_jump_merged_pair_synchronous():
     z = np.vstack([sizes[:, None] * [[0.6, -0.8]], [[0.01, 0.0]]])
     radius = np.append(sizes, 0.01)  # |z| row by row, with no underflow
     for a in (0.05, 0.25, 0.5):
-        dx, dy = coupled_jump(x, y, z, radius, a, 1.0)
-        assert np.array_equal(dx, z)
+        dy = coupled_jump(x, y, z, radius, a, 1.0)
         assert np.array_equal(dy[:-1], z[:-1])
         assert np.array_equal(dy[-1], -z[-1])
         # with every pair merged and every radius positive, no row reflects
-        # and the increments are z itself, which the engine adds once
+        # and Y's increment is z itself, which the engine adds once to both
         zs = z[1:-1]
-        dx, dy = coupled_jump(x[1:-1], y[1:-1], zs, radius[1:-1], a, 1.0)
-        assert dx is zs and dy is zs
+        assert coupled_jump(x[1:-1], y[1:-1], zs, radius[1:-1], a, 1.0) is zs
 
 
 def test_coupled_jump_distance_algebra():
@@ -158,10 +155,9 @@ def test_coupled_jump_distance_algebra():
     e = (x - y) / r[:, None]
     z = 0.2 * r[:, None] * rng.standard_normal(x.shape)
     z *= np.minimum(1.0, 0.45 * r / np.linalg.norm(z, axis=1))[:, None]
-    dx, dy = jump_round(x, y, z, a=0.5, l0=1.0)
-    r_new = np.linalg.norm(x + dx - y - dy, axis=1)
+    dy = jump_round(x, y, z, a=0.5, l0=1.0)
+    r_new = np.linalg.norm(x + z - y - dy, axis=1)
     zdot = np.einsum("ij,ij->i", e, z)
-    assert np.array_equal(dx, z)
     assert np.allclose(r_new, np.abs(r + 2 * zdot), rtol=1e-9, atol=1e-12)
 
 
@@ -570,8 +566,6 @@ def test_synchronous_phase_riccati_envelope():
 
 def test_marginal_ensemble_matches_exact_increment_law():
     # pure-noise marginal (zero drift): scheme output vs the exact sampler
-    from stablecouple.stable_noise import sample_increment
-
     spec = isotropic_stable(1, 1.5)
     field = DriftField(evaluate=lambda x: np.zeros_like(x), d=1, label="null")
     grid = np.array([0.0, 1.0])
@@ -584,20 +578,6 @@ def test_marginal_ensemble_matches_exact_increment_law():
         ca, cb = np.cos(q * got), np.cos(q * exact)
         se = math.sqrt(ca.var(ddof=1) / len(ca) + cb.var(ddof=1) / len(cb))
         assert abs(ca.mean() - cb.mean()) < 4.0 * se
-
-
-def test_excess_component_cancels_in_difference():
-    spec = isotropic_stable(1, 1.5)
-    field = linear_drift(1.0, 1)
-    excess = ExcessComponent(rate=3.0,
-                             sampler=lambda rng, n: rng.uniform(-1, 1, (n, 1)))
-    grid = np.linspace(0.0, 1.0, 5)
-    ens = simulate_coupled_ensemble(np.array([2.0]), np.array([1.0]), field,
-                                    spec, None, SchemeConfig(), 1.0, grid, 16,
-                                    seed=3, excess=excess)
-    want = 1.0 * np.exp(-grid)
-    for i in range(16):
-        assert np.allclose(ens.r[i], want, rtol=1e-7, atol=1e-10)
 
 
 _NULL_FIELD = DriftField(evaluate=lambda x: np.zeros_like(x), d=1, label="null")
@@ -759,12 +739,11 @@ def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):
     assert next_far == next_sync_far == next_sync_near
     assert _ensemble_digest(ens_far) == _ensemble_digest(sync_far)
     assert next_band != next_far  # the band rows draw their variates
-    # and lyap=None draws what the engine drew before the band existed: at
-    # the former default floor 2e-3 the synchronous golden has the digest of
-    # the engine without the band (with the Lévy constant from math.lgamma)
+    # and lyap=None draws no band variates at any floor: the synchronous
+    # golden is pinned at the former default floor 2e-3 as well
     old_floor = _golden_synchronous_d1(SchemeConfig(delta_floor=2e-3))
     assert _ensemble_digest(old_floor) == (
-        "19a04c797b45a2179fdd05ee1a69ff73b8cd246e2dc93719e0deefccb2add985")
+        "5d14bf8596aff5a17e2da9561ef57c8b9186902aae67203869b880ab71c5a800")
 
 
 def _ensemble_digest(ens) -> str:
@@ -784,12 +763,9 @@ def _golden_reflecting_d1():
 
 def _golden_synchronous_d1(cfg=SchemeConfig()):
     spec, field, _, _ = _example_model()
-    excess = ExcessComponent(rate=3.0,
-                             sampler=lambda rng, n: rng.uniform(-1, 1, (n, 1)))
     return simulate_coupled_ensemble(np.array([0.5]), np.array([-0.5]), field,
                                      spec, None, cfg, 1.0,
-                                     np.linspace(0.0, 1.0, 5), 64, seed=5,
-                                     excess=excess)
+                                     np.linspace(0.0, 1.0, 5), 64, seed=5)
 
 
 def _golden_merging_d2():
@@ -808,7 +784,7 @@ def _golden_merging_d2():
     (_golden_reflecting_d1, 59,
      "513f08881aff4cb78ea7b2f805599eb1c24439cf74cf54ccd282d223f955e6e3"),
     (_golden_synchronous_d1, 0,
-     "a9f003fe9857b113207b135fae8c04b44072a43e6ab7635c2b9066b5e1c865b0"),
+     "2ebcc061e3ce883a487ce28214c1be1044a2a4bc6cf89c0b377616bc8007db13"),
     (_golden_merging_d2, 225,
      "89d608087dd1816a01e89532029e5fad7198a57f7c7c21d5bf08290cdddbb58a"),
 ], ids=["reflecting_d1", "synchronous_d1", "merging_d2"])

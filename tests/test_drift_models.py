@@ -14,11 +14,12 @@ from stablecouple.drift_models import (
     linear_drift,
     monomial_drift,
     power_potential_drift,
-    verify_dissipativity,
 )
 from stablecouple.drift_models import DriftField
 from stablecouple.stable_noise import _rownorm, isotropic_stable
 from stablecouple.streams import derive_stream
+
+from oracles import verify_dissipativity
 
 
 def rng_at(index: int) -> np.random.Generator:
@@ -39,9 +40,9 @@ def test_condition_validation():
 
 def test_power_potential_origin_and_hand_value():
     field = power_potential_drift(1.5, 1)
-    assert field(np.array([0.0])) == pytest.approx(0.0)
+    assert field.evaluate(np.array([0.0])) == pytest.approx(0.0)
     # beta=1.5, x=1: b = -2 * 1.5 * |1|^1 * 1 = -3
-    assert field(np.array([1.0]))[0] == pytest.approx(-3.0, rel=1e-14)
+    assert field.evaluate(np.array([1.0]))[0] == pytest.approx(-3.0, rel=1e-14)
 
 
 def test_power_potential_claimed_constants():
@@ -60,11 +61,11 @@ def test_power_potential_rejects_beta():
 def test_linear_drift_values_and_flow():
     field = linear_drift(2.0, 3)
     e1 = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(field(e1), -2.0 * e1)
+    assert np.allclose(field.evaluate(e1), -2.0 * e1)
     # batch form
     xs = rng_at(0).standard_normal((50, 3))
     ys = rng_at(1).standard_normal((50, 3))
-    lhs = np.einsum("ij,ij->i", field(xs) - field(ys), xs - ys)
+    lhs = np.einsum("ij,ij->i", field.evaluate(xs) - field.evaluate(ys), xs - ys)
     assert np.allclose(lhs, -2.0 * np.linalg.norm(xs - ys, axis=1) ** 2,
                        rtol=1e-12)
 
@@ -80,7 +81,8 @@ def test_power_potential_global_inequality(d):
     diff = xs - ys
     r = np.linalg.norm(diff, axis=1)
     keep = r > 0
-    lhs = np.einsum("ij,ij->i", field(xs[keep]) - field(ys[keep]), diff[keep])
+    b = field.evaluate
+    lhs = np.einsum("ij,ij->i", b(xs[keep]) - b(ys[keep]), diff[keep])
     rhs = -beta * 2.0 ** (4 - 3 * beta) * r[keep] ** (2 * beta)
     assert np.all(lhs <= rhs + 1e-10 * (1 + np.abs(rhs)))
     # every registry drift's claimed (K2, theta) holds with any (K1, L0):
@@ -188,7 +190,7 @@ def test_registry_labels():
     assert drift_from_label("linear", 2, kappa=3.0).label.startswith("linear")
     assert drift_from_label("power_potential", 1, beta=1.5).claimed_condition.theta == 3.0
     field = drift_from_label("monomial", 1, c=2.0, q=1.0)
-    assert field(np.array([2.0]))[0] == pytest.approx(-8.0)
+    assert field.evaluate(np.array([2.0]))[0] == pytest.approx(-8.0)
     with pytest.raises(ValueError):
         drift_from_label("nope", 1)
 
@@ -203,7 +205,8 @@ def test_registry_fields_are_continuous():
         xs = rng.uniform(-3, 3, (200, 2))
         for h in (1e-3, 1e-5):
             bump = h * rng.standard_normal((200, 2))
-            delta = np.linalg.norm(field(xs + bump) - field(xs), axis=1)
+            delta = np.linalg.norm(field.evaluate(xs + bump) - field.evaluate(xs),
+                                   axis=1)
             assert np.all(delta <= 50.0 * np.linalg.norm(bump, axis=1))
 
 
@@ -212,8 +215,9 @@ def test_single_point_drift_is_bitwise_batch_row(d):
     # a point (d,) and a batch (n, d) go through the same row norm
     xs = 3.0 * rng_at(30 + d).standard_normal((50, d))
     for field in (monomial_drift(2.0, 0.7, d), power_potential_drift(1.5, d)):
-        batch = field(xs)
-        assert all(np.array_equal(field(x), row) for x, row in zip(xs, batch))
+        batch = field.evaluate(xs)
+        assert all(np.array_equal(field.evaluate(x), row)
+                   for x, row in zip(xs, batch))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -226,4 +230,4 @@ def test_monomial_q1_is_bitwise_the_power_form(d):
                      (power_potential_drift(1.5, d), 3.0)):
         with np.errstate(invalid="ignore"):
             want = -c * _rownorm(xs, keepdims=True) ** 1.0 * xs
-            assert np.array_equal(field(xs), want, equal_nan=True)
+            assert np.array_equal(field.evaluate(xs), want, equal_nan=True)

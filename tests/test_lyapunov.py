@@ -111,9 +111,9 @@ def test_gluing_finite_differences(high_alpha_model, low_alpha_model):
         s = lyap.switch_r
         fd_prime = (lyap.value(s + h) - lyap.value(s - h)) / (2 * h)
         fd_second = (lyap.value(s + h) - 2 * lyap.value(s) + lyap.value(s - h)) / h ** 2
-        scale = 1.0 + abs(float(lyap.second(s)))
+        scale = 1.0 + abs(float(lyap._piecewise(s, 2)))
         assert abs(fd_prime - float(lyap.prime(s))) <= 1e-3 * scale
-        assert abs(fd_second - float(lyap.second(s))) <= 1e-2 * scale
+        assert abs(fd_second - float(lyap._piecewise(s, 2))) <= 1e-2 * scale
 
 
 def test_monotone_concave_profile(high_alpha_model, low_alpha_model):
@@ -122,7 +122,7 @@ def test_monotone_concave_profile(high_alpha_model, low_alpha_model):
         primes = lyap.prime(grid)
         assert np.all(primes > 0.0)
         inner = grid[grid < lyap.switch_r]
-        assert np.all(lyap.second(inner) < 0.0)
+        assert np.all(lyap._piecewise(inner, 2) < 0.0)
 
 
 def _second_difference(lyap, r, h):
@@ -145,7 +145,8 @@ def test_second_difference_taylor_bound(high_alpha_model, low_alpha_model):
         for r in np.linspace(0.05, lyap.l0, 9):
             for u in np.linspace(1e-4 * r, lyap.a * r, 7):
                 lhs = _second_difference(lyap, r, 2.0 * u)
-                rhs = 4.0 * float(lyap.second((1.0 + 2.0 * lyap.a) * r)) * u ** 2
+                curv = float(lyap._piecewise((1.0 + 2.0 * lyap.a) * r, 2))
+                rhs = 4.0 * curv * u ** 2
                 assert lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
 
 
@@ -344,7 +345,7 @@ def test_tail_envelope_low_alpha_bracket(low_alpha_model):
     rep = tail_envelope_positivity(lyap)
     assert rep.ok
     # -4B/(A c0^2) = 2 + alpha/(L0 c0) = 2.1 exactly
-    assert rep.log_bracket == pytest.approx(1.0 - math.log(2.1), abs=1e-12)
+    assert -4.0 * lyap.B / (lyap.A * lyap.c0 ** 2) == pytest.approx(2.1, rel=1e-12)
     assert rep.value_at_stationary == pytest.approx(
         (-2.0 * lyap.B / lyap.c0) * (1.0 - math.log(2.1)), rel=1e-12)
 
@@ -354,8 +355,9 @@ def test_tail_envelope_high_alpha_bracket(high_alpha_model):
     rep = tail_envelope_positivity(lyap)
     assert rep.ok
     # c2 = 20 c1 makes the bracket exactly 1 - log(2(c1+c2)/c2) = 1 - log 2.1
-    assert rep.log_bracket >= 1.0 - math.log(2.1) - 1e-12
-    assert rep.log_bracket == pytest.approx(1.0 - math.log(2.1), abs=1e-12)
+    assert -4.0 * lyap.B / (lyap.A * lyap.c2 ** 2) == pytest.approx(2.1, rel=1e-12)
+    assert rep.value_at_stationary == pytest.approx(
+        (-2.0 * lyap.B / lyap.c2) * (1.0 - math.log(2.1)), rel=1e-12)
 
 
 def test_tail_envelope_value_at_switch(high_alpha_model):

@@ -15,11 +15,11 @@ from stablecouple.stable_noise import (
     isotropic_stable,
     levy_constant,
     pareto_radius,
-    sample_increment,
-    sample_truncated_jump,
     sphere_surface,
 )
 from stablecouple.streams import derive_stream
+
+from oracles import sample_increment, sample_truncated_jump
 
 
 def rng_at(index: int) -> np.random.Generator:
