@@ -51,6 +51,16 @@ no pair reflects) and scatters them once; a merged pair's two equal rows
 flow to equal rows and take equal jumps.  The jump clock runs at one
 constant rate, so the count of explicit jumps has a known mean; it is held
 to a budget before the first window (:func:`require_event_budget`).
+
+Randomness comes from four streams derived from the seed, one per kind of
+draw: the jump clock, the jump radii, the jump directions and the window-end
+kicks.  The clock gaps and the jumps (radius and direction) are drawn ahead
+in blocks of ``_DRAW_BLOCK`` rows whose leftovers carry over, so an event
+round slices its rows instead of calling a generator; each block is the next
+stretch of its streams, so no output bit depends on the block size.  A
+pair's clock carries over from one window to the next: its wait past the
+window end is again exponential, so the next window starts from what is
+left of it.  Only the kicks are drawn at each window end.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from .streams import derive_stream
 
 _WINDOW = 1e-2  # longest window between two window-end kicks
 _EVENT_BUDGET = 2e9  # expected explicit jumps one ensemble may draw
+_DRAW_BLOCK = 1024  # rows of clock gaps and of jumps drawn per refill
 
 
 class EventBudgetError(RuntimeError):
@@ -316,6 +327,33 @@ def _mirrored_kick(pairs: np.ndarray, rows: np.ndarray, ra: np.ndarray,
     merged[rows[u < p0]] = True
 
 
+class _Blocks:
+    """The rows of a draw served in order, from blocks drawn ahead.
+
+    ``draw(k)`` returns arrays of k rows each; the first block is drawn at
+    once.  :meth:`take` slices the next m rows off the current block, and
+    only when they run out draws a new one, of ``_DRAW_BLOCK`` rows or what
+    it lacks if more, behind what the old block had left.  Each draw takes
+    its rows from its streams in order, so the rows served are the streams'
+    prefix whatever the block size.
+    """
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._rows = draw(_DRAW_BLOCK)
+        self._pos = 0
+
+    def take(self, m: int) -> list[np.ndarray]:
+        lo, hi = self._pos, self._pos + m
+        if hi > len(self._rows[0]):
+            fresh = self._draw(max(_DRAW_BLOCK, hi - len(self._rows[0])))
+            self._rows = [np.concatenate((r[lo:], f))
+                          for r, f in zip(self._rows, fresh)]
+            lo, hi = 0, m
+        self._pos = hi
+        return [r[lo:hi] for r in self._rows]
+
+
 def require_positive_paths(n_paths: int) -> None:
     """Raise ValueError unless the ensemble size is positive."""
     if n_paths <= 0:
@@ -343,8 +381,9 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                               n_paths: int, seed: int) -> PathEnsemble:
     """Simulate ``n_paths`` independent coupled pairs from (x0, y0).
 
-    The ensemble draws from one derived stream, ``derive_stream(seed, 0)``,
-    so the output depends only on (inputs, seed).  ``lyap`` supplies the
+    The ensemble draws from ``derive_stream(seed, 0..3)``, one stream per
+    kind of draw (the module docstring says which), so the output depends
+    only on (inputs, seed) and not on the block size.  ``lyap`` supplies the
     reflection band (a, L0); ``lyap=None`` is the synchronous switch, the
     empty band (0, 0): every jump is then applied to both components and no
     pair reflects.  An ensemble over the event budget is refused before the
@@ -361,7 +400,8 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
         raise ValueError("record_grid must be strictly increasing")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    rng = derive_stream(seed, 0)
+    clock_rng, radius_rng, direction_rng, kick_rng = (
+        derive_stream(seed, index) for index in range(4))
     # synchronous coupling is the empty band: no pair reflects, so
     # coupled_jump returns z
     a, l0 = (0.0, 0.0) if lyap is None else (float(lyap.a), float(lyap.l0))
@@ -383,6 +423,13 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
 
     split = decompose(spec, cfg.delta_floor)
     rate = split.rate_above
+    # each pair's next jump time, counted from the window's start: a wait
+    # past a window end is again exponential, so it carries over
+    next_jump = clock_rng.standard_exponential(n) / rate
+    # a jump and the gap to its pair's next one: one row of each stream
+    draws = _Blocks(lambda k: [clock_rng.standard_exponential(k) / rate,
+                               *_large_jumps(cfg.delta_floor, spec.alpha, d, k,
+                                             radius_rng, direction_rng)])
 
     while rec < T:
         target = float(record_grid[rec])
@@ -393,7 +440,6 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             # of each to its jump time in one flow, jump, scatter once; a
             # merged pair's rows are equal and flow to equal rows
             t_path = np.zeros(n)
-            next_jump = rng.standard_exponential(n) / rate
             while True:
                 idx = (next_jump < h).nonzero()[0]
                 m = idx.size
@@ -404,7 +450,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                                  (tj - t_path[idx]).repeat(2)).reshape(m, 2, d)
                 t_path[idx] = tj
 
-                radius, z = _large_jumps(cfg.delta_floor, spec.alpha, d, m, rng)
+                gap, radius, z = draws.take(m)
                 dy = coupled_jump(pi[:, 0], pi[:, 1], z, radius, a, l0)
                 if dy is z:
                     pi += z[:, None]
@@ -412,7 +458,8 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
                     pi[:, 0] += z
                     pi[:, 1] += dy
                 P[idx] = pi
-                next_jump[idx] = tj + rng.standard_exponential(m) / rate
+                next_jump[idx] = tj + gap
+            next_jump -= h
 
             # the rounds' merge test, once for all of them (the module
             # docstring says why the bits are those of a test per round)
@@ -432,21 +479,20 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
             band = ((r > 0.0) & (r <= l0)).nonzero()[0]
             common = split.small_var_per_coord * h
             var = np.full(n, common)
-            g = rng.standard_normal((n, d))
+            g = kick_rng.standard_normal((n, d))
             if band.size:
                 var_band = h * _small_var_per_coord(
                     spec, np.minimum(cfg.delta_floor, a * r[band]))
                 var[band] = common - var_band
-                _mirrored_kick(P, band, r[band], var_band, l0, merged, rng)
+                _mirrored_kick(P, band, r[band], var_band, l0, merged, kick_rng)
             g *= np.sqrt(var)[:, None]
             P += g[:, None]
 
             # drift or kicks may have crossed the merge threshold
             _settle(P, merged, cfg.eps_couple)
 
-            finite = np.isfinite(P).all(axis=(1, 2))
-            if not finite.all():
-                bad = int(np.flatnonzero(~finite)[0])
+            if not np.isfinite(P).all():
+                bad = int(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))[0])
                 raise DriftBlowupError(f"non-finite state on path {bad} at t={t + h:g}")
             t += h
 

@@ -146,15 +146,8 @@ def _rownorm(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 
 def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n directions uniform on the unit sphere of R^d (normalized Gaussians).
-
-    On the line the normalized draw is its sign: g / sqrt(g g) is exactly
-    +-1 for 2^-511 <= |g| < 2^512, and numpy's normal sampler draws 0 or
-    more than 1e-17 in magnitude; a zero draw stays as drawn.
-    """
+    """n directions uniform on the unit sphere of R^d (normalized Gaussians)."""
     g = rng.standard_normal((n, d))
-    if d == 1:
-        return np.copysign(g != 0.0, g)
     norm = _rownorm(g, keepdims=True)
     # a zero draw has probability 0; guard anyway
     norm[norm == 0.0] = 1.0
@@ -163,11 +156,20 @@ def _unit_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _large_jumps(delta: float, alpha: float, d: int, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                 radius_rng: np.random.Generator,
+                 direction_rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """n jumps above the radius ``delta``: (radii, jumps (n, d)).
 
-    Radius by Pareto inverse CDF, then direction uniform on the sphere.
+    Radius by Pareto inverse CDF from ``radius_rng``, then a direction
+    uniform on the sphere from ``direction_rng``: on the line a uniform sign,
+    one uniform per jump.  Each jump takes one row of each stream, so n + m
+    jumps drawn at once are the n jumps and then the m jumps drawn in turn.
     """
     # 1 - U lies in (0, 1], avoiding the zero that would blow the inverse CDF
-    radius = pareto_radius(delta, alpha, 1.0 - rng.random(n))
-    return radius, radius[:, None] * _unit_directions(d, n, rng)
+    radius = pareto_radius(delta, alpha, 1.0 - radius_rng.random(n))
+    if d == 1:
+        # U < 1/2 holds for exactly half of the sampler's 2^53 values
+        return radius, np.where(direction_rng.random(n) < 0.5, -radius,
+                                radius)[:, None]
+    return radius, radius[:, None] * _unit_directions(d, n, direction_rng)

@@ -2,9 +2,12 @@
 
 Every stochastic routine in the package takes an explicit
 ``numpy.random.Generator``.  Streams are derived from a master seed by
-counter-based derivation: each ensemble draws from one stream (index 0),
-so a run is reproducible from (configuration, seed) alone.  The W_p columns
-draw no random numbers; they are a function of the recorded positions.
+counter-based derivation: each ensemble draws from four streams, one per
+kind of draw (index 0 the jump clock, 1 the jump radii, 2 the jump
+directions, 3 the window-end kicks), so a run is reproducible from
+(configuration, seed) alone, and a change to how one kind is drawn leaves
+the other streams where they were.  The W_p columns draw no random numbers;
+they are a function of the recorded positions.
 """
 
 from __future__ import annotations

@@ -399,8 +399,8 @@ def test_wp_certificate_missing_key_is_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p, sha256", [
-    (1, "1", "eca473205194de1feafd084d6bd3e02d3c5073c8d5508567bccc54ed5467e214"),
-    (2, "2", "f4adcd55dc7ef1092c1a21c22a6f9721ec03969d5868bdd6a7769709823bf7bf"),
+    (1, "1", "ed62b0d58511a5921651cdb78e1f8c92650c941f5c9435e2356462589d82f025"),
+    (2, "2", "7615a025214bef2d80a633e5b8770994bee61e2ec25fce814e26c86bcafe70bc"),
 ], ids=["d1", "d2"])
 def test_wp_golden_digests(tmp_path, d, p, sha256):
     # the exact solve and its se pinned bitwise: the d = 1 sort path and the

@@ -492,8 +492,8 @@ def test_merge_test_runs_twice_per_window(monkeypatch, lyap_on, cfg, n):
         return wrapped
 
     monkeypatch.setattr(engine, "_settle", counting("settle", engine._settle))
-    monkeypatch.setattr(engine, "_large_jumps",
-                        counting("rounds", engine._large_jumps))
+    monkeypatch.setattr(engine, "coupled_jump",
+                        counting("rounds", engine.coupled_jump))
     monkeypatch.setattr(engine, "_drift_flow", counting("flows", engine._drift_flow))
     spec, field, _, lyap = _example_model()
     simulate_coupled_ensemble(np.array([0.1]), np.array([-0.1]), field, spec,
@@ -585,14 +585,15 @@ _NULL_FIELD = DriftField(evaluate=lambda x: np.zeros_like(x), d=1, label="null")
 
 def _one_window(monkeypatch, r0: float, lyap, n: int = 20_000):
     """One window of the engine's length from (r0/2, -r0/2) under zero drift: the
-    ensemble, and the next draws of the engine's stream after the run."""
+    ensemble, and the next draws of each of the engine's streams after the
+    run, by stream index."""
     import stablecouple.coupling_engine as engine
 
-    streams = []
+    streams = {}
 
     def spy(seed, index):
-        streams.append(derive_stream(seed, index))
-        return streams[-1]
+        streams[index] = derive_stream(seed, index)
+        return streams[index]
 
     monkeypatch.setattr(engine, "derive_stream", spy)
     h = engine._WINDOW
@@ -600,7 +601,8 @@ def _one_window(monkeypatch, r0: float, lyap, n: int = 20_000):
                                     _NULL_FIELD, isotropic_stable(1, 1.5), lyap,
                                     SchemeConfig(), h, np.array([0.0, h]), n,
                                     seed=29)
-    return ens, streams[0].random(4).tolist()
+    assert sorted(streams) == [0, 1, 2, 3]
+    return ens, {index: rng.random(4).tolist() for index, rng in streams.items()}
 
 
 def test_mirrored_band_merges_at_the_bridge_crossing_rate(monkeypatch):
@@ -728,8 +730,10 @@ def test_mirrored_kick_stops_at_l0_and_keeps_y_gaussian():
 
 def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):
     # no pair has the band beyond L0 (zero drift keeps r = r0) or with
-    # lyap=None, so those runs end the stream at the same place and the
-    # ensemble beyond L0 equals the synchronous one
+    # lyap=None, so those runs end every stream at the same place and the
+    # ensemble beyond L0 equals the synchronous one; the clock, radius and
+    # direction streams (0, 1, 2) end at the same place in all four runs,
+    # since the band draws only from the kick stream (3)
     _, _, _, lyap = _example_model()
     far = 2.0 * lyap.l0
     ens_far, next_far = _one_window(monkeypatch, far, lyap, n=256)
@@ -738,12 +742,14 @@ def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):
     _, next_band = _one_window(monkeypatch, 0.05, lyap, n=256)
     assert next_far == next_sync_far == next_sync_near
     assert _ensemble_digest(ens_far) == _ensemble_digest(sync_far)
-    assert next_band != next_far  # the band rows draw their variates
+    for index in (0, 1, 2):
+        assert next_band[index] == next_far[index]
+    assert next_band[3] != next_far[3]  # the band rows draw their variates
     # and lyap=None draws no band variates at any floor: the synchronous
     # golden is pinned at the former default floor 2e-3 as well
     old_floor = _golden_synchronous_d1(SchemeConfig(delta_floor=2e-3))
     assert _ensemble_digest(old_floor) == (
-        "5d14bf8596aff5a17e2da9561ef57c8b9186902aae67203869b880ab71c5a800")
+        "d642ed8b35469b0ed7fce8b070281353694b9f75fd937e69834083f04f478e0a")
 
 
 def _ensemble_digest(ens) -> str:
@@ -754,7 +760,7 @@ def _ensemble_digest(ens) -> str:
 
 
 def _golden_reflecting_d1():
-    # reflection with a wide merge threshold: 59 of 64 pairs merge by t = 1
+    # reflection with a wide merge threshold: 57 of 64 pairs merge by t = 1
     spec, field, _, lyap = _example_model()
     return simulate_coupled_ensemble(np.array([0.25]), np.array([-0.25]), field,
                                      spec, lyap, SchemeConfig(eps_couple=5e-2),
@@ -769,7 +775,7 @@ def _golden_synchronous_d1(cfg=SchemeConfig()):
 
 
 def _golden_merging_d2():
-    # 225 of 300 pairs merge by t = 0.5, so the merge step and the rows of
+    # 228 of 300 pairs merge by t = 0.5, so the merge step and the rows of
     # merged pairs inside an event round are exercised
     spec = isotropic_stable(2, 1.7)
     field = linear_drift(1.0, 2)
@@ -781,12 +787,12 @@ def _golden_merging_d2():
 
 
 @pytest.mark.parametrize("make, merged_at_end, sha256", [
-    (_golden_reflecting_d1, 59,
-     "513f08881aff4cb78ea7b2f805599eb1c24439cf74cf54ccd282d223f955e6e3"),
+    (_golden_reflecting_d1, 57,
+     "ad31f1080e973e2e7f7b473e2db69dffc3a791feb0f534cd17b590e2b24771f1"),
     (_golden_synchronous_d1, 0,
-     "2ebcc061e3ce883a487ce28214c1be1044a2a4bc6cf89c0b377616bc8007db13"),
-    (_golden_merging_d2, 225,
-     "89d608087dd1816a01e89532029e5fad7198a57f7c7c21d5bf08290cdddbb58a"),
+     "60885986f0e8f72ab8fef5ae40da55760af961c6f5145e35317e70780a0d5aff"),
+    (_golden_merging_d2, 228,
+     "fbc04177efb4b9aa4b2adee786f0ffaf2fa4f5e6aa5ee32a9705119e61e6f226"),
 ], ids=["reflecting_d1", "synchronous_d1", "merging_d2"])
 def test_ensemble_golden_digests(make, merged_at_end, sha256):
     # times, xs, ys and merged pinned bitwise (recorded with Python 3.11,
@@ -795,6 +801,84 @@ def test_ensemble_golden_digests(make, merged_at_end, sha256):
     ens = make()
     assert int(ens.merged[:, -1].sum()) == merged_at_end
     assert _ensemble_digest(ens) == sha256
+
+
+@pytest.mark.parametrize("make", [_golden_reflecting_d1, _golden_synchronous_d1,
+                                  _golden_merging_d2],
+                         ids=["reflecting_d1", "synchronous_d1", "merging_d2"])
+def test_ensemble_is_bitwise_the_same_for_any_draw_block(monkeypatch, make):
+    # the clock gaps and jumps are a prefix of their streams whatever the
+    # block they are drawn in: one row per block, a prime that splits rounds
+    # across refills, and the default give the same bits
+    import stablecouple.coupling_engine as engine
+
+    want = _ensemble_digest(make())
+    for block in (1, 97):
+        monkeypatch.setattr(engine, "_DRAW_BLOCK", block)
+        assert _ensemble_digest(make()) == want
+
+
+class _Recorder:
+    """A generator whose calls are logged as ("draw", index, rows)."""
+
+    def __init__(self, rng, index, log):
+        self._rng, self._index, self._log = rng, index, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(size, *args, **kwargs):
+            self._log.append(("draw", self._index, np.atleast_1d(size)[0]))
+            return method(size, *args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("make", [_golden_reflecting_d1, _golden_merging_d2],
+                         ids=["reflecting_d1", "merging_d2"])
+@pytest.mark.parametrize("block", [None, 10 ** 6], ids=["default", "whole_run"])
+def test_generators_are_called_on_refills_and_at_window_ends(monkeypatch, make,
+                                                              block):
+    # after each pair's first clock gap, the clock, radius and direction
+    # streams (0, 1, 2) are called only to draw a block, so an event round
+    # makes no generator call; the kick stream (3) is called only between a
+    # window's two merge tests, that is at the window end
+    import stablecouple.coupling_engine as engine
+
+    log = []
+
+    def marking(event, fn):
+        def wrapped(*args, **kwargs):
+            log.append((event,))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "derive_stream", lambda seed, index: _Recorder(
+        derive_stream(seed, index), index, log))
+    monkeypatch.setattr(engine, "coupled_jump", marking("round", engine.coupled_jump))
+    monkeypatch.setattr(engine, "_settle", marking("settle", engine._settle))
+    if block is not None:
+        monkeypatch.setattr(engine, "_DRAW_BLOCK", block)
+    ens = make()
+    # the start: the first merge test, then each pair's first clock gap
+    assert log[:2] == [("settle",), ("draw", 0, ens.n_paths)]
+    settles = 1
+    refills = {0: 0, 1: 0, 2: 0}
+    for event in log[2:]:
+        if event[0] == "settle":
+            settles += 1
+        elif event[0] == "draw" and event[1] == 3:
+            assert settles % 2 == 0  # between a window's two merge tests
+        elif event[0] == "draw":
+            assert event[2] >= engine._DRAW_BLOCK
+            refills[event[1]] += 1
+    rounds = sum(event[0] == "round" for event in log)
+    assert len(set(refills.values())) == 1  # the three streams go in step
+    assert rounds > 4 * refills[0] and settles > 100
+    if block is not None:
+        # one block holds the whole run: it is drawn once, before the first
+        # round
+        assert refills[0] == 1
+        assert [event[1] for event in log[2:5]] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("n_paths", [0, -1])

@@ -171,7 +171,7 @@ def test_large_jump_tail_probability():
     spec = isotropic_stable(2, 1.5)
     delta = 1.0
     rng = rng_at(1)
-    _, z = _large_jumps(delta, spec.alpha, spec.d, 100_000, rng)
+    _, z = _large_jumps(delta, spec.alpha, spec.d, 100_000, rng, rng)
     radius = np.linalg.norm(z, axis=1)
     assert radius.min() >= delta
     hits = radius > 2.0 * delta
@@ -183,7 +183,7 @@ def test_large_jump_tail_probability():
 def test_large_jump_isotropy():
     spec = isotropic_stable(3, 1.2)
     rng = rng_at(4)
-    _, z = _large_jumps(0.5, spec.alpha, spec.d, 100_000, rng)
+    _, z = _large_jumps(0.5, spec.alpha, spec.d, 100_000, rng, rng)
     direc = z / np.linalg.norm(z, axis=1, keepdims=True)
     se = direc.std(axis=0) / math.sqrt(len(direc))
     assert np.all(np.abs(direc.mean(axis=0)) < 3.0 * se)
@@ -192,15 +192,39 @@ def test_large_jump_isotropy():
 def test_large_jump_single_shape():
     # one jump comes back as a row, with its radius
     spec = isotropic_stable(2, 1.5)
-    radius, z = _large_jumps(1.0, spec.alpha, spec.d, 1, rng_at(3))
+    rng = rng_at(3)
+    radius, z = _large_jumps(1.0, spec.alpha, spec.d, 1, rng, rng)
     assert radius.shape == (1,) and z.shape == (1, 2)
     assert np.linalg.norm(z[0]) == pytest.approx(radius[0], rel=1e-15)
 
 
+def test_line_jump_direction_is_a_uniform_sign():
+    # on the line each jump is +-radius, negative exactly when its uniform
+    # from the direction stream is below 1/2; the radius stream is untouched
+    radius, z = _large_jumps(0.5, 1.5, 1, 100_000, rng_at(7), rng_at(8))
+    assert z.shape == (100_000, 1)
+    u = rng_at(7).random(100_000)
+    assert np.array_equal(radius, pareto_radius(0.5, 1.5, 1.0 - u))
+    negative = rng_at(8).random(100_000) < 0.5
+    assert np.array_equal(z[:, 0], np.where(negative, -radius, radius))
+    assert abs(negative.mean() - 0.5) < 3.0 * 0.5 / math.sqrt(len(negative))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_large_jumps_drawn_in_parts_are_the_jumps_drawn_at_once(d):
+    # each jump takes one row of each stream, so the engine may draw its
+    # jumps in blocks of any size: the parts concatenate to the whole, bitwise
+    whole = _large_jumps(0.02, 1.5, d, 1000, rng_at(9), rng_at(10))
+    streams = rng_at(9), rng_at(10)
+    parts = [_large_jumps(0.02, 1.5, d, k, *streams) for k in (1, 0, 336, 663)]
+    for got, want in zip(zip(*parts), whole):
+        assert np.array_equal(np.concatenate(got), want)
+
+
 def test_line_directions_are_bitwise_normalized_draws():
-    # on the line a direction is the sign of its draw, which is g / |g| bit
-    # for bit over the normal sampler's range (a zero draw, of either sign,
-    # stays as drawn); d = 2 still normalizes the draw
+    # on the line the normalized draw g / |g| is its sign, +-1, over the
+    # normal sampler's range (numpy draws 0 or more than 1e-17 in magnitude;
+    # a zero draw, of either sign, stays as drawn)
     g = rng_at(5).standard_normal((200_000, 1))
     g[:6, 0] = [0.0, -0.0, 6e-17, -3.7, 40.0, 2.0 ** -511]
     norm = _rownorm(g, keepdims=True)
@@ -287,7 +311,7 @@ def test_decomposition_reproduces_increment_law():
 
     counts = rng.poisson(dec.rate_above * t, n)
     total = int(counts.sum())
-    _, jumps = _large_jumps(delta, spec.alpha, spec.d, total, rng)
+    _, jumps = _large_jumps(delta, spec.alpha, spec.d, total, rng, rng)
     approx = np.zeros((n, 1))
     np.add.at(approx, np.repeat(np.arange(n), counts), jumps)
     approx += (rng.standard_normal((n, 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pathlib
 import signal
 import threading
 
@@ -18,11 +19,14 @@ from stablecouple.wasserstein_metrics import (
     exact_empirical_wp,
     exact_wp_with_stderr,
 )
-from stablecouple.coupling_engine import read_positions_csv
+from stablecouple.coupling_engine import read_table
 from stablecouple.stable_noise import isotropic_stable
 from stablecouple.streams import derive_stream
 
 from oracles import energy_distance, energy_distance_test, sample_increment
+
+
+_DATA = pathlib.Path(__file__).parent / "data"
 
 
 def rng_at(index: int) -> np.random.Generator:
@@ -342,19 +346,17 @@ def test_raised_prices_leave_few_rows_to_the_finish(monkeypatch):
     wasserstein_metrics._dual_potentials(cost, sigma, v)
 
 
-def test_raise_sweeps_stop_once_no_price_moves(tmp_path, monkeypatch):
-    # the ot_d2 benchmark's seed 11 at t = 0.125: after five sweeps one row
+def test_raise_sweeps_stop_once_no_price_moves(monkeypatch):
+    # the ot_d2 benchmark's seed 11 at t = 0.125, as the engine drew it from
+    # a single random stream (x0, x1, y0, y1 per path, pinned so the instance
+    # does not move with the engine's streams): after five sweeps one row
     # keeps a slack of about 7e-18 whose raise rounds away (v + s == v), so
     # every later sweep would repeat the one before; with the cap lifted the
     # sweeps must still end, with the default cap's sigma and v
-    from stablecouple.cli import main
-
-    argv = ["--d", "2", "--p", "2", "--seed", "11", "--paths", "256",
-            "--horizon", "0.25", "--grid-step", "0.125", "--out", str(tmp_path)]
-    assert main(["certify"] + argv) == 0 and main(["simulate"] + argv) == 0
-    ens = read_positions_csv(tmp_path / "positions.csv")
+    pos = read_table(_DATA / "ot_d2_seed11_t0125.csv")
+    assert pos.shape == (256, 4)
     cost = wasserstein_metrics._power(
-        wasserstein_metrics._pairwise_norms(ens.xs[:, 1], ens.ys[:, 1]), 2.0)
+        wasserstein_metrics._pairwise_norms(pos[:, :2], pos[:, 2:]), 2.0)
     want = wasserstein_metrics._assignment(cost)
     monkeypatch.setattr(wasserstein_metrics, "_RAISE_SWEEPS", 10 ** 6)
 
