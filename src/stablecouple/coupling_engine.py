@@ -152,13 +152,17 @@ def coupled_jump(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     else z itself.  A merged pair has y bitwise equal to x, so r = 0 and no
     jump of positive size reflects it; at radius 0 the mirror across a zero
     separation is z itself.  When no row reflects the increment is z, the
-    same object.
+    same object.  On the line the mirror is -z: u = +-1 exactly, so for a
+    nonzero z with 2 z finite (a reflected jump is at most a L0) -z has the
+    bits of z - 2 (z.u) u.
     """
     diff = x - y
     r = _rownorm(diff)
     do_refl = (r <= l0) & (radius <= a * r)
     if not np.count_nonzero(do_refl):
         return z
+    if z.shape[1] == 1:
+        return np.where(do_refl[:, None], -z, z)
     phi = _mirror(z, diff, np.where(r > 0.0, r, 1.0))
     return np.where(do_refl[:, None], phi, z)
 
@@ -175,19 +179,26 @@ def _rk4_one(field: DriftField, x: np.ndarray,
              remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One classical fourth-order step of each row of x (n, d), of length
     min(remaining, stability cap); returns the new rows, a new array, and the
-    steps taken.
+    steps taken, which are ``remaining`` itself when no row is cut short.
 
     The cap keeps explicit steps inside the stability region by bounding the
     step against the local scale |b(x)| / (1 + |x|); superlinear drifts hit by
     a heavy-tailed jump are therefore contracted back instead of overflowing.
+    While every row's scale is at most ``_STABILITY_MARGIN / _WINDOW`` the
+    cap is ``_WINDOW`` on every row, so the per-row cap is skipped; a nan or
+    infinite scale fails that test and meets the finite check.
     """
     b = field.evaluate
     k1 = b(x)
     scale = _rownorm(k1) / (1.0 + _rownorm(x))
-    if np.count_nonzero(np.isfinite(scale)) < len(scale):
+    if scale.max(initial=0.0) <= _STABILITY_MARGIN / _WINDOW:
+        step = (remaining if remaining.max(initial=0.0) <= _WINDOW
+                else np.minimum(remaining, _WINDOW))
+    elif np.count_nonzero(np.isfinite(scale)) < len(scale):
         raise DriftBlowupError("non-finite drift value encountered")
-    cap = _STABILITY_MARGIN / np.maximum(scale, _STABILITY_MARGIN / _WINDOW)
-    step = np.minimum(remaining, cap)
+    else:
+        cap = _STABILITY_MARGIN / np.maximum(scale, _STABILITY_MARGIN / _WINDOW)
+        step = np.minimum(remaining, cap)
     h = step[:, None]
     half = 0.5 * h
     # each stage argument and the combination are built in arrays this step
@@ -217,7 +228,8 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     (:func:`_rk4_one`).
 
     The first step takes every row; only then are the rows with time left
-    gathered, so a flow that ends in one step makes no second pass.  Rows
+    gathered, so a flow that ends in one step makes no second pass, and one
+    whose step cut no row short does not look for them.  Rows
     never interact, so each row gets the bits it would get alone: the engine
     flows the x and y rows of its pairs, interleaved, in one call, and equal
     rows stay equal.  Non-finite intermediates of a pathological field are
@@ -225,6 +237,8 @@ def _drift_flow(field: DriftField, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     run.
     """
     x, step = _rk4_one(field, x, h)
+    if step is h:  # no row was cut short
+        return x
     # for finite doubles h - step > 0 exactly when step < h, so the rows
     # with time left are known before the subtraction
     act = (step < h).nonzero()[0]
@@ -317,7 +331,10 @@ def _mirrored_kick(pairs: np.ndarray, rows: np.ndarray, ra: np.ndarray,
     diff = x - y
     e = diff / ra[:, None]
     g = rng.standard_normal(diff.shape) * np.sqrt(var)[:, None]
-    ge2 = 2.0 * np.einsum("ij,ij->i", g, e)
+    # on the line g.e is one product; einsum sums onto +0.0, so adding +0.0
+    # gives its bits, -0.0 included
+    ge2 = 2.0 * (g[:, 0] * e[:, 0] + 0.0 if g.shape[1] == 1
+                 else np.einsum("ij,ij->i", g, e))
     p0, pl = _bridge_exits(ra, ra + ge2, l0, 4.0 * var)
     u = rng.random(len(rows))
     at_l0 = (u >= p0) & (u < p0 + pl)
@@ -330,12 +347,13 @@ def _mirrored_kick(pairs: np.ndarray, rows: np.ndarray, ra: np.ndarray,
 class _Blocks:
     """The rows of a draw served in order, from blocks drawn ahead.
 
-    ``draw(k)`` returns arrays of k rows each; the first block is drawn at
-    once.  :meth:`take` slices the next m rows off the current block, and
-    only when they run out draws a new one, of ``_DRAW_BLOCK`` rows or what
-    it lacks if more, behind what the old block had left.  Each draw takes
-    its rows from its streams in order, so the rows served are the streams'
-    prefix whatever the block size.
+    ``draw(k)`` returns three arrays of k rows each (clock gaps, radii and
+    jumps); the first block is drawn at once.  :meth:`take` slices the next
+    m rows off the current block, and only when they run out draws a new
+    one, of ``_DRAW_BLOCK`` rows or what it lacks if more, behind what the
+    old block had left.  Each draw takes its rows from its streams in
+    order, so the rows served are the streams' prefix whatever the block
+    size.
     """
 
     def __init__(self, draw):
@@ -343,7 +361,7 @@ class _Blocks:
         self._rows = draw(_DRAW_BLOCK)
         self._pos = 0
 
-    def take(self, m: int) -> list[np.ndarray]:
+    def take(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, hi = self._pos, self._pos + m
         if hi > len(self._rows[0]):
             fresh = self._draw(max(_DRAW_BLOCK, hi - len(self._rows[0])))
@@ -351,7 +369,8 @@ class _Blocks:
                           for r, f in zip(self._rows, fresh)]
             lo, hi = 0, m
         self._pos = hi
-        return [r[lo:hi] for r in self._rows]
+        gap, radius, z = self._rows
+        return gap[lo:hi], radius[lo:hi], z[lo:hi]
 
 
 def require_positive_paths(n_paths: int) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -73,29 +74,28 @@ def linear_drift(kappa: float, d: int) -> DriftField:
 def monomial_drift(c: float, q: float, d: int) -> DriftField:
     """b(x) = -c |x|^q x for c > 0, q >= 0.
 
-    Claims K2 = c 2^(3 - 3 beta) and theta = q + 2 with beta = (q + 2)/2.
-    Proof: the p-Laplacian inequality <|x|^(p-2) x - |y|^(p-2) y, x - y>
-    >= 2^(2-p) |x - y|^p (p >= 2), at p = q + 2, gives
-    <b(x)-b(y), x-y> <= -c 2^(-q) |x-y|^(q+2), and c 2^(-q) >= c 2^(-3q/2)
-    = K2 for every q >= 0.  The bound holds at every separation and b is
-    monotone, so the two-regime condition holds for any K1, L0 > 0 (the
-    claim carries the placeholders 1).
+    Claims K2 = c 2^(-q) and theta = q + 2.  Proof: the p-Laplacian
+    inequality <|x|^(p-2) x - |y|^(p-2) y, x - y> >= 2^(2-p) |x - y|^p
+    (p >= 2), at p = q + 2, gives <b(x)-b(y), x-y> <= -c 2^(-q) |x-y|^(q+2).
+    It is an equality at y = -x, so no larger K2 holds.  The bound holds at
+    every separation and b is monotone, so the two-regime condition holds
+    for any K1, L0 > 0 (the claim carries the placeholders 1).
     """
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
     if not 0.0 <= q < math.inf:
         raise ValueError(f"q must lie in [0, inf), got {q}")
 
+    # the row norm, chosen once: on the line it is |x|, the bits of _rownorm
+    norm = np.abs if d == 1 else partial(_rownorm, keepdims=True)
     if q == 1.0:  # r ** 1 is r: skip the pass
         def b(x):
-            return -c * _rownorm(x, keepdims=True) * x
+            return -c * norm(x) * x
     else:
         def b(x):
-            return -c * _rownorm(x, keepdims=True) ** q * x
+            return -c * norm(x) ** q * x
 
-    beta = (q + 2.0) / 2.0
-    cond = DriftCondition(k1=1.0, k2=c * 2.0 ** (3.0 - 3.0 * beta), l0=1.0,
-                          theta=q + 2.0)
+    cond = DriftCondition(k1=1.0, k2=c * 2.0 ** -q, l0=1.0, theta=q + 2.0)
     return DriftField(evaluate=b, d=int(d), label=f"monomial(c={c},q={q})",
                       claimed_condition=cond)
 
@@ -104,7 +104,7 @@ def power_potential_drift(beta: float, d: int) -> DriftField:
     """Gradient drift of the super-convex potential -|x|^(2 beta), beta > 1.
 
     b(x) = -2 beta |x|^(2 beta - 2) x, the monomial drift with c = 2 beta
-    and q = 2 beta - 2, whose claim it takes: K2 = beta 2^(4 - 3 beta) and
+    and q = 2 beta - 2, whose claim it takes: K2 = beta 2^(3 - 2 beta) and
     theta = 2 beta, with any positive K1, L0.
     """
     if not 1.0 < beta < math.inf:

@@ -164,13 +164,15 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     epsilon above its cheapest column, so before the finish each placed
     row's column is raised by the row's slack.  A raise makes that column
     cheaper for every other row too, so the raises repeat, checking only
-    the columns raised last, for at most ``_RAISE_SWEEPS`` sweeps; the
-    raised columns about halve in each.  A slack left by rounding may never
-    clear: once a sweep's raises all round away, no price moves, and the
-    sweeps stop.  The finish keeps the rows whose column is then exactly
-    their cheapest and places the rest, the auction's last free rows and
-    a few more, by shortest augmenting paths (Crouse 2016).  So the result
-    is optimal, not epsilon-optimal.
+    the columns raised last, for at most ``_RAISE_SWEEPS`` sweeps.  The
+    raised columns mostly thin out fast, but need not: a few columns can be
+    raised in turn without end, in a cycle of a few sweeps, and then only
+    the cap stops the sweeps.  A slack left by rounding may never clear:
+    once a sweep's raises all round away, no price moves, and the sweeps
+    stop.  The finish keeps the rows whose column is then exactly their
+    cheapest and places the rest, the auction's last free rows and a few
+    more, by shortest augmenting paths (Crouse 2016).  So the result is
+    optimal, not epsilon-optimal, however the sweeps end.
     """
     n = len(cost)
     rows = np.arange(n)

@@ -117,7 +117,7 @@ def test_certify_takes_k2_theta_from_the_drift(tmp_path):
     assert code == EXIT_OK
     inputs = ContractionCertificate.from_record(
         (out / "cert.txt").read_text()).inputs
-    assert inputs["k2"] == 2.0 * 2.0 ** -1.5
+    assert inputs["k2"] == 2.0 * 2.0 ** -1.0
     assert inputs["theta_in"] == 3.0
 
 
@@ -152,14 +152,14 @@ def test_lyapunov_sweep_csv(tmp_path):
 
 
 @pytest.mark.parametrize("flags, cert_sha256, sweep_sha256", [
-    ([], "695db61c23b116b58cef4daa9ba5888fbbc536d7f42499ff9227dc344aae35c5",
-     "15e8999f6fd646828ea60aa8ab5f82928957330b261a184d6a42825130856b4f"),
+    ([], "ad6847dec26a0d88f0cb723cd00807fcd5e3bd494eeeacf59a69967f07b4bd9b",
+     "28fb60a0fe5a60493072a72af32c85298e25c166d8a6891a9c6da854c1118c33"),
     (["--d", "2", "--p", "2"],
-     "a475acc05e4fb16db39c537c4c8b18e61f3a5a6dc076807847d70402c51637ac",
-     "f9c1972bbf635b32fcb03d0b3674017c60c296fa25ac3b47ad48b36e7882bf3e"),
+     "29a85a3d5729c9aa7494d3252bfaad80ad8a09240a52d827ccabda13823d355d",
+     "222a28c51cf1763cdefab8ff98eb5f3094cfcf424e3c9017409420c02d00087c"),
     (["--alpha", "1", "--k1", "0.05", "--drift", "monomial"],
-     "d22bc9e9ed6bbfe5a0485a6160e3b44a3a4c8734b49fffb5ca2f8dd7ca96431c",
-     "73ffa1e35c95e791836dab76c6dd7058e5f0426d1e6c22e3222dfaa7952ee6fe"),
+     "e30234299bb43729b9b8a38b0838eebd61fa2d2066a905555ee478b86388703a",
+     "d0de4911cc31695d17101cef77775d1cff1add822c78646760746a9a08aa188e"),
 ], ids=["headline_d1", "ot_d2", "alpha1_monomial"])
 def test_certificate_outputs_golden_digests(tmp_path, flags, cert_sha256,
                                             sweep_sha256):
@@ -467,10 +467,10 @@ def test_wp_solves_one_assignment_per_grid_time(tmp_path, monkeypatch):
 
 
 def test_certify_warns_vacuous_rate(tmp_path, capsys):
-    # the headline model's lambda = 4.0e-33
+    # the headline model's lambda = 5.7e-33
     assert run(["certify", "--horizon", "1", "--out", str(tmp_path)]) == EXIT_OK
     err = capsys.readouterr().err
-    assert err.startswith("warning: vacuous certificate: lambda * horizon = 4.01e-33")
+    assert err.startswith("warning: vacuous certificate: lambda * horizon = 5.67e-33")
     assert (tmp_path / "cert.txt").exists()
 
 

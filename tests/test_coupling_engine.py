@@ -161,6 +161,27 @@ def test_coupled_jump_distance_algebra():
     assert np.allclose(r_new, np.abs(r + 2 * zdot), rtol=1e-9, atol=1e-12)
 
 
+def test_line_reflection_is_bitwise_the_mirror():
+    # on the line coupled_jump takes -z for the mirror; over separations from
+    # the least subnormal to 1e300, of both signs, and jumps up to the
+    # separation (the reflected rows) or twice it (the synchronous ones), the
+    # increment must have the bits of the general arithmetic
+    rng = rng_at(90)
+    r = np.concatenate(([5e-324, 1e-320, 2.2e-308], np.logspace(-300, 300, 61)))
+    diff = np.concatenate((r, -r))
+    z = (np.where(rng.random(len(diff)) < 0.5, -1.0, 1.0) * np.abs(diff)
+         * np.where(np.arange(len(diff)) % 3, rng.uniform(0.8, 1.0, len(diff)),
+                    2.0))
+    x, y, z = diff[:, None], np.zeros((len(diff), 1)), z[:, None]
+    assert (z != 0.0).all()
+    radius = np.abs(z[:, 0])
+    do_refl = radius <= np.abs(diff)
+    assert 0 < do_refl.sum() < len(diff)
+    want = np.where(do_refl[:, None], _mirror(z, x - y, np.abs(diff)), z)
+    assert _same_bits(coupled_jump(x, y, z, radius, 1.0, math.inf), want)
+    assert _same_bits(want[do_refl], -z[do_refl])
+
+
 # -------------------------------- drift steps --------------------------------
 
 
@@ -378,6 +399,60 @@ def test_rk4_step_is_bitwise_the_out_of_place_step(name, d):
     assert np.array_equal(x, x_before)
     assert np.array_equal(step, want_step)
     assert np.array_equal(got, want)
+
+
+def _flow_out_of_place(field, x, h):
+    # _drift_flow's loop on the out-of-place step: every row's first step,
+    # then the rows with time left until none has any
+    x, step = _rk4_out_of_place(field, x, h)
+    remaining = h - step
+    while (remaining > 0.0).any():
+        act = remaining > 0.0
+        x[act], step = _rk4_out_of_place(field, x[act], remaining[act])
+        remaining[act] -= step
+    return x
+
+
+@pytest.mark.parametrize("name", _STEP_FIELDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_uncapped_rk4_step_is_bitwise_the_capped_step(name, d):
+    # every row's scale |b(x)| / (1 + |x|) is at most _STABILITY_MARGIN /
+    # _WINDOW, so _rk4_one skips the per-row cap; its rows and steps must be
+    # the capped step's for horizons below and above the window, a step
+    # that cuts no row short must hand back the horizons themselves, and a
+    # flow must be the capped steps' loop, also over horizons of many windows
+    field = _STEP_FIELDS[name](d)
+    rng = rng_at(80 + d)
+    x = rng.standard_normal((60, d)) * np.repeat([1e-3, 0.1, 1.0], 20)[:, None]
+    scale = _rownorm(field.evaluate(x)) / (1.0 + _rownorm(x))
+    assert scale.max() <= _STABILITY_MARGIN / _WINDOW
+    below = rng.uniform(0.0, _WINDOW, 60)
+    for remaining in (below, rng.uniform(1e-5, 2 * _WINDOW, 60),
+                      np.full(60, 2.0)):
+        got, step = _rk4_one(field, x, remaining)
+        want, want_step = _rk4_out_of_place(field, x, remaining)
+        assert _same_bits(step, want_step)
+        assert _same_bits(got, want)
+    assert _rk4_one(field, x, below)[1] is below
+    for h in (below, rng.uniform(0.0, 3 * _WINDOW, 60), np.full(60, 2.0)):
+        assert _same_bits(_drift_flow(field, x, h), _flow_out_of_place(field, x, h))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("d", [1, 2])
+def test_nonfinite_drift_on_an_uncapped_step_raises(bad, d):
+    # every other row is far below the stability cap, so the step would take
+    # the uncapped path; the one non-finite drift value must still stop it
+    def b(x):
+        out = -x
+        out[3] = bad
+        return out
+
+    field = DriftField(evaluate=b, d=d, label="nonfinite")
+    x = np.linspace(0.1, 1.0, 8 * d).reshape(8, d)
+    for step in (_rk4_one, _drift_flow):
+        with pytest.raises(DriftBlowupError, match="non-finite drift"):
+            step(field, x, np.full(8, 1e-3))
 
 
 def test_step_drift_stable_far_from_origin():
@@ -726,6 +801,49 @@ def test_mirrored_kick_stops_at_l0_and_keeps_y_gaussian():
         for q in (-1.5, -0.5, 0.0, 0.5, 1.5):
             p = 0.5 * math.erfc(-q / math.sqrt(2.0))
             assert abs((z <= q).mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+
+
+class _FixedDraws:
+    """A generator stand-in that serves given normals and uniforms."""
+
+    def __init__(self, normals, uniforms):
+        self._normals, self._uniforms = normals, uniforms
+
+    def standard_normal(self, shape):
+        assert shape == self._normals.shape
+        return self._normals.copy()
+
+    def random(self, n):
+        assert n == len(self._uniforms)
+        return self._uniforms.copy()
+
+
+def test_line_kick_is_bitwise_the_planar_kick():
+    # on the line _mirrored_kick takes g.e as one product; run on the same
+    # pairs laid on the first axis of the plane, with a zero second normal,
+    # the d >= 2 einsum must give the same bits, zero draws (g = +-0, whose
+    # product einsum turns into +0) and y = -0 included
+    n, l0 = 12, 1.0
+    rng = rng_at(95)
+    g = rng.standard_normal(n)
+    g[:4] = [0.0, -0.0, 0.0, -0.0]
+    g[4] = -5e-324
+    x = rng.uniform(0.05, 0.9, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    y = np.where(np.arange(n) < 8, -0.0, 0.5 * x)
+    u = rng.random(n)
+    var = np.full(n, 0.01)
+    out = []
+    for d in (1, 2):
+        pairs = np.zeros((n, 2, d))
+        pairs[:, 0, 0], pairs[:, 1, 0] = x, y
+        merged = np.zeros(n, dtype=bool)
+        normals = np.zeros((n, d))
+        normals[:, 0] = g
+        _mirrored_kick(pairs, np.arange(n), np.abs(x - y), var, l0, merged,
+                       _FixedDraws(normals, u))
+        out.append((pairs[:, :, 0], merged))
+    assert _same_bits(out[0][0], out[1][0])
+    assert np.array_equal(out[0][1], out[1][1])
 
 
 def test_band_draws_nothing_outside_l0_or_without_profile(monkeypatch):

@@ -48,9 +48,26 @@ def test_power_potential_origin_and_hand_value():
 def test_power_potential_claimed_constants():
     field = power_potential_drift(1.5, 2)
     cond = field.claimed_condition
-    assert cond.k2 == pytest.approx(1.5 * 2.0 ** -0.5, rel=1e-14)
+    # K2 = beta 2^(3 - 2 beta), 1.5 at beta = 1.5
+    assert cond.k2 == pytest.approx(1.5, rel=1e-14)
     assert cond.theta == pytest.approx(3.0)
     assert cond.k1 == 1.0 and cond.l0 == 1.0
+
+
+@pytest.mark.parametrize("c, q", [(3.0, 1.0), (1.0, 0.0), (0.5, 1.7),
+                                  (2.0, 2.0)])
+def test_line_monomial_drift_is_bitwise_the_rownorm_formula(c, q):
+    # on the line monomial_drift takes |x| for the row norm, chosen once per
+    # field; single points (1,) and batches (n, 1) keep the bits of the
+    # _rownorm formula
+    b = monomial_drift(c, q, 1).evaluate
+    x = np.array([0.0, -0.0, 5e-324, -1e-300, 0.3, -1.0, 7.5, -1e50, math.nan,
+                  math.inf])[:, None]
+    want = -c * _rownorm(x, keepdims=True) ** q * x
+    assert b(x).tobytes() == want.tobytes()
+    for row, w in zip(x, want):
+        assert b(row).shape == (1,)
+        assert b(row).tobytes() == w.tobytes()
 
 
 def test_power_potential_rejects_beta():
@@ -72,7 +89,7 @@ def test_linear_drift_values_and_flow():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_power_potential_global_inequality(d):
-    # <b(x)-b(y), x-y> <= -beta 2^(4-3beta) |x-y|^(2 beta), zero violations
+    # <b(x)-b(y), x-y> <= -beta 2^(3-2beta) |x-y|^(2 beta), zero violations
     beta = 1.5
     field = power_potential_drift(beta, d)
     rng = rng_at(2 + d)
@@ -83,10 +100,11 @@ def test_power_potential_global_inequality(d):
     keep = r > 0
     b = field.evaluate
     lhs = np.einsum("ij,ij->i", b(xs[keep]) - b(ys[keep]), diff[keep])
-    rhs = -beta * 2.0 ** (4 - 3 * beta) * r[keep] ** (2 * beta)
+    rhs = -beta * 2.0 ** (3 - 2 * beta) * r[keep] ** (2 * beta)
     assert np.all(lhs <= rhs + 1e-10 * (1 + np.abs(rhs)))
     # every registry drift's claimed (K2, theta) holds with any (K1, L0):
-    # the CLI certifies the claim with the configured K1 and L0 unprobed
+    # the CLI certifies the claim with the configured K1 and L0 unprobed;
+    # the claim is an equality at y = -x, so 5% above it is violated
     fields = ([linear_drift(1.3, d)]
               + [power_potential_drift(b, d) for b in (1.2, 1.5, 2.5)]
               + [monomial_drift(c, q, d)
@@ -97,6 +115,11 @@ def test_power_potential_global_inequality(d):
             rep = verify_dissipativity(field, cond, n_probes=5000, radius=10.0,
                                        rng=rng)
             assert rep.violations == 0, (field.label, k1, l0, rep.worst_margin)
+        over = dataclasses.replace(field.claimed_condition,
+                                   k2=1.05 * field.claimed_condition.k2)
+        rep = verify_dissipativity(field, over, n_probes=5000, radius=10.0,
+                                   rng=rng)
+        assert rep.violations > 0, field.label
 
 
 def test_verify_dissipativity_linear_zero_violations():

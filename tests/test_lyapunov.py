@@ -389,11 +389,11 @@ def test_certificate_t0_hand_value():
 
 @pytest.mark.parametrize("l0, p", [(1.0, 1.0), (0.5, 4.0)])
 def test_certificate_prefactor_covers_closed_form_envelope(l0, p):
-    # monomial(1, 1)'s claim: theta = 3, K2 = 2^-1.5, so t0 = 2^1.5 / L0 > 1
-    # and the envelope cap = max(L0, 1/K2) = 2^1.5.  Exactly, m_c =
-    # inf_{u >= L0} (u^(1/p) v u)/(1+u) = 1/2 (at u = 1) and the phase
-    # supremum sup_{u >= L0} min(u, cap)(1+u)/(u^(1/p) v u) = 1 + cap (at
-    # u = cap); a grid over u misses both on the unsafe side
+    # theta = 3 and K2 = 2^-1.5 (monomial(1, 1) holds it), so t0 =
+    # 2^1.5 / L0 > 1 and the envelope cap = max(L0, 1/K2) = 2^1.5.
+    # Exactly, m_c = inf_{u >= L0} (u^(1/p) v u)/(1+u) = 1/2 (at u = 1)
+    # and the phase supremum sup_{u >= L0} min(u, cap)(1+u)/(u^(1/p) v u)
+    # = 1 + cap (at u = cap); a grid over u misses both on the unsafe side
     spec = isotropic_stable(1, 1.5)
     cond = DriftCondition(k1=1.0, k2=2.0 ** -1.5, l0=l0, theta=3.0)
     cert = contraction_certificate(spec, cond, p)
