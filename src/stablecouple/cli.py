@@ -25,7 +25,6 @@ import dataclasses
 import gc
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -54,6 +53,7 @@ from .lyapunov import (
     contraction_certificate,
     rate_sweep,
 )
+from .records import record
 from .stable_noise import _rownorm, isotropic_stable
 from .wasserstein_metrics import _ASSIGNMENT_CAP as _EXACT_WP_CAP
 from .wasserstein_metrics import (
@@ -72,7 +72,7 @@ EXIT_RUNTIME = 5
 _VACUOUS_DECAY = 1e-3  # lambda * horizon below this: the bound barely decays
 
 
-@dataclass
+@record(frozen=False)
 class ExperimentConfig:
     """Flat run configuration; every field is a config-file key and a flag.
 

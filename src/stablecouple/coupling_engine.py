@@ -66,12 +66,12 @@ left of it.  Only the kicks are drawn at each window end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .drift_models import DriftField
+from .records import record
 from .stable_noise import (StableSpec, _large_jumps, _rownorm,
                            _small_var_per_coord, decompose)
 from .streams import derive_stream
@@ -89,7 +89,7 @@ class DriftBlowupError(RuntimeError):
     """Non-finite state encountered while integrating the drift."""
 
 
-@dataclass(frozen=True)
+@record
 class SchemeConfig:
     """Numerical parameters of the coupled simulation scheme.
 
@@ -109,7 +109,7 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
+@record
 class PathEnsemble:
     """Coupled trajectories of an ensemble, recorded on a common grid."""
 
@@ -520,7 +520,7 @@ def simulate_coupled_ensemble(x0: np.ndarray, y0: np.ndarray, field: DriftField,
     return PathEnsemble(times=record_grid.copy(), xs=xs, ys=ys, merged=mg)
 
 
-@dataclass(frozen=True)
+@record
 class DecaySeries:
     """Ensemble mean of psi(r_t) with CLT standard errors."""
 

@@ -9,16 +9,17 @@ condition is a test oracle (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .records import record
 from .stable_noise import StableSpec, _rownorm
 
 
-@dataclass(frozen=True)
+@record
 class DriftCondition:
     """Constants (K1, K2, L0, theta) of the two-regime drift condition."""
 
@@ -47,7 +48,7 @@ class DriftCondition:
         return self.l0 ** (2.0 - self.theta) / (self.k2 * (self.theta - 2.0))
 
 
-@dataclass(frozen=True)
+@record
 class DriftField:
     """A drift b: R^d -> R^d with an optional claimed dissipativity condition.
 
@@ -129,7 +130,7 @@ def drift_from_label(label: str, d: int, **params) -> DriftField:
     raise ValueError(f"unknown drift label {label!r}")
 
 
-@dataclass(frozen=True)
+@record
 class GateResult:
     """Outcome of the small-alpha admissibility gate."""
 

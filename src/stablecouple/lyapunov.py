@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 import numpy as np
 
 from .drift_models import DriftCondition, check_small_alpha_gate
+from .records import record
 from .stable_noise import StableSpec
 from .wasserstein_metrics import require_order
 
@@ -61,7 +62,7 @@ class CertificateError(RuntimeError):
 _EXP_SAFE = 600.0
 
 
-@dataclass(frozen=True)
+@record
 class RadialLyapunov:
     """Piecewise radial Lyapunov function with its derived constants.
 
@@ -343,7 +344,7 @@ def default_radial_grid(l0: float) -> np.ndarray:
     return np.geomspace(_GRID_MIN_FACTOR * l0, _GRID_MAX_FACTOR * l0, _GRID_POINTS)
 
 
-@dataclass(frozen=True)
+@record
 class RateSweep:
     """Grid sweep of the contraction ratio -L psi(r) / psi(r).
 
@@ -396,7 +397,7 @@ def rate_sweep(lyap: RadialLyapunov, spec: StableSpec,
                      psi=psi, generator_bound=gen)
 
 
-@dataclass(frozen=True)
+@record
 class TailEnvelopeReport:
     """Positivity of g(r) = A cexp e^{cexp(r-2L0)}/2 + 2B(r-2L0) on [2L0, inf).
 
@@ -445,7 +446,7 @@ _RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ContractionCertificate:
     """Machine-checked contraction constants.
 

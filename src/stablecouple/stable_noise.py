@@ -17,9 +17,10 @@ simulator against, is a test oracle (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .records import record
 
 
 def levy_constant(d: int, alpha: float) -> float:
@@ -55,7 +56,7 @@ def sphere_surface(d: int) -> float:
     return float(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0))
 
 
-@dataclass(frozen=True)
+@record
 class StableSpec:
     """Dimension, stability index and the derived noise constants."""
 
@@ -72,7 +73,7 @@ def isotropic_stable(d: int, alpha: float) -> StableSpec:
                       omega_d=sphere_surface(d))
 
 
-@dataclass(frozen=True)
+@record
 class JumpDecomposition:
     """Split of the jump measure at radius ``delta``.
 

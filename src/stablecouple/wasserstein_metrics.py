@@ -22,10 +22,10 @@ so the error bar draws no random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .records import record
 from .stable_noise import _rownorm
 
 _ASSIGNMENT_CAP = 1024  # O(n^3) exact solve; keep instances desk-sized
@@ -380,8 +380,10 @@ def bootstrap_wp_stderr(xs: np.ndarray, ys: np.ndarray, p: float,
     return exact_wp_with_stderr(xs, ys, p)[1]
 
 
-@dataclass(frozen=True)
+@record
 class RateFit:
+    """Decay rate of a fitted exponential and its standard error."""
+
     lambda_hat: float
     lambda_stderr: float
 
